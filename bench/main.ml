@@ -580,8 +580,9 @@ let kernels_suite () =
     (name, dt, gbps)
   in
   (* Bytes moved per element: copy touches 8 (read + write), reduce 12
-     (read both + write), copy_add 16, of_f64 12 (8 in, 4 out). Bound
-     sequentially: list elements evaluate right-to-left. *)
+     (read both + write), copy_add 16, of_f64 12 (8 in, 4 out), to_f64
+     12 (4 in, 8 out). Bound sequentially: list elements evaluate
+     right-to-left. *)
   let k_copy = bench "copy" 8. (fun () -> Sem.Kernels.copy b 0 a 0 elems) in
   let k_reduce =
     bench "reduce" 12. (fun () -> Sem.Kernels.reduce c 0 a 0 elems)
@@ -592,7 +593,11 @@ let kernels_suite () =
   let k_of_f64 =
     bench "of_f64" 12. (fun () -> Sem.Kernels.of_f64 a 0 f64 elems)
   in
-  let ks = [ k_copy; k_reduce; k_copy_add; k_of_f64 ] in
+  let wide = Array.create_float elems in
+  let k_to_f64 =
+    bench "to_f64" 12. (fun () -> Sem.Kernels.to_f64 wide a 0 elems)
+  in
+  let ks = [ k_copy; k_reduce; k_copy_add; k_of_f64; k_to_f64 ] in
   (* Dispatch cost at pipeline-chunk granularity: the fused entry makes
      one call (and one pass over src) where the unfused path makes two. *)
   let chunk = 4_096 in
@@ -1480,7 +1485,7 @@ let check_specs =
         six_collectives;
       List.map
         (fun k -> exact "kernels" [ Row ("kernels", "kernel", k); F "elems" ])
-        [ "copy"; "reduce"; "copy_add"; "of_f64" ];
+        [ "copy"; "reduce"; "copy_add"; "of_f64"; "to_f64" ];
       List.concat_map
         (fun c ->
           let row field = [ Row ("collectives", "collective", c); F field ] in

@@ -18,10 +18,12 @@
 type slab = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* C kernels (semantics_stubs.c): the copy, the in-place reduce, the
-   fused copy+reduce, and the float64 -> float32 write conversion are
-   conversion-bound through the Bigarray accessors (each element
-   round-trips through double), so the hot loops live in C where they
-   stay in single precision, restrict-qualified and unrolled wide. *)
+   fused copy+reduce, and both boundary conversions — float64 -> float32
+   for writes, float32 -> float64 for reads — are conversion-bound
+   through the Bigarray accessors (each element round-trips through
+   double, and a per-element read-back also boxes it), so the hot loops
+   live in C where they stay in single precision, restrict-qualified and
+   unrolled wide. *)
 external f32_reduce : slab -> int -> slab -> int -> int -> unit
   = "blink_f32_reduce"
 [@@noalloc]
@@ -40,6 +42,12 @@ external f32_copy_add :
 
 external f32_of_f64 : slab -> int -> float array -> int -> unit
   = "blink_f32_of_f64"
+[@@noalloc]
+
+(* [f64_of_f32 dst src soff len]: dst.(i) = src.{soff + i}, the exact
+   widening of a read; fills an unboxed float array in place. *)
+external f64_of_f32 : float array -> slab -> int -> int -> unit
+  = "blink_f64_of_f32"
 [@@noalloc]
 
 type kernels = {
@@ -149,11 +157,16 @@ let write mem ~node ~buf values =
      deferred zeroing of this buffer unnecessary. *)
   if mem.armed then mem.pending_zero.(node).(buf) <- false
 
+(* A fresh float array holding [len] slab elements from [base], widened
+   in one C pass: no per-element boxing, and no zero-fill before it. *)
+let widen s base len =
+  let out = Array.create_float len in
+  f64_of_f32 out s base len;
+  out
+
 let read mem ~node ~buf =
   check_known mem ~node ~buf;
-  let s = mem.slabs.(node) and base = mem.offs.(node).(buf) in
-  Array.init mem.lens.(node).(buf) (fun i ->
-      Bigarray.Array1.unsafe_get s (base + i))
+  widen mem.slabs.(node) mem.offs.(node).(buf) mem.lens.(node).(buf)
 
 let read_slice mem ~node ~buf ~off ~len =
   check_known mem ~node ~buf;
@@ -162,8 +175,7 @@ let read_slice mem ~node ~buf ~off ~len =
       (Printf.sprintf
          "Semantics.read_slice: out of bounds (node=%d, buf=%d, off=%d, len=%d)"
          node buf off len);
-  let s = mem.slabs.(node) and base = mem.offs.(node).(buf) + off in
-  Array.init len (fun i -> Bigarray.Array1.unsafe_get s (base + i))
+  widen mem.slabs.(node) (mem.offs.(node).(buf) + off) len
 
 (* Resolve a mem_ref to (slab, absolute offset), with the seed's exact
    error messages at the same call (the program's first run). *)
@@ -477,6 +489,7 @@ module Kernels = struct
   let reduce = f32_reduce
   let copy_add = f32_copy_add
   let of_f64 = f32_of_f64
+  let to_f64 = f64_of_f32
 end
 
 (* Pooled-replay protocol: [begin_replay] marks the buffers whose stale

@@ -66,12 +66,18 @@ val write : memory -> node:int -> buf:int -> float array -> unit
     [Invalid_argument] on unknown buffer or length mismatch. *)
 
 val read : memory -> node:int -> buf:int -> float array
-(** A copy of the buffer's current contents. *)
+(** A fresh copy of the buffer's current contents, widened exactly to
+    float64 (bit-identical to reading each element through the Bigarray
+    accessor, NaN payloads included). Costs one C widening pass plus one
+    unboxed float-array allocation — no per-element boxing; arrays past
+    the minor-heap size limit go straight to the major heap. *)
 
 val read_slice : memory -> node:int -> buf:int -> off:int -> len:int -> float array
-(** A copy of [len] elements starting at [off] — extraction without
-    materializing the whole buffer. Raises [Invalid_argument] when the
-    range falls outside the buffer. *)
+(** A fresh copy of [len] elements starting at [off] — extraction without
+    materializing the whole buffer. Same cost as {!read} at [len]
+    elements: one C widening pass plus one unboxed float-array
+    allocation. Raises [Invalid_argument] when the range falls outside
+    the buffer. *)
 
 val run : Program.t -> memory -> unit
 (** Apply every op's action in topological order. Raises
@@ -115,6 +121,10 @@ module Kernels : sig
 
   val of_f64 : slab -> int -> float array -> int -> unit
   (** [of_f64 dst doff src len]: narrowing float64 -> float32 store. *)
+
+  val to_f64 : float array -> slab -> int -> int -> unit
+  (** [to_f64 dst src soff len]: exact widening float32 -> float64 load
+      into [dst.(0 .. len-1)] — the conversion behind {!read}. *)
 end
 
 (** The seed implementation — float64 [float array] per buffer behind a

@@ -1,18 +1,19 @@
 /* Float32 data-path kernels for Semantics.
 
    The replay hot loops — copies, the in-place reduce, the fused
-   copy+reduce used by batched chunk chains, and the float64 -> float32
-   boundary conversion of writes — are conversion-bound through the
-   Bigarray accessors in OCaml (every element pays a cvtss2sd/cvtsd2ss
-   round trip through double). These C loops keep the work in single
+   copy+reduce used by batched chunk chains — and both boundary
+   conversions (float64 -> float32 for writes, float32 -> float64 for
+   reads) are conversion-bound through the Bigarray accessors in OCaml
+   (every element pays a cvtss2sd/cvtsd2ss round trip through double,
+   and a read would box it). These C loops keep the work in single
    precision; the wide paths are restrict-qualified and unrolled so the
    compiler vectorizes the slab loops, with a runtime overlap check
    falling back to order-exact scalar loops (overlapping ranges must
    behave exactly like the OCaml reference's element-by-element order).
 
    All stubs are [@@noalloc]: they touch no OCaml heap values beyond
-   reading the already-pinned bigarray payloads and an unboxed float
-   array. */
+   the already-pinned bigarray payloads and an unboxed float array
+   (read by the write conversion, filled by the read conversion). */
 
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
@@ -166,5 +167,31 @@ CAMLprim value blink_f32_of_f64(value vdst, value vdoff, value vsrc,
     dst[i + 7] = (float)src[i + 7];
   }
   for (; i < n; i++) dst[i] = (float)src[i];
+  return Val_unit;
+}
+
+/* dst[0..len) = (double)src[soff..soff+len): the read-back mirror of
+   blink_f32_of_f64. dst is an OCaml float array (a flat double payload,
+   typically fresh from Array.create_float); unrolled so the widening
+   converts run as packed cvtps2pd. Widening is exact and keeps NaN
+   payloads, so results match the Bigarray accessor bit for bit. */
+CAMLprim value blink_f64_of_f32(value vdst, value vsrc, value vsoff,
+                                value vlen)
+{
+  double *restrict dst = (double *)vdst;
+  const float *restrict src = (const float *)Caml_ba_data_val(vsrc) + Long_val(vsoff);
+  long n = Long_val(vlen);
+  long i = 0;
+  for (; i + 8 <= n; i += 8) {
+    dst[i + 0] = (double)src[i + 0];
+    dst[i + 1] = (double)src[i + 1];
+    dst[i + 2] = (double)src[i + 2];
+    dst[i + 3] = (double)src[i + 3];
+    dst[i + 4] = (double)src[i + 4];
+    dst[i + 5] = (double)src[i + 5];
+    dst[i + 6] = (double)src[i + 6];
+    dst[i + 7] = (double)src[i + 7];
+  }
+  for (; i < n; i++) dst[i] = (double)src[i];
   return Val_unit;
 }

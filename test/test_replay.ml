@@ -9,11 +9,14 @@
      from-scratch Engine.run, under both queueing policies, including
      repeated runs on one arena.
    - Pooling: Plan.execute's pooled memory resets cleanly, so repeated
-     executes yield identical replay buffers. *)
+     executes yield identical replay buffers.
+   - Allocation: steady-state Comm collectives with data in and out
+     allocate a fixed, element-count-independent number of minor words. *)
 
 module Server = Blink_topology.Server
 module Blink = Blink_core.Blink
 module Plan = Blink_core.Plan
+module Comm = Blink_core.Comm
 module Codegen = Blink_collectives.Codegen
 module P = Blink_sim.Program
 module E = Blink_sim.Engine
@@ -158,6 +161,39 @@ let test_pooled_no_load collective () =
         (Sem.read mem ~node ~buf))
     (P.buffers prog)
 
+(* Data-path allocation guard: a steady-state Comm collective with data
+   in and out allocates a small fixed number of minor words per call.
+   Each result buffer is one unboxed float array, past the minor-heap
+   size limit at this size, so it lands on the major heap; per-element
+   boxing on read-back would cost >= 2 words per element (millions per
+   call here) and blow the budget immediately. *)
+let guard_elems = 262_144
+let minor_word_budget = 16_384.
+
+let dgx8 = lazy (Comm.init Server.dgx1v ~gpus:(Array.init 8 Fun.id))
+
+let minor_words_per_call f =
+  (* Two warm-up calls: plan compile, pooled memory and kernel table. *)
+  ignore (f ());
+  ignore (f ());
+  let calls = 4 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. Float.of_int calls
+
+let test_alloc_guard name collective () =
+  let c = Lazy.force dgx8 in
+  let ins =
+    Array.init 8 (fun r ->
+        Array.init guard_elems (fun i -> Float.of_int ((i + r) land 15)))
+  in
+  let words = minor_words_per_call (fun () -> collective c ins) in
+  if words > minor_word_budget then
+    Alcotest.failf "%s: %.0f minor words per call at %d elems (budget %.0f)"
+      name words guard_elems minor_word_budget
+
 let () =
   Alcotest.run "replay"
     [
@@ -181,4 +217,13 @@ let () =
             Alcotest.test_case (Plan.collective_name c) `Quick
               (test_pooled_no_load c))
           collectives );
+      ( "data-path allocation",
+        [
+          Alcotest.test_case "all_reduce" `Quick
+            (test_alloc_guard "all_reduce" (fun c ins ->
+                 (Comm.all_reduce c ins).Comm.value));
+          Alcotest.test_case "reduce_scatter" `Quick
+            (test_alloc_guard "reduce_scatter" (fun c ins ->
+                 (Comm.reduce_scatter c ins).Comm.value));
+        ] );
     ]

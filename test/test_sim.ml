@@ -497,6 +497,88 @@ let test_semantics_read_slice () =
        false
      with Invalid_argument _ -> true)
 
+(* Read-back is bit-exact: every float32 value written comes back from
+   [read]/[read_slice] with the same float64 bits a per-element Bigarray
+   accessor would produce — signed zeros, infinities, subnormals, the
+   float32 extremes and NaN payloads included — and every read is a
+   fresh array the caller may mutate. *)
+let f32_specials =
+  Array.map Int32.float_of_bits
+    [|
+      0x00000000l; 0x80000000l;  (* +0, -0 *)
+      0x7f800000l; 0xff800000l;  (* +inf, -inf *)
+      0x00000001l; 0x80000001l;  (* smallest subnormals *)
+      0x007fffffl;  (* largest subnormal *)
+      0x00800000l;  (* float32 min normal *)
+      0x7f7fffffl; 0xff7fffffl;  (* +/- float32 max *)
+      0x7fc00000l; 0xffc00000l; 0x7fc12345l;  (* NaNs, one with payload *)
+      0x3f800000l;  (* 1.0 *)
+    |]
+
+let readback_case =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ (1, oneofl (Array.to_list f32_specials)); (3, map Int32.float_of_bits int32) ]
+  in
+  int_bound 17 >>= fun pad ->
+  array_size (int_bound 300) value >>= fun extra ->
+  let values = Array.append f32_specials extra in
+  let n = Array.length values in
+  let slice =
+    int_bound n >>= fun off -> int_bound (n - off) >|= fun len -> (off, len)
+  in
+  list_size (int_range 1 8) slice >|= fun slices ->
+  (* Always cover the empty slice at both ends and the full buffer. *)
+  (pad, values, [ (0, 0); (n, 0); (0, n) ] @ slices)
+
+let prop_readback_bit_exact =
+  QCheck.Test.make ~name:"read/read_slice bit-exact and fresh" ~count:200
+    (QCheck.make
+       ~print:(fun (pad, values, slices) ->
+         Printf.sprintf "pad=%d n=%d slices=[%s]" pad (Array.length values)
+           (String.concat "; "
+              (List.map (fun (o, l) -> Printf.sprintf "(%d,%d)" o l) slices)))
+       readback_case)
+    (fun (pad, values, slices) ->
+      let n = Array.length values in
+      let p = P.create () in
+      (* A leading pad buffer puts the target at an arbitrary slab offset;
+         a trailing empty buffer covers zero-length reads. *)
+      let padb = P.declare_buffer p ~node:0 ~len:pad in
+      let b = P.declare_buffer p ~node:0 ~len:n in
+      let empty = P.declare_buffer p ~node:0 ~len:0 in
+      let mem = Sem.memory_of_program p in
+      Sem.write mem ~node:0 ~buf:padb (Array.make pad 7.25);
+      Sem.write mem ~node:0 ~buf:b values;
+      let reference = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout n in
+      Array.iteri (Bigarray.Array1.set reference) values;
+      let expect off len =
+        Array.init len (fun i ->
+            Int64.bits_of_float (Bigarray.Array1.get reference (off + i)))
+      in
+      let bits = Array.map Int64.bits_of_float in
+      let r1 = Sem.read mem ~node:0 ~buf:b in
+      let r2 = Sem.read mem ~node:0 ~buf:b in
+      let full_ok = bits r1 = expect 0 n && r1 != r2 in
+      r1.(0) <- 1234.5;
+      let fresh_ok = bits (Sem.read mem ~node:0 ~buf:b) = expect 0 n in
+      let slices_ok =
+        List.for_all
+          (fun (off, len) ->
+            let s = Sem.read_slice mem ~node:0 ~buf:b ~off ~len in
+            bits s = expect off len
+            && (len = 0
+               ||
+               (s.(0) <- 1234.5;
+                bits (Sem.read_slice mem ~node:0 ~buf:b ~off ~len)
+                = expect off len)))
+          slices
+      in
+      full_ok && fresh_ok && slices_ok
+      && Sem.read mem ~node:0 ~buf:empty = [||]
+      && Sem.read mem ~node:0 ~buf:padb = Array.make pad 7.25)
+
 (* ------------------------------------------------------------------ *)
 (* Fault injection *)
 
@@ -675,5 +757,6 @@ let () =
             test_semantics_matches_ref;
           Alcotest.test_case "reset + replay" `Quick test_semantics_reset_replay;
           Alcotest.test_case "read_slice" `Quick test_semantics_read_slice;
+          QCheck_alcotest.to_alcotest prop_readback_bit_exact;
         ] );
     ]
