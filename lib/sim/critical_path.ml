@@ -8,12 +8,6 @@ type attribution = {
   per_resource : (int * float) list;
 }
 
-let resource_of_op (o : Program.op) =
-  match o.Program.kind with
-  | Program.Transfer { link; _ } -> Some link
-  | Program.Compute { engine; _ } -> Some engine
-  | Program.Delay _ -> None
-
 let attribute prog (r : Engine.result) =
   let path = Trace.critical_path prog r in
   let makespan = r.Engine.makespan in
@@ -29,7 +23,7 @@ let attribute prog (r : Engine.result) =
       | Program.Transfer _ -> transfer_s := !transfer_s +. d
       | Program.Compute _ -> compute_s := !compute_s +. d
       | Program.Delay _ -> delay_s := !delay_s +. d);
-      match resource_of_op o with
+      match Program.resource_of_op o with
       | Some res ->
           let prev = Option.value (Hashtbl.find_opt per_res res) ~default:0. in
           Hashtbl.replace per_res res (prev +. d)
@@ -67,7 +61,7 @@ let links ~resources prog (r : Engine.result) =
   let on_path = Hashtbl.create 16 in
   List.iter
     (fun (s : Trace.span) ->
-      match resource_of_op (Program.op prog s.Trace.op) with
+      match Program.resource_of_op (Program.op prog s.Trace.op) with
       | Some res -> Hashtbl.replace on_path res ()
       | None -> ())
     (Trace.critical_path prog r);

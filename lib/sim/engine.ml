@@ -16,13 +16,6 @@ type result = {
 module Events = Pqueue.Float_int
 module Waitq = Pqueue.Float_int_int
 
-(* Delays occupy no resource; [None] below means "start immediately". *)
-let resource_of_op (o : Program.op) =
-  match o.kind with
-  | Program.Transfer { link; _ } -> Some link
-  | Program.Compute { engine; _ } -> Some engine
-  | Program.Delay _ -> None
-
 (* Time until the op's data is available once service starts. *)
 let data_time resources (o : Program.op) =
   match o.kind with
@@ -41,7 +34,7 @@ let record_slices telemetry prog ~start ~finish =
   Program.iter_ops
     (fun o ->
       let id = o.Program.id in
-      let track = match resource_of_op o with Some r -> r | None -> -1 in
+      let track = match Program.resource_of_op o with Some r -> r | None -> -1 in
       let name =
         match o.Program.kind with
         | Program.Transfer { bytes; _ } -> Printf.sprintf "xfer#%d %.0fB" id bytes
@@ -145,7 +138,7 @@ let prepare ?(telemetry = Telemetry.disabled) ?(fuse = true) ~resources prog =
   let n_res = Array.length resources in
   Program.iter_ops
     (fun o ->
-      match resource_of_op o with
+      match Program.resource_of_op o with
       | Some r when r < 0 || r >= n_res ->
           invalid_arg
             (Printf.sprintf "Engine.run: op %d uses unknown resource %d"
@@ -169,7 +162,8 @@ let prepare ?(telemetry = Telemetry.disabled) ?(fuse = true) ~resources prog =
       let d = data_time resources o in
       dur.(id) <- d;
       stream.(id) <- o.Program.stream;
-      (match resource_of_op o with
+      (* Delays occupy no resource and start as soon as they are ready. *)
+      (match Program.resource_of_op o with
       | Some r ->
           res_of.(id) <- r;
           occ.(id) <- Float.max d resources.(r).gap;
@@ -364,10 +358,62 @@ let reset_arena a p =
   a.a_mk.(0) <- 0.;
   Events.clear a.a_events
 
-let run_prepared ?(policy = `Fair) ?(telemetry = Telemetry.disabled) ?arena:a
-    ?(recorder = Recorder.none) p =
+(* ------------------------------------------------------------------ *)
+(* Fault hook: the retry branch of the event loop, which only [Fault.run]
+   drives. [no_faults] is the sentinel for a run without one, checked
+   once per run the way [Recorder.none] is. *)
+
+type fault_hook = {
+  attempt : int -> int -> bool;
+  io : float array;
+  occ : float array;
+}
+
+let no_faults = { attempt = (fun _ _ -> true); io = [||]; occ = [||] }
+
+(* The tail every dispatch shares once an op's service is fixed: write
+   its begin/end recorder pair (both are known at dispatch — the
+   simulator fixes the finish when service starts) with inline array
+   stores, advance the makespan and release the dependents. [skip] is
+   one packed edge to leave alone (a fused chain's inline successor), or
+   -1. A top-level inlined function rather than a closure in [exec], so
+   sharing it costs a run neither a call per op nor a closure. *)
+let[@inline] finish_op a p ~rec_on recorder estaged id skip =
+  let fin = a.a_finish.(id) in
+  if rec_on then begin
+    let r = p.p_res_of.(id) in
+    let h = recorder.Recorder.head in
+    let mask = recorder.Recorder.mask in
+    let i = h land mask in
+    recorder.Recorder.ev_kind.(i) <- 0;
+    recorder.Recorder.ev_op.(i) <- id;
+    recorder.Recorder.ev_res.(i) <- r;
+    recorder.Recorder.ev_time.(i) <- a.a_start.(id);
+    let j = (h + 1) land mask in
+    recorder.Recorder.ev_kind.(j) <- 1;
+    recorder.Recorder.ev_op.(j) <- id;
+    recorder.Recorder.ev_res.(j) <- r;
+    recorder.Recorder.ev_time.(j) <- fin;
+    recorder.Recorder.head <- h + 2
+  end;
+  if fin > a.a_mk.(0) then a.a_mk.(0) <- fin;
+  for e = p.p_dep_off.(id) to p.p_dep_off.(id + 1) - 1 do
+    let packed = p.p_dep.(e) in
+    if packed <> skip then begin
+      let dep = packed lsr 1 in
+      let candidate = if packed land 1 = 1 then fin else fin +. p.p_lat.(dep) in
+      if candidate > a.a_ready.(dep) then a.a_ready.(dep) <- candidate;
+      let pend = a.a_pending.(dep) - 1 in
+      a.a_pending.(dep) <- pend;
+      if pend = 0 then begin
+        estaged.(0) <- a.a_ready.(dep);
+        Events.add_staged a.a_events dep
+      end
+    end
+  done
+
+let exec ~faults ~policy ~telemetry ~recorder a p =
   let t_span = Telemetry.now_s telemetry in
-  let a = match a with Some a -> a | None -> scratch_arena () in
   if Atomic.exchange a.a_in_use true then
     invalid_arg
       "Engine.run_prepared: arena already in use (concurrent or reentrant \
@@ -377,130 +423,81 @@ let run_prepared ?(policy = `Fair) ?(telemetry = Telemetry.disabled) ?arena:a
   let events = a.a_events in
   let estaged = Events.staged events in
   let fair = match policy with `Fair -> true | `Stream_priority -> false in
-  (* Flight recorder: a single physical-equality check hoisted here, then
-     inline int/float array stores in [start_op] — no closure call (which
-     would box the float times) and no per-op allocation. *)
+  (* Flight recorder and fault hook: one physical-equality check each,
+     hoisted here. The no-fault dispatch never consults the hook. *)
   let rec_on = recorder != Recorder.none in
-  (* [start_op] takes its start time through the staged slot rather than
-     as a float argument: closure calls box float arguments, and this is
-     the per-op hot path. Callers leave the time in [estaged.(0)] (where
-     [pop_staged] already put it); it is read once on entry, before the
-     slot is reused for pushes. Fused chain members likewise pass their
-     start time through [a_start] (written by their predecessor) instead
-     of a float argument. *)
+  let faults_on = faults != no_faults in
+  (* Times never travel as float arguments: closure calls box them, and
+     this is the per-op hot path. [start_op] reads its start time from
+     the staged slot (where [pop_staged] left it) before the slot is
+     reused for pushes; fused chain members get theirs in [a_start],
+     written by their predecessor. Once an op's service is fixed, its
+     times are read back from [a_start]/[a_finish]. *)
   let rec fused_member id =
-    let t = a.a_start.(id) in
-    let fin = t +. p.p_dur.(id) in
-    a.a_finish.(id) <- fin;
-    if rec_on then begin
-      let r = p.p_res_of.(id) in
-      let h = recorder.Recorder.head in
-      let mask = recorder.Recorder.mask in
-      let i = h land mask in
-      recorder.Recorder.ev_kind.(i) <- 0;
-      recorder.Recorder.ev_op.(i) <- id;
-      recorder.Recorder.ev_res.(i) <- r;
-      recorder.Recorder.ev_time.(i) <- t;
-      let j = (h + 1) land mask in
-      recorder.Recorder.ev_kind.(j) <- 1;
-      recorder.Recorder.ev_op.(j) <- id;
-      recorder.Recorder.ev_res.(j) <- r;
-      recorder.Recorder.ev_time.(j) <- fin;
-      recorder.Recorder.head <- h + 2
-    end;
+    a.a_finish.(id) <- a.a_start.(id) +. p.p_dur.(id);
     let next = p.p_fuse_next.(id) in
     if next < 0 then begin
       (* Last member: release the chain's lane before the dependents
          fan-out, exactly where the unfused engine pushes its lane_free
          (so equal-timestamp pops keep the free-before-acquire order). *)
-      if fin > a.a_mk.(0) then a.a_mk.(0) <- fin;
-      let r = p.p_res_of.(id) in
-      estaged.(0) <- t +. p.p_occ.(id);
-      Events.add_staged events (-1 - r)
+      estaged.(0) <- a.a_start.(id) +. p.p_occ.(id);
+      Events.add_staged events (-1 - p.p_res_of.(id))
     end;
-    (* The stream edge to the next chain member is handled inline below;
-       its packed value is skipped here so the member's pending count
-       never reaches zero and it never enters the event heap. *)
-    let skip = (next lsl 1) lor 1 in
-    for e = p.p_dep_off.(id) to p.p_dep_off.(id + 1) - 1 do
-      let packed = p.p_dep.(e) in
-      if packed <> skip then begin
-        let dep = packed lsr 1 in
-        let candidate =
-          if packed land 1 = 1 then fin else fin +. p.p_lat.(dep)
-        in
-        if candidate > a.a_ready.(dep) then a.a_ready.(dep) <- candidate;
-        let pend = a.a_pending.(dep) - 1 in
-        a.a_pending.(dep) <- pend;
-        if pend = 0 then begin
-          estaged.(0) <- a.a_ready.(dep);
-          Events.add_staged events dep
-        end
-      end
-    done;
+    (* The stream edge to the next chain member is skipped, so the
+       member's pending count never reaches zero and it never enters the
+       event heap. *)
+    finish_op a p ~rec_on recorder estaged id ((next lsl 1) lor 1);
     if next >= 0 then begin
       (* Back-to-back on one lane: the successor starts exactly at this
          member's finish (stream edges pay no latency, and under the
          contention-free precondition it never waits for the lane). *)
-      a.a_start.(next) <- fin;
+      a.a_start.(next) <- a.a_finish.(id);
       fused_member next
     end
   in
   let start_op id =
     let t = estaged.(0) in
+    a.a_start.(id) <- t;
+    let r = p.p_res_of.(id) in
     if p.p_fuse_len.(id) > 1 then begin
       (* Chain head: one lane serves the whole chain, acquired here and
          released by [fused_member] at the last member's release time. *)
-      let r = p.p_res_of.(id) in
       a.a_lanes.(r) <- a.a_lanes.(r) - 1;
-      a.a_start.(id) <- t;
       fused_member id
     end
+    else if faults_on && r >= 0 then begin
+      (* One attempt under faults. [Fault.run] prepares its schedules
+         unfused (fused chains assume fixed durations), so no chain head
+         gets here. The hook reads the attempt's start time, nominal
+         duration and nominal occupancy from [io] and answers through it:
+         the lane release time, then the finish time if served or the
+         retry's ready time if not. *)
+      let io = faults.io in
+      io.(0) <- t;
+      io.(1) <- p.p_dur.(id);
+      io.(2) <- p.p_occ.(id);
+      let served = faults.attempt id r in
+      a.a_lanes.(r) <- a.a_lanes.(r) - 1;
+      estaged.(0) <- io.(0);
+      Events.add_staged events (-1 - r);
+      if served then begin
+        a.a_finish.(id) <- io.(1);
+        finish_op a p ~rec_on recorder estaged id (-1)
+      end
+      else begin
+        estaged.(0) <- io.(1);
+        Events.add_staged events id
+      end
+    end
     else begin
-      let dur = p.p_dur.(id) in
-      a.a_start.(id) <- t;
-      let fin = t +. dur in
-      a.a_finish.(id) <- fin;
-      let r = p.p_res_of.(id) in
-      if rec_on then begin
-        (* Begin and end are both known at dispatch (the simulator fixes
-           the finish when service starts), so write the pair together. *)
-        let h = recorder.Recorder.head in
-        let mask = recorder.Recorder.mask in
-        let i = h land mask in
-        recorder.Recorder.ev_kind.(i) <- 0;
-        recorder.Recorder.ev_op.(i) <- id;
-        recorder.Recorder.ev_res.(i) <- r;
-        recorder.Recorder.ev_time.(i) <- t;
-        let j = (h + 1) land mask in
-        recorder.Recorder.ev_kind.(j) <- 1;
-        recorder.Recorder.ev_op.(j) <- id;
-        recorder.Recorder.ev_res.(j) <- r;
-        recorder.Recorder.ev_time.(j) <- fin;
-        recorder.Recorder.head <- h + 2
-      end;
+      a.a_finish.(id) <- t +. p.p_dur.(id);
       if r >= 0 then begin
-        let occupancy = p.p_occ.(id) in
         a.a_lanes.(r) <- a.a_lanes.(r) - 1;
         (* Lane_free events are encoded as negative values (-1 - r). *)
-        estaged.(0) <- t +. occupancy;
+        estaged.(0) <- t +. p.p_occ.(id);
         Events.add_staged events (-1 - r)
       end;
-      if fin > a.a_mk.(0) then a.a_mk.(0) <- fin;
-      for e = p.p_dep_off.(id) to p.p_dep_off.(id + 1) - 1 do
-        let packed = p.p_dep.(e) in
-        let dep = packed lsr 1 in
-        let candidate =
-          if packed land 1 = 1 then fin else fin +. p.p_lat.(dep)
-        in
-        if candidate > a.a_ready.(dep) then a.a_ready.(dep) <- candidate;
-        let pend = a.a_pending.(dep) - 1 in
-        a.a_pending.(dep) <- pend;
-        if pend = 0 then begin
-          estaged.(0) <- a.a_ready.(dep);
-          Events.add_staged events dep
-        end
-      done
+      finish_op a p ~rec_on recorder estaged id (-1)
     end
   in
   let srcs = p.p_sources in
@@ -549,10 +546,13 @@ let run_prepared ?(policy = `Fair) ?(telemetry = Telemetry.disabled) ?arena:a
   (* Busy totals are a constant of the schedule (every op runs exactly
      once), so they are summed here in op-id order rather than in
      dispatch order: the float sum is then independent of heap pop order
-     and bit-identical between fused and unfused replays. *)
+     and bit-identical between fused and unfused replays. Under faults the
+     hook's per-op lane-seconds (failed attempts included) stand in for
+     the nominal occupancies. *)
+  let occ = if faults_on then faults.occ else p.p_occ in
   for id = 0 to n - 1 do
     let r = p.p_res_of.(id) in
-    if r >= 0 then a.a_busy.(r) <- a.a_busy.(r) +. p.p_occ.(id)
+    if r >= 0 then a.a_busy.(r) <- a.a_busy.(r) +. occ.(id)
   done;
   let makespan = a.a_mk.(0) in
   if Telemetry.enabled telemetry then begin
@@ -572,6 +572,14 @@ let run_prepared ?(policy = `Fair) ?(telemetry = Telemetry.disabled) ?arena:a
   end;
   Atomic.set a.a_in_use false;
   { makespan; finish = a.a_finish; start = a.a_start; busy = a.a_busy }
+
+let run_prepared ?(policy = `Fair) ?(telemetry = Telemetry.disabled) ?arena:a
+    ?(recorder = Recorder.none) p =
+  let a = match a with Some a -> a | None -> scratch_arena () in
+  exec ~faults:no_faults ~policy ~telemetry ~recorder a p
+
+let run_faulted ?(policy = `Fair) ?(recorder = Recorder.none) faults p =
+  exec ~faults ~policy ~telemetry:Telemetry.disabled ~recorder (arena ()) p
 
 let run ?policy ?(telemetry = Telemetry.disabled) ?fuse ~resources prog =
   let p = prepare ~telemetry ?fuse ~resources prog in

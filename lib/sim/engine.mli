@@ -133,7 +133,37 @@ val run_prepared :
     end event per dispatched op via inline preallocated-array stores:
     zero minor allocation on the steady-state path, so recording can
     stay always-on. The ring keeps the most recent window and is dumped
-    on demand with {!Recorder.to_json} / {!Recorder.dump_slices}. *)
+    on demand with {!Recorder.to_json} / {!Recorder.dump_slices}.
+
+    This is the simulator's only event loop: {!Fault.run} replays
+    faulted programs through it too (see {!run_faulted}). The fault
+    branch is selected by one check per run, so the no-fault dispatch
+    path is the same code with or without it. *)
+
+(** {2 Fault hook}
+
+    The retry branch of {!run_prepared}'s event loop. It belongs to
+    {!Fault}: build faulted runs with {!Fault.run}, not with these. *)
+
+type fault_hook = {
+  attempt : int -> int -> bool;
+      (** [attempt id res] decides one service attempt of op [id] on
+          resource [res]. On entry [io] holds the attempt's start time,
+          the op's nominal duration and its nominal lane occupancy. On
+          return [io.(0)] holds the lane release time and [io.(1)] the
+          finish time ([true]: served) or the time the op is ready to
+          try again ([false]: failed). May raise to abort the run. *)
+  io : float array;  (** 3 slots: times pass through here unboxed *)
+  occ : float array;
+      (** per-op lane-seconds over all attempts, kept by [attempt];
+          summed into [busy] in op-id order *)
+}
+
+val run_faulted :
+  ?policy:policy -> ?recorder:Recorder.t -> fault_hook -> prepared -> result
+(** {!run_prepared} on a fresh arena with every resourced op's attempts
+    decided by the hook. The schedule must be prepared with
+    [~fuse:false]: fused chains assume fixed durations. *)
 
 val run :
   ?policy:policy ->

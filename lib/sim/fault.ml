@@ -17,22 +17,6 @@ type outcome = {
 
 exception Unrecoverable of { op : int; resource : int; attempts : int }
 
-let resource_of_op (o : Program.op) =
-  match o.kind with
-  | Program.Transfer { link; _ } -> Some link
-  | Program.Compute { engine; _ } -> Some engine
-  | Program.Delay _ -> None
-
-let data_time (resources : Engine.resource array) (o : Program.op) =
-  match o.kind with
-  | Program.Transfer { bytes; link; bw_scale; _ } ->
-      let r = resources.(link) in
-      bytes /. (r.Engine.bandwidth *. bw_scale)
-  | Program.Compute { bytes; engine; _ } ->
-      let r = resources.(engine) in
-      bytes /. r.Engine.bandwidth
-  | Program.Delay { seconds } -> seconds
-
 (* Per-resource fault state, folded once from the event list: first death
    time, flaky windows, and a piecewise-constant rate multiplier (event
    times paired with the cumulative factor in force from that time on). *)
@@ -119,167 +103,75 @@ let service_finish f t0 work =
     go t0 work m0 !i0
   end
 
-type ev = Ready of int | Lane_free of int
-
 let run ?(policy = `Fair) ?(telemetry = Telemetry.disabled) ?(retry = default_retry)
     ?(events = []) ?(recorder = Recorder.none) ~resources prog =
   if retry.timeout_s < 0. || retry.backoff_s < 0. || retry.max_attempts < 1 then
     invalid_arg "Fault.run: bad retry policy";
-  Array.iteri
-    (fun i (r : Engine.resource) ->
-      if r.lanes <= 0 || r.latency < 0. || r.bandwidth <= 0. || r.gap < 0. then
-        invalid_arg (Printf.sprintf "Engine.run: bad resource %d" i))
-    resources;
-  let n = Program.n_ops prog in
-  let n_res = Array.length resources in
-  Program.iter_ops
-    (fun o ->
-      match resource_of_op o with
-      | Some r when r < 0 || r >= n_res ->
-          invalid_arg
-            (Printf.sprintf "Engine.run: op %d uses unknown resource %d"
-               o.Program.id r)
-      | Some _ | None -> ())
-    prog;
-  let faults = fold_events ~n_res events in
+  (* Unfused: fused chains assume fixed durations, which faults break. *)
+  let p = Engine.prepare ~fuse:false ~resources prog in
+  let faults = fold_events ~n_res:(Array.length resources) events in
   Telemetry.incr telemetry ~by:(List.length events) "fault.injected";
-  let res_of = Array.make n (-1) in
-  let dur = Array.make n 0. in
-  let lat = Array.make n 0. in
-  let stream = Array.make n 0 in
-  let pending = Array.make n 0 in
-  let dependents = Array.make n [] in
-  (* Dependents are consumed head-first below, matching the packed-edge
-     order of [Engine.prepare] (latest-added first, stream edges ahead of
-     data edges) so the no-event run replays the engine's exact event
-     sequence. *)
-  Program.iter_ops
-    (fun o ->
-      let id = o.Program.id in
-      dur.(id) <- data_time resources o;
-      stream.(id) <- o.Program.stream;
-      (match resource_of_op o with
-      | Some r ->
-          res_of.(id) <- r;
-          lat.(id) <- resources.(r).Engine.latency
-      | None -> ());
-      List.iter
-        (fun dep ->
-          pending.(id) <- pending.(id) + 1;
-          dependents.(dep) <- (id, false) :: dependents.(dep))
-        o.Program.deps)
-    prog;
-  Program.iter_stream_edges
-    (fun ~pred ~succ ->
-      pending.(succ) <- pending.(succ) + 1;
-      dependents.(pred) <- (succ, true) :: dependents.(pred))
-    prog;
-  let start = Array.make n nan in
-  let finish = Array.make n nan in
-  let ready = Array.init n (fun id -> lat.(id)) in
-  let busy = Array.make n_res 0. in
-  let lanes = Array.map (fun (r : Engine.resource) -> r.Engine.lanes) resources in
+  let n = Engine.prepared_ops p in
   let attempts = Array.make n 0 in
-  let faulted = Array.make n false in
   let retries = ref 0 in
-  let mk = ref 0. in
-  let events_q : ev Pqueue.Float_key.t = Pqueue.Float_key.create () in
-  let waits = Array.init n_res (fun _ -> Pqueue.create ()) in
-  let fair = match policy with `Fair -> true | `Stream_priority -> false in
   let rec_on = recorder != Recorder.none in
-  let finish_op id t fin =
-    if rec_on then begin
-      Recorder.record recorder Recorder.Begin ~op:id ~res:res_of.(id) ~time:t;
-      Recorder.record recorder Recorder.End ~op:id ~res:res_of.(id) ~time:fin
-    end;
-    start.(id) <- t;
-    finish.(id) <- fin;
-    if fin > !mk then mk := fin;
-    List.iter
-      (fun (dep, is_stream) ->
-        let candidate = if is_stream then fin else fin +. lat.(dep) in
-        if candidate > ready.(dep) then ready.(dep) <- candidate;
-        pending.(dep) <- pending.(dep) - 1;
-        if pending.(dep) = 0 then
-          Pqueue.Float_key.add events_q ready.(dep) (Ready dep))
-      dependents.(id)
+  (* Automatic post-mortem: a run that retried or failed dumps its
+     flight-recorder window into the Chrome exporter, so the retry storm
+     is visible next to the planning spans without any caller action. *)
+  let dump () =
+    if rec_on && Telemetry.tracing telemetry then
+      ignore (Recorder.dump_slices recorder telemetry)
   in
-  (* Dispatch an attempt at time [t] on a free lane (or no resource). The
-     outcome is decided here: all fault times are known up front. *)
-  let start_op id t =
-    let r = res_of.(id) in
-    if r < 0 then finish_op id t (t +. dur.(id))
-    else begin
-      let f = faults.(r) in
-      let gap = resources.(r).Engine.gap in
-      let failure =
-        if t >= f.fail_at then Some (t +. retry.timeout_s)
-        else if is_flaky f t then Some (t +. retry.timeout_s)
-        else begin
-          let fin = service_finish f t dur.(id) in
-          if fin > f.fail_at then Some (f.fail_at +. retry.timeout_s)
-          else None
-        end
-      in
-      match failure with
-      | None ->
-          let fin = service_finish f t dur.(id) in
-          let occupancy = Float.max (fin -. t) gap in
-          busy.(r) <- busy.(r) +. occupancy;
-          lanes.(r) <- lanes.(r) - 1;
-          Pqueue.Float_key.add events_q (t +. occupancy) (Lane_free r);
-          finish_op id t fin
-      | Some detected ->
-          faulted.(id) <- true;
-          attempts.(id) <- attempts.(id) + 1;
-          if attempts.(id) >= retry.max_attempts then
-            raise (Unrecoverable { op = id; resource = r; attempts = attempts.(id) });
-          let occupancy = Float.max (detected -. t) gap in
-          busy.(r) <- busy.(r) +. occupancy;
-          lanes.(r) <- lanes.(r) - 1;
-          Pqueue.Float_key.add events_q (t +. occupancy) (Lane_free r);
-          let backoff =
-            retry.backoff_s *. (2. ** Float.of_int (attempts.(id) - 1))
+  let timing =
+    match events with
+    | [] -> Engine.run_prepared ~policy ~arena:(Engine.arena ()) ~recorder p
+    | _ ->
+        let io = Array.make 3 0. and occ = Array.make n 0. in
+        (* All fault times are known up front, so every attempt's outcome
+           is decided at dispatch. *)
+        let attempt id r =
+          let t = io.(0) and dur = io.(1) in
+          let f = faults.(r) in
+          let fin = service_finish f t dur in
+          let detected =
+            if t >= f.fail_at || is_flaky f t then t +. retry.timeout_s
+            else if fin > f.fail_at then f.fail_at +. retry.timeout_s
+            else nan
           in
-          incr retries;
-          if rec_on then
-            Recorder.record recorder Recorder.Retry ~op:id ~res:r ~time:detected;
-          Telemetry.incr telemetry "engine.retries";
-          Pqueue.Float_key.add events_q (detected +. backoff) (Ready id)
-    end
+          let gap = resources.(r).Engine.gap in
+          if Float.is_nan detected then begin
+            (* An undegraded service keeps the engine's own occupancy, so
+               lane release and busy time match [Engine.run] bit for bit. *)
+            let o = if fin = t +. dur then io.(2) else Float.max (fin -. t) gap in
+            occ.(id) <- occ.(id) +. o;
+            io.(0) <- t +. o;
+            io.(1) <- fin;
+            true
+          end
+          else begin
+            (* The stalled attempt holds its lane until the timeout fires. *)
+            let o = Float.max (detected -. t) gap in
+            occ.(id) <- occ.(id) +. o;
+            attempts.(id) <- attempts.(id) + 1;
+            if rec_on then
+              Recorder.record recorder Recorder.Retry ~op:id ~res:r ~time:detected;
+            if attempts.(id) >= retry.max_attempts then begin
+              dump ();
+              raise (Unrecoverable { op = id; resource = r; attempts = attempts.(id) })
+            end;
+            incr retries;
+            Telemetry.incr telemetry "engine.retries";
+            io.(0) <- t +. o;
+            io.(1) <-
+              detected +. (retry.backoff_s *. (2. ** Float.of_int (attempts.(id) - 1)));
+            false
+          end
+        in
+        Engine.run_faulted ~policy ~recorder { Engine.attempt; io; occ } p
   in
-  for id = 0 to n - 1 do
-    if pending.(id) = 0 then Pqueue.Float_key.add events_q ready.(id) (Ready id)
-  done;
-  let rec drain () =
-    match Pqueue.Float_key.pop events_q with
-    | None -> ()
-    | Some (t, Ready id) ->
-        let r = res_of.(id) in
-        if r < 0 || lanes.(r) > 0 then start_op id t
-        else
-          Pqueue.add waits.(r) ((if fair then t else 0.), stream.(id), id) ();
-        drain ()
-    | Some (t, Lane_free r) ->
-        lanes.(r) <- lanes.(r) + 1;
-        (match Pqueue.pop waits.(r) with
-        | Some ((_, _, id), ()) -> start_op id t
-        | None -> ());
-        drain ()
-  in
-  drain ();
-  for i = 0 to n - 1 do
-    if Float.is_nan finish.(i) then
-      invalid_arg (Printf.sprintf "Engine.run: op %d never became ready" i)
-  done;
-  let faulted_ops = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 faulted in
-  (* Automatic post-mortem: a faulted run dumps its flight-recorder window
-     into the Chrome exporter so the retry storm is visible next to the
-     planning spans without any caller action. *)
-  if rec_on && !retries > 0 && Telemetry.tracing telemetry then
-    ignore (Recorder.dump_slices recorder telemetry);
+  if !retries > 0 then dump ();
   {
-    timing = { Engine.makespan = !mk; finish; start; busy };
+    timing;
     retries = !retries;
-    faulted_ops;
+    faulted_ops = Array.fold_left (fun acc k -> if k > 0 then acc + 1 else acc) 0 attempts;
   }

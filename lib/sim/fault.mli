@@ -3,12 +3,13 @@
     bounded retry/backoff — the failure model behind the library's
     degraded-topology replanning.
 
-    This is a separate cold-path event loop, not a mode of
-    {!Engine.run_prepared}: the steady-state replay path stays
-    allocation-free and branch-free, while fault runs (diagnostics,
-    failover drills, benchmarks) pay for the bookkeeping they need. With
-    no events injected, {!run} reproduces [Engine.run ~policy] bit for
-    bit — the same event ordering, float arithmetic and tie-breaking.
+    Faulted runs go through {!Engine.run_prepared}'s own event loop: the
+    program is prepared unfused (fused chains assume fixed durations)
+    and this module decides every service attempt through the loop's
+    fault hook ({!Engine.run_faulted}). With no events injected, {!run}
+    reproduces [Engine.run ~policy] bit for bit, and so does a run whose
+    events never touch a service: same event ordering, float arithmetic
+    and tie-breaking.
 
     All faults are known when the run starts (they carry their injection
     times), so every service attempt's outcome is decided
@@ -84,7 +85,8 @@ val run :
     attempts.
 
     [recorder] receives begin/end events per successful attempt and a
-    retry event per failed one; when the run retried anything and
-    [telemetry] is tracing, the recorder window is automatically dumped
-    into the Chrome-trace exporter ({!Recorder.dump_slices}) so the
-    retry storm is visible post-mortem. *)
+    retry event per failed one, the attempt that exhausts the budget
+    included. When the run retried anything or raises {!Unrecoverable}
+    and [telemetry] is tracing, the recorder window is automatically
+    dumped into the Chrome-trace exporter ({!Recorder.dump_slices}) so
+    the retry storm is visible post-mortem. *)

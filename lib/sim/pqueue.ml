@@ -1,112 +1,16 @@
-(* Three flavours share the sift logic shape:
-
-   - the original polymorphic heap, comparing keys with the structural
-     [<]/[<>] operators — fine for tests and cold paths;
-   - [Make], a functor over a monomorphic comparator, whose [less] is a
-     direct known call instead of the C-call polymorphic compare;
-   - the arena heaps [Float_int] / [Float_int_int], which store keys and
-     values in parallel unboxed arrays and pass float keys through a
-     one-slot staging buffer, so pushing and popping allocates nothing.
-     These are what [Engine.run_prepared]'s event loop uses: the heap
-     operations dominate large simulations and the staged protocol keeps
-     the steady-state execution path allocation-free. *)
-
-module type ORDERED = sig
-  type t
-
-  val compare : t -> t -> int
-end
-
-module Make (K : ORDERED) = struct
-  type 'v entry = { key : K.t; seq : int; value : 'v }
-
-  type 'v t = {
-    mutable heap : 'v entry option array;
-    mutable size : int;
-    mutable next_seq : int;
-  }
-
-  let create () = { heap = Array.make 16 None; size = 0; next_seq = 0 }
-
-  (* Insertion order breaks key ties: earlier insertions pop first, which
-     keeps the simulator deterministic. *)
-  let less a b =
-    let c = K.compare a.key b.key in
-    if c <> 0 then c < 0 else a.seq < b.seq
-
-  let get t i = match t.heap.(i) with Some e -> e | None -> assert false
-
-  let swap t i j =
-    let tmp = t.heap.(i) in
-    t.heap.(i) <- t.heap.(j);
-    t.heap.(j) <- tmp
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if less (get t i) (get t parent) then begin
-        swap t i parent;
-        sift_up t parent
-      end
-    end
-
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.size && less (get t l) (get t !smallest) then smallest := l;
-    if r < t.size && less (get t r) (get t !smallest) then smallest := r;
-    if !smallest <> i then begin
-      swap t i !smallest;
-      sift_down t !smallest
-    end
-
-  let add t key value =
-    if t.size = Array.length t.heap then begin
-      let bigger = Array.make (2 * t.size) None in
-      Array.blit t.heap 0 bigger 0 t.size;
-      t.heap <- bigger
-    end;
-    t.heap.(t.size) <- Some { key; seq = t.next_seq; value };
-    t.next_seq <- t.next_seq + 1;
-    t.size <- t.size + 1;
-    sift_up t (t.size - 1)
-
-  let peek t =
-    if t.size = 0 then None
-    else Option.map (fun e -> (e.key, e.value)) t.heap.(0)
-
-  let pop t =
-    if t.size = 0 then None
-    else begin
-      let top = get t 0 in
-      t.size <- t.size - 1;
-      t.heap.(0) <- t.heap.(t.size);
-      t.heap.(t.size) <- None;
-      if t.size > 0 then sift_down t 0;
-      Some (top.key, top.value)
-    end
-
-  let is_empty t = t.size = 0
-  let length t = t.size
-end
-
-(* Float keys: kept for generic callers; the engine's event loop moved to
-   the arena heaps below. Times are never NaN, so [Float.compare] agrees
-   with the structural order the polymorphic heap used. *)
-module Float_key = Make (Float)
-
-(* ------------------------------------------------------------------ *)
 (* Arena heaps: float keys, int values, unboxed parallel-array storage.
+   These are [Engine.run_prepared]'s event and waiting queues: the heap
+   operations dominate large simulations.
 
    Uniform OCaml calls box float arguments and returns, so a conventional
    [add : t -> float -> ...] costs two minor words per event even with
    monomorphic storage. The staged protocol sidesteps that: the caller
    writes the key into the heap's one-slot [staged] float array (an
    unboxed primitive store) and then calls [add_staged]; [pop_staged]
-   symmetrically leaves the popped key in [staged]. Comparators replicate
-   the entry heaps exactly — (key, then insertion seq) for [Float_int],
-   (key, k2, k3, then seq) for [Float_int_int] — so drain order is
-   bit-identical to the [Make]-based heaps they replace. *)
+   symmetrically leaves the popped key in [staged]. Comparators order by
+   key — (key) for [Float_int], (key, k2, k3) for [Float_int_int] — and
+   then by insertion seq: earlier insertions pop first, which keeps the
+   simulator deterministic. *)
 
 module Float_int = struct
   type t = {
@@ -347,71 +251,3 @@ module Float_int_int = struct
       Some (a, b, v)
     end
 end
-
-(* ------------------------------------------------------------------ *)
-(* Polymorphic heap (kept for generic callers and tests). *)
-
-type ('k, 'v) entry = { key : 'k; seq : int; value : 'v }
-
-type ('k, 'v) t = {
-  mutable heap : ('k, 'v) entry option array;
-  mutable size : int;
-  mutable next_seq : int;
-}
-
-let create () = { heap = Array.make 16 None; size = 0; next_seq = 0 }
-
-let less a b = if a.key <> b.key then a.key < b.key else a.seq < b.seq
-
-let get t i = match t.heap.(i) with Some e -> e | None -> assert false
-
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less (get t i) (get t parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && less (get t l) (get t !smallest) then smallest := l;
-  if r < t.size && less (get t r) (get t !smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
-let add t key value =
-  if t.size = Array.length t.heap then begin
-    let bigger = Array.make (2 * t.size) None in
-    Array.blit t.heap 0 bigger 0 t.size;
-    t.heap <- bigger
-  end;
-  t.heap.(t.size) <- Some { key; seq = t.next_seq; value };
-  t.next_seq <- t.next_seq + 1;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
-
-let peek t = if t.size = 0 then None else Option.map (fun e -> (e.key, e.value)) t.heap.(0)
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = get t 0 in
-    t.size <- t.size - 1;
-    t.heap.(0) <- t.heap.(t.size);
-    t.heap.(t.size) <- None;
-    if t.size > 0 then sift_down t 0;
-    Some (top.key, top.value)
-  end
-
-let is_empty t = t.size = 0
-let length t = t.size

@@ -91,6 +91,13 @@ let buffer_len t ~node ~buf =
         (Printf.sprintf "Program.buffer_len: unknown buffer (%d,%d)" node buf)
 
 let buffers t = List.rev t.buffers
+
+let resource_of_op o =
+  match o.kind with
+  | Transfer { link; _ } -> Some link
+  | Compute { engine; _ } -> Some engine
+  | Delay _ -> None
+
 let n_ops t = t.n
 
 let op t id =

@@ -68,6 +68,10 @@ val buffer_len : t -> node:int -> buf:int -> int
 val buffers : t -> (int * int * int) list
 (** All declared buffers as [(node, buf, len)], in declaration order. *)
 
+val resource_of_op : op -> int option
+(** The resource an op occupies: its link or compute engine; [None] for
+    a {!Delay}, which occupies none. *)
+
 val n_ops : t -> int
 val op : t -> int -> op
 val ops : t -> op list

@@ -67,12 +67,6 @@ let critical_path prog (r : Engine.result) =
     walk !last []
   end
 
-let resource_of_op (o : Program.op) =
-  match o.Program.kind with
-  | Program.Transfer { link; _ } -> Some link
-  | Program.Compute { engine; _ } -> Some engine
-  | Program.Delay _ -> None
-
 let to_chrome_json prog (r : Engine.result) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "[";
@@ -80,7 +74,7 @@ let to_chrome_json prog (r : Engine.result) =
   Program.iter_ops
     (fun o ->
       let id = o.Program.id in
-      let tid = match resource_of_op o with Some res -> res | None -> -1 in
+      let tid = match Program.resource_of_op o with Some res -> res | None -> -1 in
       let name =
         match o.Program.kind with
         | Program.Transfer { bytes; _ } -> Printf.sprintf "xfer#%d %.0fB" id bytes

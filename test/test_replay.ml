@@ -11,7 +11,8 @@
    - Pooling: Plan.execute's pooled memory resets cleanly, so repeated
      executes yield identical replay buffers.
    - Allocation: steady-state Comm collectives with data in and out
-     allocate a fixed, element-count-independent number of minor words. *)
+     allocate a fixed, element-count-independent number of minor words,
+     and timing-only replay stays within a fixed per-run budget. *)
 
 module Server = Blink_topology.Server
 module Blink = Blink_core.Blink
@@ -194,6 +195,23 @@ let test_alloc_guard name collective () =
     Alcotest.failf "%s: %.0f minor words per call at %d elems (budget %.0f)"
       name words guard_elems minor_word_budget
 
+(* Timing-only replay guard: a steady-state [Plan.execute ~data:false]
+   runs the engine's event loop on the plan's arena and allocates only
+   the execution record and telemetry bookkeeping, never per op. The
+   budget is the replay bench's; the fine chunking gives the plan ~1,800
+   ops, so even one boxed float per op (2 words) would blow it. *)
+let timing_word_budget = 2048.
+
+let test_timing_alloc_guard () =
+  let handle = Blink.create Server.dgx1v ~gpus:(Array.init 8 Fun.id) in
+  let plan =
+    Blink.plan ~chunk_elems:8_192 handle Plan.All_reduce ~elems:1_000_000
+  in
+  let words = minor_words_per_call (fun () -> Plan.execute ~data:false plan) in
+  if words > timing_word_budget then
+    Alcotest.failf "all_reduce: %.0f minor words per timing-only run (budget %.0f)"
+      words timing_word_budget
+
 let () =
   Alcotest.run "replay"
     [
@@ -226,4 +244,6 @@ let () =
             (test_alloc_guard "reduce_scatter" (fun c ins ->
                  (Comm.reduce_scatter c ins).Comm.value));
         ] );
+      ( "timing-only allocation",
+        [ Alcotest.test_case "all_reduce" `Quick test_timing_alloc_guard ] );
     ]

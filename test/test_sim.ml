@@ -8,38 +8,6 @@ let check_float = Alcotest.(check (float 1e-9))
 let check_time = Alcotest.(check (float 1e-7))
 
 (* ------------------------------------------------------------------ *)
-(* Pqueue *)
-
-let test_pqueue_order () =
-  let q = Pq.create () in
-  List.iter (fun k -> Pq.add q k k) [ 5; 1; 4; 1; 3 ];
-  Alcotest.(check int) "length" 5 (Pq.length q);
-  let drained = List.init 5 (fun _ -> fst (Option.get (Pq.pop q))) in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5 ] drained;
-  Alcotest.(check bool) "empty" true (Pq.is_empty q)
-
-let test_pqueue_fifo_ties () =
-  let q = Pq.create () in
-  Pq.add q 1. "first";
-  Pq.add q 1. "second";
-  Pq.add q 0. "zero";
-  Alcotest.(check (option (pair (float 0.) string))) "peek" (Some (0., "zero")) (Pq.peek q);
-  ignore (Pq.pop q);
-  Alcotest.(check string) "tie insertion order" "first" (snd (Option.get (Pq.pop q)));
-  Alcotest.(check string) "then second" "second" (snd (Option.get (Pq.pop q)))
-
-let prop_pqueue_sorts =
-  QCheck.Test.make ~name:"pqueue drains sorted" ~count:100
-    QCheck.(list (int_bound 1000))
-    (fun keys ->
-      let q = Pq.create () in
-      List.iter (fun k -> Pq.add q k ()) keys;
-      let rec drain acc =
-        match Pq.pop q with None -> List.rev acc | Some (k, ()) -> drain (k :: acc)
-      in
-      drain [] = List.sort compare keys)
-
-(* ------------------------------------------------------------------ *)
 (* Program *)
 
 let test_program_builder () =
@@ -324,25 +292,33 @@ let test_arena_waitq_order () =
   Alcotest.(check (list int)) "lexicographic" [ 3; 9; 8; 7 ] drained;
   Alcotest.(check int) "empty" min_int (Pq.Float_int_int.pop_staged q)
 
-let prop_arena_heap_matches_float_key =
-  QCheck.Test.make ~name:"arena heap drains like Float_key" ~count:200
-    QCheck.(list (pair (int_bound 50) small_nat))
-    (fun pairs ->
-      let a = Pq.Float_int.create () in
-      let b = Pq.Float_key.create () in
-      List.iteri
-        (fun i (k, _) ->
-          let key = Float.of_int k /. 7. in
-          Pq.Float_int.add a key i;
-          Pq.Float_key.add b key i)
-        pairs;
+(* Sorting (key, insertion index) pairs is a stable sort by key: exactly
+   the drain order the event loop's determinism relies on. *)
+let prop_arena_heap_stable_sort =
+  QCheck.Test.make ~name:"arena heap drains like a stable sort" ~count:200
+    QCheck.(list (int_bound 50))
+    (fun keys ->
+      let q = Pq.Float_int.create () in
+      let keyed = List.mapi (fun i k -> (Float.of_int k /. 7., i)) keys in
+      List.iter (fun (key, i) -> Pq.Float_int.add q key i) keyed;
       let rec drain acc =
-        match (Pq.Float_int.pop a, Pq.Float_key.pop b) with
-        | None, None -> true
-        | Some x, Some y -> x = y && drain acc
-        | _ -> false
+        match Pq.Float_int.pop q with None -> List.rev acc | Some x -> drain (x :: acc)
       in
-      drain ())
+      drain [] = List.sort compare keyed)
+
+let prop_pqueue_sorts =
+  QCheck.Test.make ~name:"pqueue drains sorted" ~count:100
+    QCheck.(list (triple (int_bound 20) (int_bound 5) (int_bound 1000)))
+    (fun keys ->
+      let q = Pq.Float_int_int.create () in
+      let keys = List.map (fun (k1, k2, k3) -> (Float.of_int k1, k2, k3)) keys in
+      List.iter (fun (k1, k2, k3) -> Pq.Float_int_int.add q k1 k2 k3) keys;
+      let rec drain acc =
+        match Pq.Float_int_int.pop q with
+        | None -> List.rev acc
+        | Some x -> drain (x :: acc)
+      in
+      drain [] = List.sort compare keys)
 
 (* ------------------------------------------------------------------ *)
 (* Prepared schedules / arenas *)
@@ -691,13 +667,114 @@ let test_fault_validation () =
     [ Fault.Flaky { res = 0; from_s = 0.3; until_s = 0.3 } ]
     "Fault.run: empty flaky window"
 
+let count_substrings s sub =
+  let n = String.length s and m = String.length sub in
+  let c = ref 0 in
+  for i = 0 to n - m do
+    if String.sub s i m = sub then incr c
+  done;
+  !c
+
+(* A failed run is the one a post-mortem is for: every failed attempt,
+   the exhausting one included, lands in the recorder, and the window
+   reaches the Chrome exporter before [Unrecoverable] propagates. *)
+let test_fault_unrecoverable_dumps_recorder () =
+  let p = P.create () in
+  let s = P.fresh_stream p in
+  ignore (P.add p ~stream:s (transfer ~bytes:1e9 0));
+  let retry = { Fault.timeout_s = 0.01; backoff_s = 0.01; max_attempts = 2 } in
+  let telemetry = Blink_telemetry.Telemetry.create ~trace:true () in
+  let recorder = Blink_sim.Recorder.create () in
+  (match
+     Fault.run ~telemetry ~recorder ~retry ~resources:(one_link ())
+       ~events:[ Fault.Fail { res = 0; at = 0.4 } ]
+       p
+   with
+  | _ -> Alcotest.fail "dead link should exhaust retries"
+  | exception Fault.Unrecoverable _ -> ());
+  Alcotest.(check int) "both failed attempts recorded" 2
+    (Blink_sim.Recorder.recorded recorder);
+  Alcotest.(check int) "both retry slices exported" 2
+    (count_substrings (Blink_telemetry.Telemetry.chrome_json telemetry) "retry op#0")
+
+(* Random programs: 1-4 resources with random lanes, gap and latency,
+   1-5 streams, up to 40 ops mixing transfers (some at bw_scale < 1),
+   computes and delays, each with up to two random earlier dependencies.
+   Op sizes straddle the gaps, so lanes are held both by data time and by
+   the issue gap. *)
+let random_program =
+  let open QCheck.Gen in
+  let resource =
+    let+ lanes = int_range 1 3
+    and+ gap = float_bound_inclusive 2e-6
+    and+ latency = float_bound_inclusive 5e-6 in
+    { E.bandwidth = 1e9; latency; lanes; gap }
+  in
+  let* resources = array_size (int_range 1 4) resource in
+  let* n_streams = int_range 1 5 in
+  let op =
+    triple
+      (triple (int_bound (n_streams - 1)) (int_bound 3)
+         (int_bound (Array.length resources - 1)))
+      (pair (float_range 0.01 1.) (oneofl [ 1.; 1.; 0.85; 0.5 ]))
+      (list_size (int_bound 2) nat)
+  in
+  let+ ops = list_size (int_bound 40) op in
+  (resources, n_streams, ops)
+
+let build_random_program (_, n_streams, ops) =
+  let p = P.create () in
+  let streams = Array.init n_streams (fun _ -> P.fresh_stream p) in
+  List.iteri
+    (fun i ((s, k, res), (size, bw_scale), picks) ->
+      let deps =
+        if i = 0 then [] else List.sort_uniq compare (List.map (fun d -> d mod i) picks)
+      in
+      let kind =
+        match k with
+        | 0 | 1 -> P.Transfer { bytes = size *. 1e4; link = res; bw_scale; action = None }
+        | 2 -> P.Compute { bytes = size *. 1e4; engine = res; action = None }
+        | _ -> P.Delay { seconds = size *. 1e-5 }
+      in
+      ignore (P.add p ~deps ~stream:streams.(s) kind))
+    ops;
+  p
+
+let same_bits (a : E.result) (b : E.result) =
+  let bits = Array.map Int64.bits_of_float in
+  Int64.bits_of_float a.E.makespan = Int64.bits_of_float b.E.makespan
+  && bits a.E.start = bits b.E.start
+  && bits a.E.finish = bits b.E.finish
+  && bits a.E.busy = bits b.E.busy
+
+(* Fault.run with no events, and with a flaky window on every resource
+   that opens only after the run is over, must equal Engine.run bit for
+   bit. The inert events force every resourced op through the loop's
+   fault branch, so this pins that branch's arithmetic to the engine's. *)
+let prop_fault_matches_engine =
+  QCheck.Test.make ~name:"fault runs match engine bit for bit" ~count:300
+    (QCheck.make
+       ~print:(fun case -> Format.asprintf "%a" P.pp (build_random_program case))
+       random_program)
+    (fun ((resources, _, _) as case) ->
+      let p = build_random_program case in
+      List.for_all
+        (fun policy ->
+          let want = E.run ~policy ~resources p in
+          let mk = want.E.makespan in
+          let inert =
+            List.init (Array.length resources) (fun res ->
+                Fault.Flaky { res; from_s = 10. *. mk; until_s = (20. *. mk) +. 1. })
+          in
+          same_bits want (Fault.run ~policy ~resources p).Fault.timing
+          && same_bits want (Fault.run ~policy ~events:inert ~resources p).Fault.timing)
+        [ `Fair; `Stream_priority ])
+
 let () =
   Alcotest.run "sim"
     [
       ( "pqueue",
         [
-          Alcotest.test_case "ordering" `Quick test_pqueue_order;
-          Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
           QCheck_alcotest.to_alcotest prop_pqueue_sorts;
           Alcotest.test_case "arena heap order/ties" `Quick
             test_arena_heap_order_and_ties;
@@ -705,7 +782,7 @@ let () =
             test_arena_heap_clear_reuse;
           Alcotest.test_case "arena waitq lexicographic" `Quick
             test_arena_waitq_order;
-          QCheck_alcotest.to_alcotest prop_arena_heap_matches_float_key;
+          QCheck_alcotest.to_alcotest prop_arena_heap_stable_sort;
         ] );
       ( "program",
         [
@@ -747,6 +824,9 @@ let () =
           Alcotest.test_case "dead link unrecoverable" `Quick
             test_fault_dead_link_unrecoverable;
           Alcotest.test_case "event validation" `Quick test_fault_validation;
+          Alcotest.test_case "unrecoverable dumps the flight recorder" `Quick
+            test_fault_unrecoverable_dumps_recorder;
+          QCheck_alcotest.to_alcotest prop_fault_matches_engine;
         ] );
       ( "semantics",
         [
