@@ -1496,6 +1496,18 @@ let check_specs =
             near "analyze" (row "efficiency");
           ])
         six_collectives;
+      (* The critical-path attribution: the op count is a pure function
+         of the schedule, the seconds split is simulator arithmetic. *)
+      List.concat_map
+        (fun c ->
+          let cp field =
+            [ Row ("collectives", "collective", c); F "critical_path"; F field ]
+          in
+          exact "analyze" (cp "ops")
+          :: List.map
+               (fun f -> near "analyze" (cp f))
+               [ "transfer_s"; "compute_s"; "delay_s"; "wait_s" ])
+        six_collectives;
       [
         near "failover" [ F "healthy_rate_gbps" ];
         near "failover" [ F "healthy_all_reduce_s" ];

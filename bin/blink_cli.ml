@@ -28,6 +28,7 @@ module Training = Blink_dnn.Training
 module Scheduler = Blink_cluster.Scheduler
 module Analysis = Blink_core.Analysis
 module Recorder = Blink_sim.Recorder
+module Critical_path = Blink_sim.Critical_path
 
 (* --------------------------- shared options --------------------------- *)
 
@@ -260,18 +261,21 @@ let trace collective server gpus mbytes out =
   let plan = Blink.plan handle collective ~elems in
   let exec = Plan.execute ~data:false plan in
   let result = exec.Plan.timing in
-  let resources = Fabric.resources (Blink.fabric handle) in
   Format.printf "%s of %.0f MB: makespan %.3f ms (%.1f GB/s), chunk %d elems@."
     (Plan.collective_name collective) mbytes
     (result.Blink_sim.Engine.makespan *. 1e3)
     (Blink.algbw_gbps ~elems result)
     plan.Plan.chunk_elems;
+  let attribution =
+    Critical_path.attribute ~resources:plan.Plan.resources plan.Plan.program
+      result
+  in
   List.iteri
-    (fun i u ->
+    (fun i (l : Critical_path.link_report) ->
       if i < 5 then
-        Format.printf "  resource %d: %.0f%% utilized@." u.Blink_sim.Trace.resource
-          (100. *. u.Blink_sim.Trace.fraction))
-    (Blink_sim.Trace.utilizations ~resources result);
+        Format.printf "  resource %d: %.0f%% utilized@." l.Critical_path.resource
+          (100. *. l.Critical_path.utilization))
+    attribution.Critical_path.links;
   let oc = open_out out in
   output_string oc (Telemetry.chrome_json telemetry);
   close_out oc;

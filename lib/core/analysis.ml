@@ -63,9 +63,9 @@ let analyze ?chunk_elems ?policy t collective ~elems =
   let plan = Blink.plan ?chunk_elems t collective ~elems in
   let exec = Plan.execute ?policy ~data:false plan in
   let timing = exec.Plan.timing in
-  let attribution = Critical_path.attribute plan.Plan.program timing in
-  let link_table =
-    Critical_path.links ~resources:plan.Plan.resources plan.Plan.program timing
+  let attribution =
+    Critical_path.attribute ~resources:plan.Plan.resources plan.Plan.program
+      timing
   in
   let labels = resource_labels (Blink.fabric t) in
   let label r =
@@ -83,11 +83,9 @@ let analyze ?chunk_elems ?policy t collective ~elems =
           li_slack_s = l.Critical_path.slack_s;
           li_on_critical_path = l.Critical_path.on_path;
         })
-      link_table
+      attribution.Critical_path.links
   in
-  let max_util =
-    List.fold_left (fun m l -> Float.max m l.li_utilization) 0. links
-  in
+  let max_util = match links with l :: _ -> l.li_utilization | [] -> 0. in
   let bottlenecks =
     List.filter
       (fun l -> max_util > 0. && l.li_utilization >= max_util -. 1e-9)

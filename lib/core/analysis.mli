@@ -2,9 +2,9 @@
     takes, and how close that is to what the topology permits.
 
     [analyze] executes one timing pass of a compiled plan and combines
-    three lenses: the critical-path attribution
-    ({!Blink_sim.Critical_path}), the per-link utilization/slack table
-    with human-readable fabric labels, and the edge-cut upper bound
+    two lenses: {!Blink_sim.Critical_path.attribute}'s one walk (the
+    critical-path attribution and the per-link utilization/slack table,
+    here with human-readable fabric labels), and the edge-cut upper bound
     ({!Blink.edge_cut_bound}) — the yardstick the paper's
     packed-spanning-tree claim is measured against. A saturating plan
     shows the critical path living on the maximal-utilization links and

@@ -3,7 +3,6 @@ module Scatter = Blink_collectives.Scatter
 module Fabric = Blink_topology.Fabric
 module Engine = Blink_sim.Engine
 module Sem = Blink_sim.Semantics
-module Trace = Blink_sim.Trace
 module Recorder = Blink_sim.Recorder
 module Critical_path = Blink_sim.Critical_path
 module Telemetry = Blink_telemetry.Telemetry
@@ -51,6 +50,7 @@ and gauge_cells = {
   busy_cells : Telemetry.Metrics.gauge_cell array;
   util_cells : Telemetry.Metrics.gauge_cell array;
   bottleneck_cell : Telemetry.Metrics.gauge_cell;
+  util : float array;  (* scratch for [Critical_path.utilization] *)
 }
 
 let build collective ~spec ~root ~elems ~trees =
@@ -102,12 +102,12 @@ let build collective ~spec ~root ~elems ~trees =
 
 type execution = { timing : Engine.result; memory : Sem.memory option }
 
-let resolve_gauge_cells t telemetry =
+let resolve_gauge_cells t =
   match t.gauge_cells with
   | Some cells -> cells
   | None ->
       let cell ?labels name =
-        Option.get (Telemetry.gauge_cell telemetry ?labels name)
+        Option.get (Telemetry.gauge_cell t.telemetry ?labels name)
       in
       let per_resource name r =
         cell ~labels:[ ("resource", string_of_int r) ] name
@@ -119,58 +119,29 @@ let resolve_gauge_cells t telemetry =
           util_cells =
             Array.init n_res (per_resource "engine.resource.utilization");
           bottleneck_cell = cell "engine.bottleneck_resource";
+          util = Array.make n_res 0.;
         }
       in
       t.gauge_cells <- Some cells;
       cells
 
-(* The per-resource busy/utilization gauge fold, allocation-light: the
-   same series [Trace.utilizations] + [Trace.bottleneck] would produce,
-   but computed inline over the result arrays through the plan's
-   pre-resolved cells (no record list, no sort). [Trace.utilizations]
-   sorts descending by fraction with a stable sort, so its bottleneck is
-   the lowest-indexed resource with the maximal fraction — matched here
-   by the strict [>] update. *)
-let fold_utilizations t telemetry (timing : Engine.result) =
-  if telemetry == t.telemetry then begin
-    let cells = resolve_gauge_cells t telemetry in
-    let mk = timing.Engine.makespan in
-    let n_res = Array.length t.resources in
-    let best = ref (-1) and best_frac = ref neg_infinity in
-    for r = 0 to n_res - 1 do
-      let busy = timing.Engine.busy.(r) in
-      let lanes = Float.of_int t.resources.(r).Engine.lanes in
-      let fraction = if mk <= 0. then 0. else busy /. (lanes *. mk) in
-      Telemetry.Metrics.set_cell cells.busy_cells.(r) busy;
-      Telemetry.Metrics.set_cell cells.util_cells.(r) fraction;
-      if fraction > !best_frac then begin
-        best := r;
-        best_frac := fraction
-      end
-    done;
-    if !best >= 0 then
-      Telemetry.Metrics.set_cell cells.bottleneck_cell (Float.of_int !best)
-  end
-  else begin
-    (* Caller-supplied registry: the cached cells belong to the plan's
-       own telemetry, so take the keyed (slower) path. *)
-    List.iter
-      (fun u ->
-        let labels = [ ("resource", string_of_int u.Trace.resource) ] in
-        Telemetry.set_gauge telemetry ~labels "engine.resource.busy_s"
-          u.Trace.busy;
-        Telemetry.set_gauge telemetry ~labels "engine.resource.utilization"
-          u.Trace.fraction)
-      (Trace.utilizations ~resources:t.resources timing);
-    match Trace.bottleneck ~resources:t.resources timing with
-    | Some r ->
-        Telemetry.set_gauge telemetry "engine.bottleneck_resource"
-          (Float.of_int r)
-    | None -> ()
-  end
+(* The per-resource busy/utilization gauge fold, allocation-free: the
+   same utilizations and bottleneck as [Critical_path.attribute]'s link
+   table, computed by the one [Critical_path.utilization] into the plan's
+   preallocated array and published through its pre-resolved cells. *)
+let fold_utilizations t (timing : Engine.result) =
+  let cells = resolve_gauge_cells t in
+  let util = cells.util in
+  let best = Critical_path.utilization ~resources:t.resources timing util in
+  for r = 0 to Array.length t.resources - 1 do
+    Telemetry.Metrics.set_cell cells.busy_cells.(r) timing.Engine.busy.(r);
+    Telemetry.Metrics.set_cell cells.util_cells.(r) util.(r)
+  done;
+  if best >= 0 then
+    Telemetry.Metrics.set_cell cells.bottleneck_cell (Float.of_int best)
 
-let execute ?policy ?telemetry ?(data = true) ?(reuse_memory = true) ?load t =
-  let telemetry = Option.value telemetry ~default:t.telemetry in
+let execute ?policy ?(data = true) ?(reuse_memory = true) ?load t =
+  let telemetry = t.telemetry in
   let name = collective_name t.collective in
   let span_start = Telemetry.now_s telemetry in
   let minor0 = Gc.minor_words () in
@@ -205,9 +176,9 @@ let execute ?policy ?telemetry ?(data = true) ?(reuse_memory = true) ?load t =
     end
   in
   (* Fold the engine's post-mortem view into the registry: makespan
-     distribution plus per-resource busy time / utilization gauges from
-     [Trace.utilizations] — the paper's link-utilization lens, always on
-     when metrics are. Disabled telemetry takes none of these branches. *)
+     distribution plus per-resource busy time / utilization gauges — the
+     paper's link-utilization lens, always on when metrics are. Disabled
+     telemetry takes none of these branches. *)
   if Telemetry.enabled telemetry then begin
     Telemetry.incr telemetry ~labels:[ ("collective", name) ] "plan.executes";
     Telemetry.observe telemetry "plan.execute.makespan_s"
@@ -216,7 +187,7 @@ let execute ?policy ?telemetry ?(data = true) ?(reuse_memory = true) ?load t =
        execute (engine replay + data pass + the registry's own cost). *)
     Telemetry.observe telemetry "plan.execute.minor_words"
       (Gc.minor_words () -. minor0);
-    fold_utilizations t telemetry timing;
+    fold_utilizations t timing;
     if Telemetry.tracing telemetry then
       Telemetry.span telemetry ~cat:"plan" ~start:span_start
         ~args:

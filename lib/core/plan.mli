@@ -57,11 +57,7 @@ type t = {
           gauges without rebuilding label keys *)
 }
 
-and gauge_cells = {
-  busy_cells : Blink_telemetry.Telemetry.Metrics.gauge_cell array;
-  util_cells : Blink_telemetry.Telemetry.Metrics.gauge_cell array;
-  bottleneck_cell : Blink_telemetry.Telemetry.Metrics.gauge_cell;
-}
+and gauge_cells
 
 val build :
   collective ->
@@ -83,7 +79,6 @@ type execution = {
 
 val execute :
   ?policy:Blink_sim.Engine.policy ->
-  ?telemetry:Blink_telemetry.Telemetry.t ->
   ?data:bool ->
   ?reuse_memory:bool ->
   ?load:(Blink_sim.Semantics.memory -> Blink_collectives.Codegen.layout -> unit) ->
@@ -103,13 +98,15 @@ val execute :
     valid until the plan's next [execute] — copy out what must survive,
     and don't execute one plan from two domains concurrently.
 
-    Reports into [telemetry] (default: the plan's own handle): execute
-    counters, the makespan histogram, the per-execute
-    ["plan.execute.minor_words"] allocation histogram and per-resource
-    busy/utilization gauges folded in from
-    {!Blink_sim.Trace.utilizations}; when tracing, a ["plan.execute"]
-    span plus the engine's per-op slices. With a disabled handle the only
-    cost over the bare engine run is a match. *)
+    Reports into the plan's {!field-telemetry}: execute counters, the
+    makespan histogram, the per-execute ["plan.execute.minor_words"]
+    allocation histogram, per-resource busy/utilization gauges and the
+    ["engine.bottleneck_resource"] gauge, computed by
+    {!Blink_sim.Critical_path.utilization} and equal to
+    {!Blink_sim.Critical_path.attribute}'s link table and its head; when
+    tracing, a ["plan.execute"] span plus the engine's per-op slices.
+    With a disabled handle the only cost over the bare engine run is a
+    match. *)
 
 val seconds : execution -> float
 (** The simulated makespan of the execution. *)

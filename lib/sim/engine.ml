@@ -79,7 +79,6 @@ type prepared = {
      fused schedule entry. Interior members never enter the event heap. *)
   p_fuse_next : int array;  (* next chain member, or -1 *)
   p_fuse_len : int array;  (* chain length at heads (>= 2), 0 interior, 1 else *)
-  p_fuse_head : int array;  (* op id -> its chain head (itself if unfused) *)
   p_fuse_safe : bool;  (* every resource passed the contention analysis *)
   p_fuse_chains : int;  (* number of fused chains *)
   p_fuse_ops : int;  (* ops covered by fused chains (heads included) *)
@@ -210,7 +209,6 @@ let prepare ?(telemetry = Telemetry.disabled) ?(fuse = true) ~resources prog =
   in
   let fuse_next = Array.make n (-1) in
   let fuse_len = Array.make n 1 in
-  let fuse_head = Array.init n Fun.id in
   let fuse_chains = ref 0 in
   let fuse_ops = ref 0 in
   if fuse_safe then begin
@@ -234,7 +232,6 @@ let prepare ?(telemetry = Telemetry.disabled) ?(fuse = true) ~resources prog =
         while not !last do
           incr len;
           fuse_len.(!m) <- 0;
-          fuse_head.(!m) <- id;
           let nx = fuse_next.(!m) in
           if nx < 0 then last := true else m := nx
         done;
@@ -262,7 +259,6 @@ let prepare ?(telemetry = Telemetry.disabled) ?(fuse = true) ~resources prog =
     p_sources = Array.of_list !sources;
     p_fuse_next = fuse_next;
     p_fuse_len = fuse_len;
-    p_fuse_head = fuse_head;
     p_fuse_safe = fuse_safe;
     p_fuse_chains = !fuse_chains;
     p_fuse_ops = !fuse_ops;
@@ -274,28 +270,12 @@ let fusion_enabled p = p.p_fuse_safe
 let fused_chains p = p.p_fuse_chains
 let fused_ops p = p.p_fuse_ops
 
-let fused_head p id =
-  if id < 0 || id >= p.p_n then invalid_arg "Engine.fused_head: bad op id";
-  p.p_fuse_head.(id)
-
-let fused_members p id =
-  if id < 0 || id >= p.p_n then invalid_arg "Engine.fused_members: bad op id";
-  if p.p_fuse_len.(id) < 2 then [ id ]
-  else begin
-    let rec walk m acc =
-      let acc = m :: acc in
-      let nx = p.p_fuse_next.(m) in
-      if nx < 0 then List.rev acc else walk nx acc
-    in
-    walk id []
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Arenas: the engine's mutable working set, reset in place per run.
    Arrays are kept at exactly (n ops, n resources) — [result] aliases
-   them directly, and consumers like [Trace.utilizations] iterate the
-   whole [busy] array — and reallocated only when the prepared schedule's
-   shape differs from the previous run. *)
+   them directly, and consumers like [Critical_path.utilization] iterate
+   the whole [busy] array — and reallocated only when the prepared
+   schedule's shape differs from the previous run. *)
 
 type arena = {
   mutable a_start : float array;

@@ -71,7 +71,10 @@ val prepare :
     count), which makes fused replay bit-identical — timing and data —
     to unfused; otherwise the schedule runs unfused even with
     [fuse:true]. Pass [~fuse:false] to force the unfused path (used by
-    equivalence tests). *)
+    equivalence tests). Fused dispatch keeps original-op granularity:
+    every member still gets its own start/finish entry and recorder
+    begin/end pair, so {!Recorder} and {!Critical_path} see original op
+    ids. *)
 
 val prepared_program : prepared -> Program.t
 val prepared_ops : prepared -> int
@@ -85,17 +88,6 @@ val fused_chains : prepared -> int
 
 val fused_ops : prepared -> int
 (** Total ops covered by fused chains, heads included. *)
-
-val fused_head : prepared -> int -> int
-(** [fused_head p id] is the chain head the op is dispatched under — the
-    fused→original attribution map. Returns [id] itself for unfused ops
-    (and for chain heads). {!Recorder} and {!Critical_path} stay in
-    original-op granularity: fused dispatch still emits one begin/end
-    recorder pair and one start/finish entry per original op. *)
-
-val fused_members : prepared -> int -> int list
-(** [fused_members p head] lists a chain's member op ids in dispatch
-    order ([[id]] if [id] heads no chain). *)
 
 type arena
 (** The engine's mutable working set (start/finish/busy/pending/ready

@@ -87,7 +87,7 @@ val iter_stream_edges : (pred:int -> succ:int -> unit) -> t -> unit
     of consecutive ops in a stream, streams in ascending order, pairs
     within a stream from tail to head. Each op has at most one stream
     successor and at most one stream predecessor. Shared by the engine's
-    schedule preparation and {!Trace.stream_predecessors}. *)
+    schedule preparation and {!Critical_path}'s chain walk. *)
 
 val topological_order : t -> int list
 (** Ops ordered consistently with both dependencies and stream order.

@@ -1,4 +1,4 @@
-(* Trace analysis, race-freedom of every generated collective, and the
+(* Critical-path analysis, race-freedom of every generated collective, and the
    ReduceScatter primitive. *)
 
 module Server = Blink_topology.Server
@@ -13,12 +13,13 @@ module Codegen = Blink_collectives.Codegen
 module Scatter = Blink_collectives.Scatter
 module P = Blink_sim.Program
 module E = Blink_sim.Engine
-module Trace = Blink_sim.Trace
+module Critical_path = Blink_sim.Critical_path
+module Telemetry = Blink_telemetry.Telemetry
 module Hazard = Blink_sim.Hazard
 module Sem = Blink_sim.Semantics
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
+(* Critical path, link table and the Chrome exporter *)
 
 let two_op_program () =
   let resources =
@@ -37,49 +38,64 @@ let two_op_program () =
 let test_utilizations () =
   let p, resources = two_op_program () in
   let r = E.run ~resources p in
-  match Trace.utilizations ~resources r with
-  | [ u ] ->
-      Alcotest.(check int) "resource id" 0 u.Trace.resource;
-      Alcotest.(check (float 1e-9)) "busy" 1.5 u.Trace.busy;
-      Alcotest.(check (float 1e-9)) "fraction" 1. u.Trace.fraction;
-      Alcotest.(check (option int)) "bottleneck" (Some 0)
-        (Trace.bottleneck ~resources r)
+  match (Critical_path.attribute ~resources p r).Critical_path.links with
+  | [ l ] ->
+      Alcotest.(check int) "resource id" 0 l.Critical_path.resource;
+      Alcotest.(check (float 1e-9)) "busy" 1.5 l.Critical_path.busy_s;
+      Alcotest.(check (float 1e-9)) "utilization" 1. l.Critical_path.utilization;
+      Alcotest.(check bool) "on the path" true l.Critical_path.on_path;
+      let util = [| nan |] in
+      Alcotest.(check int) "bottleneck" 0
+        (Critical_path.utilization ~resources r util);
+      Alcotest.(check (float 0.)) "same utilization" l.Critical_path.utilization
+        util.(0)
   | _ -> Alcotest.fail "one resource expected"
+
+let path_of ~resources prog r =
+  (Critical_path.attribute ~resources prog r).Critical_path.path
 
 let test_critical_path () =
   let p, resources = two_op_program () in
   let r = E.run ~resources p in
-  let path = Trace.critical_path p r in
+  let path = path_of ~resources p r in
   Alcotest.(check (list int)) "path ops" [ 0; 1 ]
-    (List.map (fun s -> s.Trace.op) path);
+    (List.map (fun s -> s.Critical_path.op) path);
   (match path with
   | [ head; tail ] ->
-      Alcotest.(check bool) "head starts the chain" true (head.Trace.via = `Start);
-      Alcotest.(check bool) "tail waited on a dep" true (tail.Trace.via = `Dep)
+      Alcotest.(check bool) "head starts the chain" true
+        (head.Critical_path.via = `Start);
+      Alcotest.(check bool) "tail waited on a dep" true
+        (tail.Critical_path.via = `Dep)
   | _ -> Alcotest.fail "two spans");
   (* Path spans cover the makespan for a pure chain. *)
   let last = List.nth path (List.length path - 1) in
-  Alcotest.(check (float 1e-9)) "ends at makespan" r.E.makespan last.Trace.finish
+  Alcotest.(check (float 1e-9)) "ends at makespan" r.E.makespan
+    last.Critical_path.finish
 
 let test_critical_path_real_collective () =
   let handle = Blink.create Server.dgx1v ~gpus:[| 1; 4; 5; 6 |] in
   let prog, _ = Blink.all_reduce ~chunk_elems:262_144 handle ~elems:2_500_000 in
   let r = Blink.time handle prog in
-  let path = Trace.critical_path prog r in
+  let resources = Fabric.resources (Blink.fabric handle) in
+  let path = path_of ~resources prog r in
   Alcotest.(check bool) "non-trivial path" true (List.length path >= 3);
   (* Spans are ordered and non-overlapping along the chain. *)
   let rec ordered = function
-    | a :: (b :: _ as rest) -> a.Trace.finish <= b.Trace.start +. 1e-9 && ordered rest
+    | a :: (b :: _ as rest) ->
+        a.Critical_path.finish <= b.Critical_path.start +. 1e-9 && ordered rest
     | _ -> true
   in
   Alcotest.(check bool) "monotone" true (ordered path);
   Alcotest.(check (float 1e-9)) "reaches makespan" r.E.makespan
-    (List.nth path (List.length path - 1)).Trace.finish
+    (List.nth path (List.length path - 1)).Critical_path.finish
 
+(* The one Chrome exporter: a traced engine run feeds its per-op slices
+   to [Telemetry.chrome_json]. *)
 let test_chrome_json () =
   let p, resources = two_op_program () in
-  let r = E.run ~resources p in
-  let json = Trace.to_chrome_json p r in
+  let telemetry = Telemetry.create ~trace:true () in
+  ignore (E.run ~telemetry ~resources p);
+  let json = Telemetry.chrome_json telemetry in
   Alcotest.(check bool) "array" true
     (String.length json > 2 && json.[0] = '[' && json.[String.length json - 1] = ']');
   Alcotest.(check bool) "mentions both ops" true
@@ -262,9 +278,11 @@ let prop_makespan_bounds =
         |> List.fold_left Float.max 0.
       in
       (* Lower bound 2: sum of service times along the critical path. *)
-      let path = Trace.critical_path prog r in
+      let path = path_of ~resources prog r in
       let path_bound =
-        List.fold_left (fun acc s -> acc +. (s.Trace.finish -. s.Trace.start)) 0. path
+        List.fold_left
+          (fun acc s -> acc +. (s.Critical_path.finish -. s.Critical_path.start))
+          0. path
       in
       r.E.makespan >= work_bound -. 1e-9 && r.E.makespan >= path_bound -. 1e-9)
 

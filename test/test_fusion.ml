@@ -9,8 +9,8 @@
      seed float-array reference element for element.
    - Attribution: fused dispatch keeps original-op granularity — the
      recorder sees one begin/end pair per original op at the same times,
-     the fused→original map is consistent, and Critical_path output is
-     unchanged.
+     the fused chains are the ones a reference walk over the program
+     finds, and Critical_path output is unchanged.
    - Arena guard: concurrent use of one arena raises Invalid_argument
      instead of corrupting state, and the arena is reusable afterwards. *)
 
@@ -98,35 +98,42 @@ let test_fusion_fires () =
     true
     (List.length fired >= 3)
 
-(* The fused→original map partitions ops into chains: members of a chain
-   agree on the head, heads map to themselves, and fused_members lists
-   each chain exactly once in stream order. *)
+(* The op -> chain map, rebuilt from the program: a stream edge links a
+   chain when both ops run on one resource and the stream edge is the
+   successor's only dependency; chains are the maximal runs of such
+   links. The engine's chain and op counts must match this walk. *)
 let test_fused_map collective () =
   let plan = fused_plan_for collective in
-  let p = E.prepare ~fuse:true ~resources:plan.Plan.resources plan.Plan.program in
+  let prog = plan.Plan.program in
+  let p = E.prepare ~fuse:true ~resources:plan.Plan.resources prog in
   let n = E.prepared_ops p in
-  let covered = ref 0 in
+  let next = Array.make n (-1) and linked = Array.make n false in
+  if E.fusion_enabled p then
+    P.iter_stream_edges
+      (fun ~pred ~succ ->
+        let res id = P.resource_of_op (P.op prog id) in
+        if res pred <> None && res pred = res succ && (P.op prog succ).P.deps = []
+        then begin
+          next.(pred) <- succ;
+          linked.(succ) <- true
+        end)
+      prog;
+  let chains = ref 0 and covered = ref 0 in
   for id = 0 to n - 1 do
-    let head = E.fused_head p id in
-    Alcotest.(check int)
-      (Printf.sprintf "head of head, op %d" id)
-      head
-      (E.fused_head p head);
-    let members = E.fused_members p head in
-    Alcotest.(check bool)
-      (Printf.sprintf "op %d listed under its head" id)
-      true (List.mem id members);
-    List.iter
-      (fun m ->
-        Alcotest.(check int) (Printf.sprintf "member %d maps to head" m) head
-          (E.fused_head p m))
-      members;
-    if head = id && List.length members > 1 then
-      covered := !covered + List.length members
+    if next.(id) >= 0 && not linked.(id) then begin
+      incr chains;
+      let m = ref id in
+      while !m >= 0 do
+        incr covered;
+        m := next.(!m)
+      done
+    end
   done;
-  Alcotest.(check int)
-    (Plan.collective_name collective ^ ": fused_ops matches chain walk")
-    (E.fused_ops p) !covered
+  let name = Plan.collective_name collective in
+  Alcotest.(check int) (name ^ ": fused_chains matches chain walk") !chains
+    (E.fused_chains p);
+  Alcotest.(check int) (name ^ ": fused_ops matches chain walk") !covered
+    (E.fused_ops p)
 
 (* Recorder attribution: a fused replay still writes exactly one begin and
    one end event per original op, at that op's start/finish times. *)
@@ -167,19 +174,19 @@ let test_critical_path collective () =
   let plain = E.prepare ~fuse:false ~resources:plan.Plan.resources prog in
   let ra = E.run_prepared ~arena:(E.arena ()) fused in
   let rb = E.run_prepared ~arena:(E.arena ()) plain in
-  let aa = Critical_path.attribute prog ra in
-  let ab = Critical_path.attribute prog rb in
-  let ops att =
-    List.map (fun (s : Blink_sim.Trace.span) -> s.Blink_sim.Trace.op)
-      att.Critical_path.path
-  in
+  let resources = plan.Plan.resources in
+  let aa = Critical_path.attribute ~resources prog ra in
+  let ab = Critical_path.attribute ~resources prog rb in
+  let ops att = List.map (fun s -> s.Critical_path.op) att.Critical_path.path in
   Alcotest.(check (list int)) "same critical path" (ops ab) (ops aa);
   Alcotest.(check (float 0.)) "same makespan" ab.Critical_path.makespan
     aa.Critical_path.makespan;
   Alcotest.(check (float 0.)) "same transfer attribution"
     ab.Critical_path.transfer_s aa.Critical_path.transfer_s;
   Alcotest.(check (float 0.)) "same wait attribution" ab.Critical_path.wait_s
-    aa.Critical_path.wait_s
+    aa.Critical_path.wait_s;
+  Alcotest.(check bool) "same link table" true
+    (ab.Critical_path.links = aa.Critical_path.links)
 
 (* Data path: replaying a (fused) plan's program through the compiled
    semantics still matches the seed reference exactly. *)

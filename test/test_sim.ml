@@ -3,6 +3,7 @@ module P = Blink_sim.Program
 module E = Blink_sim.Engine
 module Sem = Blink_sim.Semantics
 module Fault = Blink_sim.Fault
+module CP = Blink_sim.Critical_path
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_time = Alcotest.(check (float 1e-7))
@@ -770,6 +771,62 @@ let prop_fault_matches_engine =
           && same_bits want (Fault.run ~policy ~events:inert ~resources p).Fault.timing)
         [ `Fair; `Stream_priority ])
 
+(* Critical_path on generated programs: the walk is a chain of ordered,
+   non-overlapping spans ending at the makespan; the four components
+   attribute the whole makespan; no resource carries more chain seconds
+   than it served; and the link table is the engine's busy array with
+   [CP.utilization]'s values, sorted, bottleneck first. *)
+let prop_critical_path =
+  QCheck.Test.make ~name:"critical path attributes the makespan" ~count:300
+    (QCheck.make
+       ~print:(fun case -> Format.asprintf "%a" P.pp (build_random_program case))
+       random_program)
+    (fun ((resources, _, _) as case) ->
+      let p = build_random_program case in
+      let r = E.run ~resources p in
+      let a = CP.attribute ~resources p r in
+      let mk = r.E.makespan in
+      let rec ordered = function
+        | x :: (y :: _ as rest) ->
+            x.CP.start <= x.CP.finish && x.CP.finish <= y.CP.start && ordered rest
+        | [ x ] -> x.CP.start <= x.CP.finish && x.CP.finish = mk
+        | [] -> P.n_ops p = 0
+      in
+      let total = a.CP.transfer_s +. a.CP.compute_s +. a.CP.delay_s +. a.CP.wait_s in
+      let chain_within_busy =
+        List.for_all
+          (fun (res, s) ->
+            let busy = r.E.busy.(res) in
+            s <= busy +. (1e-9 *. Float.max busy mk))
+          a.CP.per_resource
+      in
+      let util = Array.make (Array.length resources) nan in
+      let best = CP.utilization ~resources r util in
+      let by_id =
+        List.sort (fun l m -> compare l.CP.resource m.CP.resource) a.CP.links
+      in
+      let rec sorted = function
+        | l :: (m :: _ as rest) ->
+            (l.CP.utilization > m.CP.utilization
+            || (l.CP.utilization = m.CP.utilization && l.CP.resource < m.CP.resource))
+            && sorted rest
+        | _ -> true
+      in
+      ordered a.CP.path
+      && Float.abs (total -. mk) <= 1e-9 *. mk
+      && chain_within_busy
+      && List.length by_id = Array.length resources
+      && List.for_all Fun.id
+           (List.mapi
+              (fun i l ->
+                l.CP.resource = i
+                && Int64.bits_of_float l.CP.busy_s = Int64.bits_of_float r.E.busy.(i)
+                && Int64.bits_of_float l.CP.utilization
+                   = Int64.bits_of_float util.(i))
+              by_id)
+      && sorted a.CP.links
+      && (List.hd a.CP.links).CP.resource = best)
+
 let () =
   Alcotest.run "sim"
     [
@@ -827,6 +884,10 @@ let () =
           Alcotest.test_case "unrecoverable dumps the flight recorder" `Quick
             test_fault_unrecoverable_dumps_recorder;
           QCheck_alcotest.to_alcotest prop_fault_matches_engine;
+        ] );
+      ( "critical path",
+        [
+          QCheck_alcotest.to_alcotest prop_critical_path;
         ] );
       ( "semantics",
         [

@@ -7,7 +7,7 @@ module Metrics = Blink_telemetry.Metrics
 module Server = Blink_topology.Server
 module Blink = Blink_core.Blink
 module Plan = Blink_core.Plan
-module Trace = Blink_sim.Trace
+module Critical_path = Blink_sim.Critical_path
 module Engine = Blink_sim.Engine
 
 let gpus = [| 1; 4; 5; 6 |]
@@ -220,13 +220,58 @@ let test_chrome_trace () =
     (List.exists (fun e -> pid_of e = Some 1.) complete)
 
 (* ------------------------------------------------------------------ *)
-(* Satellite: Trace.bottleneck on empty resources *)
+(* No resources (a trivial topology): an empty link table, so no
+   bottleneck, and no crash *)
 
 let test_bottleneck_empty () =
   let prog = Blink_sim.Program.create () in
   let result = Engine.run ~resources:[||] prog in
-  Alcotest.(check (option int)) "no resources -> no bottleneck" None
-    (Trace.bottleneck ~resources:[||] result)
+  let a = Critical_path.attribute ~resources:[||] prog result in
+  Alcotest.(check int) "empty link table" 0 (List.length a.Critical_path.links);
+  Alcotest.(check int) "no bottleneck" (-1)
+    (Critical_path.utilization ~resources:[||] result [||])
+
+(* One fold: the gauges every instrumented execute publishes are the
+   link table [Critical_path.attribute] reports, bit for bit, and the
+   bottleneck gauge is its head. *)
+let test_gauges_equal_link_table () =
+  let telemetry = Telemetry.create () in
+  let handle = Blink.create ~telemetry Server.dgx1v ~gpus:(Array.init 8 Fun.id) in
+  List.iter
+    (fun c ->
+      let name = Plan.collective_name c in
+      let plan = Blink.plan ~chunk_elems:32_768 handle c ~elems:262_144 in
+      let timing = (Plan.execute ~data:false plan).Plan.timing in
+      let a =
+        Critical_path.attribute ~resources:plan.Plan.resources
+          plan.Plan.program timing
+      in
+      let bits x = Int64.bits_of_float x in
+      let gauge metric r =
+        Option.get
+          (Telemetry.gauge_value telemetry
+             ~labels:[ ("resource", string_of_int r) ]
+             metric)
+      in
+      Alcotest.(check int) (name ^ ": one row per resource")
+        (Array.length plan.Plan.resources)
+        (List.length a.Critical_path.links);
+      List.iter
+        (fun (l : Critical_path.link_report) ->
+          let r = l.Critical_path.resource in
+          let row = Printf.sprintf "%s resource %d" name r in
+          Alcotest.(check int64) (row ^ " busy_s")
+            (bits l.Critical_path.busy_s)
+            (bits (gauge "engine.resource.busy_s" r));
+          Alcotest.(check int64) (row ^ " utilization")
+            (bits l.Critical_path.utilization)
+            (bits (gauge "engine.resource.utilization" r)))
+        a.Critical_path.links;
+      Alcotest.(check (option (float 0.)))
+        (name ^ ": bottleneck is the head")
+        (Some (Float.of_int (List.hd a.Critical_path.links).Critical_path.resource))
+        (Telemetry.gauge_value telemetry "engine.bottleneck_resource"))
+    Plan.[ All_reduce; Broadcast; Reduce; Gather; All_gather; Reduce_scatter ]
 
 let () =
   Alcotest.run "telemetry"
@@ -257,5 +302,7 @@ let () =
         [
           Alcotest.test_case "bottleneck on empty resources" `Quick
             test_bottleneck_empty;
+          Alcotest.test_case "gauges equal the link table" `Quick
+            test_gauges_equal_link_table;
         ] );
     ]
