@@ -885,7 +885,10 @@ let () =
             test_fault_unrecoverable_dumps_recorder;
           QCheck_alcotest.to_alcotest prop_fault_matches_engine;
         ] );
-      ( "critical path",
+      (* Suite labels stay at most 11 characters: a longer label widens
+         the label column and truncates the longest test name above in
+         80-column output. *)
+      ( "crit path",
         [
           QCheck_alcotest.to_alcotest prop_critical_path;
         ] );
