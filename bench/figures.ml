@@ -8,6 +8,8 @@ module Alloc = Blink_topology.Alloc
 module Micro = Blink_collectives.Micro
 module Codegen = Blink_collectives.Codegen
 module Blink = Blink_core.Blink
+module Plan = Blink_core.Plan
+module Scenario = Blink_scenario.Scenario
 module Treegen = Blink_core.Treegen
 module Hybrid = Blink_core.Hybrid
 module Multiserver = Blink_core.Multiserver
@@ -27,6 +29,13 @@ module E = Blink_sim.Engine
    output is identical to the sequential sweep. *)
 let pool_map f xs = Pool.parallel_map (Pool.default ()) f xs
 
+(* Blink against NCCL-style rings at the uniform chunk policy. *)
+let blink ?(mbytes = 500.) handle collective =
+  Scenario.blink_gbps ~mbytes handle collective
+
+let nccl ?root ?(mbytes = 500.) server ~gpus fabric collective =
+  Option.get (Scenario.ring_gbps ?root ~mbytes server ~gpus fabric collective)
+
 (* ------------------------------------------------------------------ *)
 
 let fig2 () =
@@ -38,8 +47,8 @@ let fig2 () =
   List.iter
     (fun (label, gpus) ->
       let handle = Blink.create Server.dgx1p ~gpus in
-      let blink = blink_broadcast handle in
-      let nccl = nccl_broadcast Server.dgx1p ~gpus (Blink.fabric handle) in
+      let blink = blink handle Plan.Broadcast in
+      let nccl = nccl Server.dgx1p ~gpus (Blink.fabric handle) Plan.Broadcast in
       row "%-36s NCCL %6.1f GB/s   Blink %6.1f GB/s   (%.1fx)\n" label nccl
         blink (blink /. nccl))
     cases
@@ -71,7 +80,7 @@ let overheads server gpu_gen =
                 (fun cfg ->
                   let gpus = Array.of_list cfg in
                   let fabric = Fabric.of_server server ~gpus in
-                  let backend = nccl_backend server ~gpus fabric in
+                  let backend = Scenario.ring_backend server ~gpus fabric in
                   Training.overhead_percent
                     (Training.iteration ~gpu_gen model backend))
                 configs
@@ -153,18 +162,15 @@ let gather_sweep () =
     pool_map
       (fun cfg ->
         let gpus = Array.of_list cfg in
-        let k = Array.length gpus in
         let handle = Blink.create Server.dgx1v ~gpus in
-        let fabric = Blink.fabric handle in
-        let elems = elems_of_mb 100. in
-        let chunk = chunk_for elems in
-        let total_bytes = 4. *. Float.of_int ((k - 1) * elems) in
-        let bp, _ = Blink.gather ~chunk_elems:chunk handle ~elems in
-        let blink = total_bytes /. (Blink.time handle bp).E.makespan /. 1e9 in
-        let channels = Ring.nccl_channels Server.dgx1v ~gpus in
-        let spec = Codegen.spec ~chunk_elems:chunk fabric in
-        let np, _ = Ring.gather spec ~root:(Blink.root handle) ~elems ~channels in
-        let nccl = total_bytes /. (time_fabric fabric np).E.makespan /. 1e9 in
+        (* Into the root: every other rank's whole buffer arrives. *)
+        let into_root gbps = Float.of_int (Array.length gpus - 1) *. gbps in
+        let blink = into_root (blink ~mbytes:100. handle Plan.Gather) in
+        let nccl =
+          into_root
+            (nccl ~root:(Blink.root handle) ~mbytes:100. Server.dgx1v ~gpus
+               (Blink.fabric handle) Plan.Gather)
+        in
         (config_label gpus, nccl, blink))
       (Alloc.unique_configs Server.dgx1v ~sizes:[ 3; 4; 5; 6 ])
   in
@@ -188,10 +194,10 @@ let size_sweep () =
           List.map
             (fun mbytes ->
               ( mbytes,
-                blink_broadcast ~mbytes handle,
-                nccl_broadcast ~mbytes Server.dgx1v ~gpus fabric,
-                blink_all_reduce ~mbytes handle,
-                nccl_all_reduce ~mbytes Server.dgx1v ~gpus fabric ))
+                blink ~mbytes handle Plan.Broadcast,
+                nccl ~mbytes Server.dgx1v ~gpus fabric Plan.Broadcast,
+                blink ~mbytes handle Plan.All_reduce,
+                nccl ~mbytes Server.dgx1v ~gpus fabric Plan.All_reduce ))
             [ 50.; 100.; 250.; 500.; 1000. ]
         in
         (config_label gpus, rows))
@@ -211,7 +217,7 @@ let size_sweep () =
 let fig12 () =
   heading "Figure 12: MIAD chunk-size selection (broadcast over 4 GPUs)";
   let handle = Blink.create Server.dgx1v ~gpus:[| 0; 1; 2; 3 |] in
-  let elems = elems_of_mb 500. in
+  let elems = Scenario.elems_of_mb 500. in
   let measure ~chunk_elems =
     let prog, _ = Blink.broadcast ~chunk_elems handle ~elems in
     gbps ~elems (Blink.time handle prog)
@@ -271,13 +277,8 @@ let broadcast_or_allreduce_sweep ~collective server label =
         let gpus = Array.of_list cfg in
         let handle = Blink.create server ~gpus in
         let fabric = Blink.fabric handle in
-        let blink, nccl =
-          match collective with
-          | `Broadcast ->
-              (blink_broadcast ~mbytes handle, nccl_broadcast ~mbytes server ~gpus fabric)
-          | `All_reduce ->
-              (blink_all_reduce ~mbytes handle, nccl_all_reduce ~mbytes server ~gpus fabric)
-        in
+        let blink = blink ~mbytes handle collective
+        and nccl = nccl ~mbytes server ~gpus fabric collective in
         (config_label gpus, nccl, blink))
       (Alloc.unique_configs server ~sizes:[ 3; 4; 5; 6; 7; 8 ])
   in
@@ -291,15 +292,15 @@ let broadcast_or_allreduce_sweep ~collective server label =
     (List.fold_left Float.max 0. speedups)
 
 let fig15 () =
-  broadcast_or_allreduce_sweep ~collective:`Broadcast Server.dgx1v
+  broadcast_or_allreduce_sweep ~collective:Plan.Broadcast Server.dgx1v
     "Figure 15: Broadcast, all 46 unique DGX-1V configs, 500 MB (GB/s)"
 
 let fig16 () =
-  broadcast_or_allreduce_sweep ~collective:`Broadcast Server.dgx1p
+  broadcast_or_allreduce_sweep ~collective:Plan.Broadcast Server.dgx1p
     "Figure 16: Broadcast, all 14 unique DGX-1P configs, 500 MB (GB/s)"
 
 let fig17 () =
-  broadcast_or_allreduce_sweep ~collective:`All_reduce Server.dgx1v
+  broadcast_or_allreduce_sweep ~collective:Plan.All_reduce Server.dgx1v
     "Figure 17: AllReduce, all 46 unique DGX-1V configs, 500 MB (GB/s)"
 
 let fig18 () =
@@ -319,8 +320,8 @@ let fig18 () =
               let handle = Blink.create server ~gpus in
               let fabric = Blink.fabric handle in
               let ratio =
-                blink_all_reduce ~mbytes:100. handle
-                /. nccl_all_reduce ~mbytes:100. server ~gpus fabric
+                blink ~mbytes:100. handle Plan.All_reduce
+                /. nccl ~mbytes:100. server ~gpus fabric Plan.All_reduce
               in
               (ratio, cfg))
             all
@@ -339,8 +340,8 @@ let fig18 () =
       let gpus = Array.of_list cfg in
       let handle = Blink.create server ~gpus in
       let fabric = Blink.fabric handle in
-      let nccl = nccl_backend server ~gpus fabric in
-      let blink = blink_backend handle in
+      let nccl = Scenario.ring_backend server ~gpus fabric in
+      let blink = Training.plan_backend handle in
       List.iter
         (fun model ->
           let base = Training.iteration model nccl in
@@ -402,7 +403,7 @@ let fig21 () =
     (fun n ->
       let gpus = Micro.chain_gpus n in
       let handle = Blink.create Server.dgx1v ~gpus in
-      let elems = elems_of_mb 500. in
+      let elems = Scenario.elems_of_mb 500. in
       let chunk = chunk_for elems in
       let np, _ = Blink.broadcast ~chunk_elems:chunk handle ~elems in
       let hp, _ = Hybrid.broadcast ~chunk_elems:chunk handle ~elems in
@@ -449,7 +450,7 @@ let fig22a () =
 let fig22b () =
   heading "Figure 22b: AllReduce (100 MB) vs cross-machine bandwidth, 3+5 GPUs";
   let servers = [ (Server.dgx1v, [| 0; 1; 2 |]); (Server.dgx1v, [| 0; 1; 2; 3; 4 |]) ] in
-  let elems = elems_of_mb 100. in
+  let elems = Scenario.elems_of_mb 100. in
   row "%10s %14s %14s\n" "net (Gbps)" "blink (GB/s)" "nccl (GB/s)";
   List.iter
     (fun gbits ->
@@ -491,7 +492,7 @@ let ablation_ilp () =
   let gpus = Array.init 8 Fun.id in
   let g = Server.nvlink_digraph Server.dgx1v ~gpus in
   let fabric = Fabric.of_server Server.dgx1v ~gpus in
-  let elems = elems_of_mb 500. in
+  let elems = Scenario.elems_of_mb 500. in
   let measure packing =
     let trees = Blink.trees_of_packing g packing in
     let spec = Codegen.spec ~chunk_elems:(chunk_for elems) fabric in
@@ -506,7 +507,7 @@ let ablation_ilp () =
 let ablation_streams () =
   heading "Ablation: stream management on/off (8-GPU DGX-1V AllReduce, 500 MB)";
   let handle = Blink.create Server.dgx1v ~gpus:(Array.init 8 Fun.id) in
-  let elems = elems_of_mb 500. in
+  let elems = Scenario.elems_of_mb 500. in
   List.iter
     (fun reuse ->
       let prog, _ =
@@ -519,7 +520,7 @@ let ablation_streams () =
 let ablation_chunk () =
   heading "Ablation: fixed chunk sizes vs MIAD (8-GPU DGX-1V broadcast, 500 MB)";
   let handle = Blink.create Server.dgx1v ~gpus:(Array.init 8 Fun.id) in
-  let elems = elems_of_mb 500. in
+  let elems = Scenario.elems_of_mb 500. in
   let measure ~chunk_elems =
     let prog, _ = Blink.broadcast ~chunk_elems handle ~elems in
     gbps ~elems (Blink.time handle prog)
@@ -536,7 +537,7 @@ let ablation_chunk () =
 let ablation_hybrid () =
   heading "Ablation: hybrid split optimal (eq. 8) vs naive proportional";
   let handle = Blink.create Server.dgx1v ~gpus:[| 0; 1; 2; 3 |] in
-  let elems = elems_of_mb 500. in
+  let elems = Scenario.elems_of_mb 500. in
   let np, _ = Blink.broadcast handle ~elems in
   let hp, _ = Hybrid.broadcast handle ~elems in
   (* naive split ignores T_dpa: emulate by zero dpa then charging it *)

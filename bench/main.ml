@@ -9,6 +9,7 @@ module Blink = Blink_core.Blink
 module Treegen = Blink_core.Treegen
 module Json = Blink_telemetry.Json
 module Telemetry = Blink_telemetry.Telemetry
+module Scenario = Blink_scenario.Scenario
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: planner and simulator costs. *)
@@ -75,10 +76,7 @@ let plan_cache_suite () =
   Util.heading "Plan cache: %dx Comm.all_reduce of %d elems on gpus {1,4,5,6}"
     iters elems;
   let c = Comm.init Server.dgx1v ~gpus:[| 1; 4; 5; 6 |] in
-  let inputs =
-    Array.init 4 (fun r ->
-        Array.init elems (fun i -> Float.of_int (((i * 3) + (r * 7)) mod 11)))
-  in
+  let inputs = Scenario.rank_inputs ~ranks:4 ~elems in
   let wall f =
     let t0 = Sys.time () in
     let x = f () in
@@ -114,7 +112,7 @@ let plan_cache_suite () =
   let { Blink.hits = hits_final; misses = misses_final } =
     Comm.plan_cache_stats c
   in
-  Util.write_bench_json ~file:"BENCH_plan_cache.json" ~suite:"plan_cache"
+  Util.write_bench_json ~suite:"plan_cache"
     [
       ("iters", Json.int iters);
       ("elems", Json.int elems);
@@ -158,11 +156,7 @@ let parallel_plan_measured () =
           ignore (Blink.prewarm ~pool handle prewarm_keys) );
     ]
   in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
+  let wall f = fst (Scenario.timed f) in
   (* Warm-up pass so allocator effects don't favour either side. *)
   Pool.with_pool ~domains:1 (fun pool ->
       List.iter (fun (_, job) -> job pool) jobs);
@@ -210,7 +204,7 @@ let parallel_plan_measured () =
           ])
       seq par
   in
-  Util.write_bench_json ~file:"BENCH_parallel_plan.json" ~suite:"parallel_plan"
+  Util.write_bench_json ~suite:"parallel_plan"
     [
       ("skipped_no_domains", Json.Bool false);
       ("recommended_domains", Json.int (Pool.default_domains ()));
@@ -226,32 +220,30 @@ let parallel_plan_measured () =
      [expected_on_this_host] (fewer real cores than requested) keeps the
      gate advisory on laptops; the BLINK_DOMAINS=4 CI job makes it
      hard. *)
-  if (not expected_on_this_host) && speedup < 1.05 then begin
-    Printf.eprintf
-      "parallel-plan: %.2fx speedup with %d domains (gate: >= 1.05x)\n"
-      speedup par_domains;
-    exit 1
-  end
+  Util.fail_if ((not expected_on_this_host) && speedup < 1.05)
+    "parallel-plan: %.2fx speedup with %d domains (gate: >= 1.05x)\n" speedup
+    par_domains
 
 (* Single-domain hosts (CI runners, small containers) have no
    parallelism to measure: a 1-vs-1 comparison would only publish
    scheduler noise. Report the skip explicitly so the artifact says why
    the numbers are absent instead of carrying misleading ones. *)
-let parallel_plan_suite () =
-  Util.heading
-    "Parallel planning: multi-server packing + plan prewarm, 1 vs N domains";
+let unless_single_domain ~suite ~why measured =
   if Pool.default_domains () <= 1 then begin
-    Util.row
-      "  skipped: this host recommends a single domain — nothing to \
-       parallelize\n";
-    Util.write_bench_json ~file:"BENCH_parallel_plan.json"
-      ~suite:"parallel_plan"
+    Util.row "  skipped: this host recommends a single domain — %s\n" why;
+    Util.write_bench_json ~suite
       [
         ("skipped_no_domains", Json.Bool true);
         ("recommended_domains", Json.int (Pool.default_domains ()));
       ]
   end
-  else parallel_plan_measured ()
+  else measured ()
+
+let parallel_plan_suite () =
+  Util.heading
+    "Parallel planning: multi-server packing + plan prewarm, 1 vs N domains";
+  unless_single_domain ~suite:"parallel_plan" ~why:"nothing to parallelize"
+    parallel_plan_measured
 
 (* ------------------------------------------------------------------ *)
 (* Overlap mode: planning hidden behind execution. The foreground domain
@@ -269,11 +261,7 @@ let overlap_measured () =
       [ 262_144; 1_048_576; 4_194_304 ]
   in
   let mk () = Blink.create Server.dgx1v ~gpus in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
+  let wall f = fst (Scenario.timed f) in
   (* Foreground work: steady-state timing replays of a compiled plan. *)
   let live = Blink.create Server.dgx1v ~gpus:[| 1; 4; 5; 6 |] in
   let plan = Blink.plan live Plan.All_reduce ~elems:1_000_000 in
@@ -323,7 +311,7 @@ let overlap_measured () =
     (seq_total *. 1e3) (overlap_total *. 1e3) speedup;
   let effective = min domains (Pool.default_domains ()) in
   let expected_on_this_host = speedup < 1.0 && effective < 2 in
-  Util.write_bench_json ~file:"BENCH_overlap.json" ~suite:"overlap"
+  Util.write_bench_json ~suite:"overlap"
     [
       ("skipped_no_domains", Json.Bool false);
       ("recommended_domains", Json.int (Pool.default_domains ()));
@@ -336,28 +324,15 @@ let overlap_measured () =
       ("speedup", Json.float speedup);
       ("expected_on_this_host", Json.Bool expected_on_this_host);
     ];
-  if (not expected_on_this_host) && speedup < 1.10 then begin
-    Printf.eprintf
-      "overlap: prewarm_async hid only %.2fx with %d domains (gate: >= \
-       1.10x)\n"
-      speedup domains;
-    exit 1
-  end
+  Util.fail_if ((not expected_on_this_host) && speedup < 1.10)
+    "overlap: prewarm_async hid only %.2fx with %d domains (gate: >= 1.10x)\n"
+    speedup domains
 
 let overlap_suite () =
   Util.heading
     "Overlap: prewarm_async planning hidden behind plan replay, seq vs async";
-  if Pool.default_domains () <= 1 then begin
-    Util.row
-      "  skipped: this host recommends a single domain — prewarm_async \
-       degenerates to sequential\n";
-    Util.write_bench_json ~file:"BENCH_overlap.json" ~suite:"overlap"
-      [
-        ("skipped_no_domains", Json.Bool true);
-        ("recommended_domains", Json.int (Pool.default_domains ()));
-      ]
-  end
-  else overlap_measured ()
+  unless_single_domain ~suite:"overlap"
+    ~why:"prewarm_async degenerates to sequential" overlap_measured
 
 (* ------------------------------------------------------------------ *)
 (* Replay mode: steady-state cost of re-executing a compiled plan.
@@ -389,20 +364,9 @@ let replay_suite () =
     "Replay: %dx per-collective re-execution of %d elems on gpus {1,4,5,6}"
     iters elems;
   let handle = Blink.create Server.dgx1v ~gpus:[| 1; 4; 5; 6 |] in
-  let inputs =
-    Array.init 4 (fun r ->
-        Array.init elems (fun i -> Float.of_int (((i * 3) + (r * 7)) mod 11)))
-  in
-  let wall_and_words f =
-    let t0 = Unix.gettimeofday () in
-    let w0 = Gc.minor_words () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    let dw = Gc.minor_words () -. w0 in
-    let dt = Unix.gettimeofday () -. t0 in
-    (dt /. Float.of_int iters, dw /. Float.of_int iters)
-  in
+  let inputs = Scenario.rank_inputs ~ranks:4 ~elems in
+  let load = Scenario.loader inputs in
+  let wall_and_words = Scenario.per_run ~runs:iters in
   let collectives =
     [
       Plan.All_reduce;
@@ -424,11 +388,6 @@ let replay_suite () =
         let plan = Blink.plan handle collective ~elems in
         let prog = plan.Plan.program and resources = plan.Plan.resources in
         let layout = plan.Plan.layout in
-        let load mem (l : Codegen.layout) =
-          Array.iteri
-            (fun r buf -> Sem.write mem ~node:r ~buf:l.Codegen.data.(r) buf)
-            inputs
-        in
         let load_ref rmem =
           Array.iteri
             (fun r buf ->
@@ -529,7 +488,7 @@ let replay_suite () =
   Util.row "  fusion: %d chains covering %d ops; kernel tables %d raw -> \
             %d compiled (%d fused) across the six plans\n"
     !tot_chains !tot_fops !tot_kraw !tot_kcomp !tot_kfused;
-  Util.write_bench_json ~file:"BENCH_replay.json" ~suite:"replay"
+  Util.write_bench_json ~suite:"replay"
     [
       ("iters", Json.int iters);
       ("elems", Json.int elems);
@@ -542,11 +501,9 @@ let replay_suite () =
       ("engine_runs", Json.int (counter "engine.runs"));
       ("collectives", Json.List rows);
     ];
-  if not guard_ok then (
-    Printf.eprintf
-      "replay: allocation guard failed (%.0f > %.0f minor words/run)\n"
-      !guard_worst alloc_guard_minor_words;
-    exit 1)
+  Util.fail_if (not guard_ok)
+    "replay: allocation guard failed (%.0f > %.0f minor words/run)\n"
+    !guard_worst alloc_guard_minor_words
 
 (* ------------------------------------------------------------------ *)
 (* Kernel microbench: GB/s of each C stub entry point on large slabs,
@@ -567,13 +524,13 @@ let kernels_suite () =
   Bigarray.Array1.fill c 0.0;
   let f64 = Array.init elems (fun i -> Float.of_int (i land 255)) in
   let iters = 40 in
-  let bench name bytes_per_elem f =
+  (* Mean wall seconds per call after one warm call. *)
+  let per_call f =
     f ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    let dt = (Unix.gettimeofday () -. t0) /. Float.of_int iters in
+    fst (Scenario.per_run ~runs:iters f)
+  in
+  let bench name bytes_per_elem f =
+    let dt = per_call f in
     let gbps = Float.of_int elems *. bytes_per_elem /. dt /. 1e9 in
     Util.row "  %-10s %8.2f GB/s  (%.3f ms per %d-elem call)\n" name gbps
       (dt *. 1e3) elems;
@@ -602,23 +559,16 @@ let kernels_suite () =
      one call (and one pass over src) where the unfused path makes two. *)
   let chunk = 4_096 in
   let calls = elems / chunk in
-  let per_call f =
-    f ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. Float.of_int (iters * calls) *. 1e9
-  in
+  let ns_per_chunk f = per_call f /. Float.of_int calls *. 1e9 in
   let fused_ns =
-    per_call (fun () ->
+    ns_per_chunk (fun () ->
         for i = 0 to calls - 1 do
           let off = i * chunk in
           Sem.Kernels.copy_add b off c off a off chunk
         done)
   in
   let unfused_ns =
-    per_call (fun () ->
+    ns_per_chunk (fun () ->
         for i = 0 to calls - 1 do
           let off = i * chunk in
           Sem.Kernels.copy b off a off chunk;
@@ -630,7 +580,7 @@ let kernels_suite () =
     "  dispatch (%d-elem chunks): fused copy_add %.0f ns/call, separate \
      copy+reduce %.0f ns (%.2fx)\n"
     chunk fused_ns unfused_ns ratio;
-  Util.write_bench_json ~file:"BENCH_kernels.json" ~suite:"kernels"
+  Util.write_bench_json ~suite:"kernels"
     [
       ("elems", Json.int elems);
       ("iters", Json.int iters);
@@ -667,131 +617,74 @@ let kernels_suite () =
    a mid-run flaky-link simulation through Fault.run, and the typed
    partition error on an allocation whose cut link is a bridge. *)
 
-module Tree = Blink_collectives.Tree
 module Program = Blink_sim.Program
 module Fault = Blink_sim.Fault
 
-let used_pairs (p : Plan.t) ~gpus =
-  List.concat_map
-    (fun { Tree.tree; _ } ->
-      Array.to_list (Array.mapi (fun r pr -> (r, pr)) tree.Tree.parent))
-    p.Plan.trees
-  |> List.filter_map (fun (r, pr) ->
-         if pr >= 0 then
-           Some (min gpus.(r) gpus.(pr), max gpus.(r) gpus.(pr))
-         else None)
-  |> List.sort_uniq compare
-
 let failover_suite () =
+  let open Scenario in
   let gpus = Array.init 8 Fun.id in
   let elems = 1_000_000 in
   Util.heading
     "Failover: link fault injection + replanning, %d elems on dgx1v 8 gpus"
     elems;
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (Unix.gettimeofday () -. t0, x)
-  in
-  let handle = Blink.create Server.dgx1v ~gpus in
-  let healthy_rate = Blink.all_reduce_rate handle in
-  let plan0 = Blink.plan handle Plan.All_reduce ~elems in
-  let healthy_s = Plan.seconds (Plan.execute ~data:false plan0) in
+  (* Fail an NVLink the healthy plan routes over, on three handles: cold
+     replan, warm incremental replan, and a prewarmed contingency swap.
+     Each mutation replans the fabric and invalidates exactly the
+     touching cache keys. *)
+  let d = drill Server.dgx1v ~gpus ~elems in
+  let cold = d.cold and warm = d.warm and cont = d.contingency in
+  let handle = cold.handle and (u, v) = d.link in
+  let healthy_s = d.healthy_makespan_s and t_replan = cold.plan_s in
+  let degraded_rate = cold.rate_gbps and degraded_s = cold.makespan_s in
   Util.row "  healthy: %.1f GB/s packing rate, %.3f ms simulated all_reduce\n"
-    healthy_rate (healthy_s *. 1e3);
-  (* Fail an NVLink the cached plan routes over; the mutation replans the
-     fabric and invalidates exactly the touching cache keys. *)
-  let u, v = List.hd (used_pairs plan0 ~gpus) in
-  let t_fail, () = wall (fun () -> Blink.fail_link ~replan:`Cold handle ~u ~v) in
-  let t_replan, plan1 =
-    wall (fun () -> Blink.plan handle Plan.All_reduce ~elems)
-  in
-  let degraded_rate = Blink.all_reduce_rate handle in
-  let degraded_s = Plan.seconds (Plan.execute ~data:false plan1) in
+    d.healthy_rate_gbps (healthy_s *. 1e3);
   Util.row "  fail_link %d-%d: topology replan %.1f ms, key re-plan %.1f ms\n"
-    u v (t_fail *. 1e3) (t_replan *. 1e3);
+    u v (cold.replan_s *. 1e3) (t_replan *. 1e3);
   Util.row "  degraded: %.1f GB/s packing rate, %.3f ms simulated all_reduce \
             (%.1f%% of healthy)\n"
-    degraded_rate (degraded_s *. 1e3)
-    (100. *. healthy_s /. degraded_s);
+    degraded_rate (degraded_s *. 1e3) (100. *. healthy_s /. degraded_s);
   (* A fresh handle created directly on the degraded fabric must agree
      bit-for-bit — the replanned handle holds no stale state. *)
-  let fresh =
-    Blink.create ~link_faults:[ ((u, v), Server.Down) ] Server.dgx1v ~gpus
-  in
-  let fresh_s =
-    Plan.seconds
-      (Plan.execute ~data:false (Blink.plan fresh Plan.All_reduce ~elems))
-  in
-  let fresh_matches =
-    Blink.all_reduce_rate fresh = degraded_rate && fresh_s = degraded_s
-  in
+  let fresh = fresh_check handle ~elems in
+  let fresh_matches = fresh.matches in
   Util.row "  fresh handle on degraded fabric: %.1f GB/s, %.3f ms — %s\n"
-    (Blink.all_reduce_rate fresh)
-    (fresh_s *. 1e3)
+    fresh.fresh_rate_gbps (fresh.fresh_makespan_s *. 1e3)
     (if fresh_matches then "matches replanned handle exactly"
      else "MISMATCH vs replanned handle");
-  (* Degrade a second link to half rate on top of the loss. *)
-  let u2, v2 = List.hd (used_pairs plan1 ~gpus) in
-  let t_degrade, () =
-    wall (fun () ->
-        Blink.degrade_link ~replan:`Cold handle ~u:u2 ~v:v2 ~factor:0.5)
+  (* Degrade a second link to half rate on top of the loss, cold on the
+     cold handle and warm on the warm one. *)
+  let u2, v2 =
+    List.hd (used_pairs (Blink.plan handle Plan.All_reduce ~elems) ~gpus)
   in
-  let twice_rate = Blink.all_reduce_rate handle in
+  let half = Degrade (u2, v2, 0.5) in
+  let degrade = apply ~replan:`Cold handle ~elems half in
   Util.row "  degrade_link %d-%d to 50%%: replan %.1f ms, %.1f GB/s\n" u2 v2
-    (t_degrade *. 1e3) twice_rate;
-  (* Incremental replanning: the same fault sequence on a handle that
-     keeps surviving trees and re-packs only the displaced flow (warm),
-     and on a handle whose one-link-down plan was prewarmed as a
-     background contingency (failover = a fingerprint swap). *)
-  let warm = Blink.create Server.dgx1v ~gpus in
-  ignore (Blink.plan warm Plan.All_reduce ~elems);
-  let t_warm_fail, () = wall (fun () -> Blink.fail_link warm ~u ~v) in
-  let warm_rate = Blink.all_reduce_rate warm in
-  ignore (Blink.plan warm Plan.All_reduce ~elems);
-  let t_warm_degrade, () =
-    wall (fun () -> Blink.degrade_link warm ~u:u2 ~v:v2 ~factor:0.5)
-  in
-  let warm_rate_equals_cold = warm_rate = degraded_rate in
+    (degrade.replan_s *. 1e3) degrade.rate_gbps;
+  let warm_degrade = apply warm.handle ~elems half in
+  let warm_rate_equals_cold = warm.rate_gbps = degraded_rate in
   Util.row
     "  warm replan: fail %.1f ms (%.1fx vs cold), degrade %.1f ms (%.1fx), \
      %.1f GB/s%s\n"
-    (t_warm_fail *. 1e3)
-    (t_fail /. t_warm_fail)
-    (t_warm_degrade *. 1e3)
-    (t_degrade /. t_warm_degrade)
-    warm_rate
+    (warm.replan_s *. 1e3) (cold.replan_s /. warm.replan_s)
+    (warm_degrade.replan_s *. 1e3)
+    (degrade.replan_s /. warm_degrade.replan_s) warm.rate_gbps
     (if warm_rate_equals_cold then " (= cold rate)" else "");
-  let cont = Blink.create Server.dgx1v ~gpus in
-  ignore (Blink.plan cont Plan.All_reduce ~elems);
-  let t_prewarm, prewarmed =
-    wall (fun () ->
-        Blink.prewarm ~contingencies:(`Pairs [ (u, v) ]) cont
-          [ (Plan.All_reduce, elems) ])
-  in
-  let t_cont, () = wall (fun () -> Blink.fail_link cont ~u ~v) in
-  let cont_plan = Blink.plan cont Plan.All_reduce ~elems in
-  let cont_rate = Blink.all_reduce_rate cont in
-  let cont_s = Plan.seconds (Plan.execute ~data:false cont_plan) in
-  let contingency_matches = cont_rate = degraded_rate && cont_s = degraded_s in
-  let cont_hits =
-    Blink_telemetry.Telemetry.counter_value (Blink.telemetry cont)
-      "plan.contingency.hits"
+  let contingency_matches =
+    cont.rate_gbps = degraded_rate && cont.makespan_s = degraded_s
   in
   Util.row
     "  contingency: prewarm %.1f ms (%d plans), failover %.2f ms, %.1f GB/s \
      — %s\n"
-    (t_prewarm *. 1e3) prewarmed (t_cont *. 1e3) cont_rate
+    (d.prewarm_s *. 1e3) d.prewarmed_plans (cont.replan_s *. 1e3) cont.rate_gbps
     (if contingency_matches then "matches the cold replan exactly"
      else "MISMATCH vs cold replan");
-  let tel = Blink.telemetry handle in
-  let counter name = Blink_telemetry.Telemetry.counter_value tel name in
+  let counter name = Telemetry.counter_value (Blink.telemetry handle) name in
   Util.row "  counters: fault.injected %d, plan.cache.invalidations %d\n"
-    (counter "fault.injected")
-    (counter "plan.cache.invalidations");
+    (counter "fault.injected") (counter "plan.cache.invalidations");
   (* Mid-run fault model: replay the healthy compiled plan with a flaky
      window on its first transfer link — ops retry with backoff and the
      run completes late instead of wedging. *)
+  let plan0 = d.healthy in
   let link = ref (-1) in
   Program.iter_ops
     (fun o ->
@@ -825,80 +718,70 @@ let failover_suite () =
   in
   if partition = None then
     Util.row "  partition on {1,4,5,6} - link 1-5: NOT DETECTED (bug)\n";
-  Util.write_bench_json ~file:"BENCH_failover.json" ~suite:"failover"
+  let t_warm_fail = warm.replan_s and t_cont = cont.replan_s in
+  Util.write_bench_json ~suite:"failover"
     [
-            ("elems", Json.int elems);
-            ("healthy_rate_gbps", Json.float healthy_rate);
-            ("healthy_all_reduce_s", Json.float healthy_s);
-            ("failed_link", Json.List [ Json.int u; Json.int v ]);
-            ("topology_replan_s", Json.float t_fail);
-            ("key_replan_s", Json.float t_replan);
-            ("degraded_rate_gbps", Json.float degraded_rate);
-            ("degraded_all_reduce_s", Json.float degraded_s);
-            ("fresh_handle_rate_gbps", Json.float (Blink.all_reduce_rate fresh));
-            ("fresh_handle_all_reduce_s", Json.float fresh_s);
-            ("fresh_matches_replanned", Json.Bool fresh_matches);
-            ("degraded_link", Json.List [ Json.int u2; Json.int v2 ]);
-            ("degrade_replan_s", Json.float t_degrade);
-            ("double_fault_rate_gbps", Json.float twice_rate);
-            ("warm_replan_s", Json.float t_warm_fail);
-            ("warm_degrade_replan_s", Json.float t_warm_degrade);
-            ("warm_rate_gbps", Json.float warm_rate);
-            ("warm_rate_equals_cold", Json.Bool warm_rate_equals_cold);
-            ("replan_speedup_vs_cold", Json.float (t_fail /. t_warm_fail));
-            ("contingency_prewarm_s", Json.float t_prewarm);
-            ("contingency_prewarmed_plans", Json.int prewarmed);
-            ("contingency_replan_s", Json.float t_cont);
-            ("contingency_rate_gbps", Json.float cont_rate);
-            ("contingency_matches_cold", Json.Bool contingency_matches);
-            ("contingency_hits", Json.int cont_hits);
-            ("faults_injected", Json.int (counter "fault.injected"));
-            ( "plan_cache_invalidations",
-              Json.int (counter "plan.cache.invalidations") );
-            ("midrun_retries", Json.int flaky.Fault.retries);
-            ("midrun_faulted_ops", Json.int flaky.Fault.faulted_ops);
-            ("midrun_clean_s", Json.float clean_s);
-            ("midrun_flaky_s", Json.float flaky.Fault.timing.E.makespan);
-            ( "partition_detected",
-              Json.Bool (Option.is_some partition) );
-            ( "partition_alive",
-              Json.List
-                (match partition with
-                | Some (alive, _) -> List.map Json.int alive
-                | None -> []) );
-            ( "partition_unreachable",
-              Json.List
-                (match partition with
-                | Some (_, unreachable) -> List.map Json.int unreachable
-                | None -> []) );
+      ("elems", Json.int elems);
+      ("healthy_rate_gbps", Json.float d.healthy_rate_gbps);
+      ("healthy_all_reduce_s", Json.float healthy_s);
+      ("failed_link", Json.List [ Json.int u; Json.int v ]);
+      ("topology_replan_s", Json.float cold.replan_s);
+      ("key_replan_s", Json.float t_replan);
+      ("degraded_rate_gbps", Json.float degraded_rate);
+      ("degraded_all_reduce_s", Json.float degraded_s);
+      ("fresh_handle_rate_gbps", Json.float fresh.fresh_rate_gbps);
+      ("fresh_handle_all_reduce_s", Json.float fresh.fresh_makespan_s);
+      ("fresh_matches_replanned", Json.Bool fresh_matches);
+      ("degraded_link", Json.List [ Json.int u2; Json.int v2 ]);
+      ("degrade_replan_s", Json.float degrade.replan_s);
+      ("double_fault_rate_gbps", Json.float degrade.rate_gbps);
+      ("warm_replan_s", Json.float t_warm_fail);
+      ("warm_degrade_replan_s", Json.float warm_degrade.replan_s);
+      ("warm_rate_gbps", Json.float warm.rate_gbps);
+      ("warm_rate_equals_cold", Json.Bool warm_rate_equals_cold);
+      ("replan_speedup_vs_cold", Json.float (cold.replan_s /. t_warm_fail));
+      ("contingency_prewarm_s", Json.float d.prewarm_s);
+      ("contingency_prewarmed_plans", Json.int d.prewarmed_plans);
+      ("contingency_replan_s", Json.float t_cont);
+      ("contingency_rate_gbps", Json.float cont.rate_gbps);
+      ("contingency_matches_cold", Json.Bool contingency_matches);
+      ("contingency_hits", Json.int (contingency_hits cont.handle));
+      ("faults_injected", Json.int (counter "fault.injected"));
+      ( "plan_cache_invalidations",
+        Json.int (counter "plan.cache.invalidations") );
+      ("midrun_retries", Json.int flaky.Fault.retries);
+      ("midrun_faulted_ops", Json.int flaky.Fault.faulted_ops);
+      ("midrun_clean_s", Json.float clean_s);
+      ("midrun_flaky_s", Json.float flaky.Fault.timing.E.makespan);
+      ("partition_detected", Json.Bool (Option.is_some partition));
+      ( "partition_alive",
+        Json.List
+          (match partition with
+          | Some (alive, _) -> List.map Json.int alive
+          | None -> []) );
+      ( "partition_unreachable",
+        Json.List
+          (match partition with
+          | Some (_, unreachable) -> List.map Json.int unreachable
+          | None -> []) );
     ];
-  if not fresh_matches then (
-    Printf.eprintf
-      "failover: replanned handle diverges from a fresh handle on the \
-       degraded fabric\n";
-    exit 1);
-  if partition = None then (
-    Printf.eprintf "failover: partition was not detected\n";
-    exit 1);
+  Util.fail_if (not fresh_matches)
+    "failover: replanned handle diverges from a fresh handle on the \
+     degraded fabric\n";
+  Util.fail_if (partition = None) "failover: partition was not detected\n";
   (* Hard latency gates for the incremental-replanning paths: a warm
      replan must land within 10x of a plan-cache re-plan, a contingency
      failover within 2x — and the contingency plan must be the cold plan
      (it was built cold, ahead of time, under the post-fault key). *)
-  if t_warm_fail > 10. *. t_replan then (
-    Printf.eprintf
-      "failover: warm replan %.3f ms exceeds 10x key re-plan %.3f ms\n"
-      (t_warm_fail *. 1e3) (t_replan *. 1e3);
-    exit 1);
-  if t_cont > 2. *. t_replan then (
-    Printf.eprintf
-      "failover: contingency failover %.3f ms exceeds 2x key re-plan %.3f \
-       ms\n"
-      (t_cont *. 1e3) (t_replan *. 1e3);
-    exit 1);
-  if not contingency_matches then (
-    Printf.eprintf
-      "failover: contingency plan diverges from the cold replan\n";
-    exit 1)
+  Util.fail_if (t_warm_fail > 10. *. t_replan)
+    "failover: warm replan %.3f ms exceeds 10x key re-plan %.3f ms\n"
+    (t_warm_fail *. 1e3) (t_replan *. 1e3);
+  Util.fail_if (t_cont > 2. *. t_replan)
+    "failover: contingency failover %.3f ms exceeds 2x key re-plan %.3f \
+     ms\n"
+    (t_cont *. 1e3) (t_replan *. 1e3);
+  Util.fail_if (not contingency_matches)
+    "failover: contingency plan diverges from the cold replan\n"
 
 (* ------------------------------------------------------------------ *)
 (* Cluster service: the shared fingerprint-keyed plan store under a
@@ -914,63 +797,23 @@ let cluster_suite () =
   Util.heading
     "Cluster service: %d jobs on %d dgx1v servers, shared plan store" n_jobs
     servers;
-  let r =
-    Scheduler.run_service ~servers ~verify_every:50 ~failover_drill:true
-      ~n_jobs ()
-  in
+  let r = Scheduler.run_service ~servers ~verify_every:50 ~n_jobs () in
   let st = r.Scheduler.store in
-  Util.row "  jobs: %d admitted, %d rejected (capacity), %d rejected (quota)\n"
-    r.Scheduler.admitted_jobs r.Scheduler.rejected_capacity_jobs
-    r.Scheduler.rejected_quota_jobs;
-  Util.row "  slices: %d planned, %d single-gpu, %d pcie-only\n"
-    r.Scheduler.planned_slices r.Scheduler.single_gpu_slices
-    r.Scheduler.pcie_slices;
-  Util.row "  store: %d hits / %d misses (%.1f%% hit rate), %d fingerprints, \
-            %d live plans\n"
-    st.Blink_store.Store.hits st.Blink_store.Store.misses
-    (100. *. r.Scheduler.hit_rate)
-    r.Scheduler.unique_fingerprints st.Blink_store.Store.entries;
-  Util.row "  throughput: %.0f jobs/s (%.2f s wall), fairness %.3f\n"
-    r.Scheduler.jobs_per_second r.Scheduler.wall_seconds r.Scheduler.fairness;
-  Util.row "  verification: %d sampled slices, %d mismatches\n"
-    r.Scheduler.verified_slices r.Scheduler.verify_mismatches;
-  (* Observatory: the per-tenant / per-fingerprint health view the
-     service snapshot exports. *)
-  Util.row "  observatory: %-6s %5s %18s %18s %10s\n" "tenant" "jobs"
-    "latency mean/p95" "queue mean/p95" "stragglers";
-  List.iter
-    (fun (o : Scheduler.tenant_observatory) ->
-      Util.row "               %-6d %5d %8.2f/%5.2f ms %9.2f/%5.2f ms %10d\n"
-        o.Scheduler.ob_tenant o.Scheduler.ob_jobs
-        (o.Scheduler.ob_latency.Scheduler.h_mean_s *. 1e3)
-        (o.Scheduler.ob_latency.Scheduler.h_p95_s *. 1e3)
-        (o.Scheduler.ob_queue_wait.Scheduler.h_mean_s *. 1e3)
-        (o.Scheduler.ob_queue_wait.Scheduler.h_p95_s *. 1e3)
-        o.Scheduler.ob_straggler_slices)
-    r.Scheduler.observatory;
-  List.iteri
-    (fun i (c : Scheduler.fingerprint_class) ->
-      if i < 5 then
-        Util.row "  class %-22s %5d slices, %6.1f GB/s mean (best %.1f), \
-                  %d stragglers\n"
-          c.Scheduler.fc_class c.Scheduler.fc_slices c.Scheduler.fc_mean_gbps
-          c.Scheduler.fc_best_gbps c.Scheduler.fc_stragglers)
-    r.Scheduler.classes;
-  Util.row "  stragglers: %d flagged slices (epsilon %.2f) on the healthy run\n"
-    r.Scheduler.straggler_slices r.Scheduler.straggler_epsilon;
-  (match r.Scheduler.drill with
-  | None -> Util.row "  failover drill: skipped (no point-to-point NVLinks)\n"
-  | Some d ->
-      let u, v = d.Scheduler.dr_link in
-      Util.row
-        "  failover drill (link %d-%d): cold %.1f ms, warm %.1f ms, \
-         contingency %.2f ms (prewarm %.1f ms, %d plans)\n"
-        u v
-        (d.Scheduler.dr_cold_replan_s *. 1e3)
-        (d.Scheduler.dr_warm_replan_s *. 1e3)
-        (d.Scheduler.dr_contingency_replan_s *. 1e3)
-        (d.Scheduler.dr_prewarm_s *. 1e3)
-        d.Scheduler.dr_prewarmed_plans);
+  Scenario.pp_service Format.std_formatter r;
+  (* The failover suite's drill, next to the service numbers: cold, warm
+     and contingency replans of one link loss on a full server. *)
+  let ({ Scenario.link = u, v; cold; warm; contingency = cont; _ } as d) =
+    Scenario.drill Server.dgx1v ~gpus:(Array.init 8 Fun.id) ~elems:1_000_000
+  in
+  Util.row
+    "  failover drill (link %d-%d): cold %.1f ms, warm %.1f ms, contingency \
+     %.2f ms (prewarm %.1f ms, %d plans)\n"
+    u v
+    (cold.Scenario.replan_s *. 1e3)
+    (warm.Scenario.replan_s *. 1e3)
+    (cont.Scenario.replan_s *. 1e3)
+    (d.Scenario.prewarm_s *. 1e3)
+    d.Scenario.prewarmed_plans;
   (* Straggler injection: tenant 3 runs every slice 2x slow; the
      observatory must flag it and the flags must concentrate there. *)
   let straggler_tenant = 3 in
@@ -1019,7 +862,7 @@ let cluster_suite () =
         ("stragglers", Json.int c.Scheduler.fc_stragglers);
       ]
   in
-  Util.write_bench_json ~file:"BENCH_cluster.json" ~suite:"cluster"
+  Util.write_bench_json ~suite:"cluster"
     [
             ("jobs", Json.int r.Scheduler.jobs);
             ("servers", Json.int servers);
@@ -1051,54 +894,38 @@ let cluster_suite () =
             ("injected_straggler_slices", Json.int injected_flagged);
             ("injected_flags_on_tenant", Json.int flagged_on_tenant);
             ( "failover_drill",
-              match r.Scheduler.drill with
-              | None -> Json.Bool false
-              | Some d ->
-                  let u, v = d.Scheduler.dr_link in
-                  Json.Obj
-                    [
-                      ("link", Json.List [ Json.int u; Json.int v ]);
-                      ("prewarm_s", Json.float d.Scheduler.dr_prewarm_s);
-                      ( "prewarmed_plans",
-                        Json.int d.Scheduler.dr_prewarmed_plans );
-                      ("cold_replan_s", Json.float d.Scheduler.dr_cold_replan_s);
-                      ("warm_replan_s", Json.float d.Scheduler.dr_warm_replan_s);
-                      ( "contingency_replan_s",
-                        Json.float d.Scheduler.dr_contingency_replan_s );
-                      ( "warm_rate_equals_cold",
-                        Json.Bool d.Scheduler.dr_warm_rate_equals_cold );
-                      ( "contingency_rate_equals_cold",
-                        Json.Bool d.Scheduler.dr_contingency_rate_equals_cold );
-                    ] );
+              Json.Obj
+                [
+                  ("link", Json.List [ Json.int u; Json.int v ]);
+                  ("prewarm_s", Json.float d.Scenario.prewarm_s);
+                  ("prewarmed_plans", Json.int d.Scenario.prewarmed_plans);
+                  ("cold_replan_s", Json.float cold.Scenario.replan_s);
+                  ("warm_replan_s", Json.float warm.Scenario.replan_s);
+                  ("contingency_replan_s", Json.float cont.Scenario.replan_s);
+                  ( "warm_rate_equals_cold",
+                    Json.Bool (warm.Scenario.rate_gbps = cold.Scenario.rate_gbps) );
+                  ( "contingency_rate_equals_cold",
+                    Json.Bool (cont.Scenario.rate_gbps = cold.Scenario.rate_gbps) );
+                ] );
     ];
-  if r.Scheduler.hit_rate < 0.95 then (
-    Printf.eprintf "cluster: cross-job hit rate %.3f below 0.95 floor\n"
-      r.Scheduler.hit_rate;
-    exit 1);
-  if r.Scheduler.unique_fingerprints > 50 then (
-    Printf.eprintf "cluster: %d unique fingerprints exceeds the 50 ceiling\n"
-      r.Scheduler.unique_fingerprints;
-    exit 1);
-  if r.Scheduler.verify_mismatches > 0 then (
-    Printf.eprintf
-      "cluster: %d shared plans diverged from fresh isolated handles\n"
-      r.Scheduler.verify_mismatches;
-    exit 1);
-  if r.Scheduler.straggler_slices > 0 then (
-    Printf.eprintf
-      "cluster: %d straggler slices flagged on the healthy run (rates of a \
-       class should be bit-identical)\n"
-      r.Scheduler.straggler_slices;
-    exit 1);
-  if injected_flagged = 0 then (
-    Printf.eprintf "cluster: injected straggler was not flagged\n";
-    exit 1);
-  if flagged_on_tenant <> injected_flagged then (
-    Printf.eprintf
-      "cluster: %d of %d straggler flags landed off the injected tenant\n"
-      (injected_flagged - flagged_on_tenant)
-      injected_flagged;
-    exit 1)
+  Util.fail_if (r.Scheduler.hit_rate < 0.95)
+    "cluster: cross-job hit rate %.3f below 0.95 floor\n" r.Scheduler.hit_rate;
+  Util.fail_if (r.Scheduler.unique_fingerprints > 50)
+    "cluster: %d unique fingerprints exceeds the 50 ceiling\n"
+    r.Scheduler.unique_fingerprints;
+  Util.fail_if (r.Scheduler.verify_mismatches > 0)
+    "cluster: %d shared plans diverged from fresh isolated handles\n"
+    r.Scheduler.verify_mismatches;
+  Util.fail_if (r.Scheduler.straggler_slices > 0)
+    "cluster: %d straggler slices flagged on the healthy run (rates of a \
+     class should be bit-identical)\n"
+    r.Scheduler.straggler_slices;
+  Util.fail_if (injected_flagged = 0)
+    "cluster: injected straggler was not flagged\n";
+  Util.fail_if (flagged_on_tenant <> injected_flagged)
+    "cluster: %d of %d straggler flags landed off the injected tenant\n"
+    (injected_flagged - flagged_on_tenant)
+    injected_flagged
 
 (* ------------------------------------------------------------------ *)
 (* Analyze mode: critical-path attribution and achieved-vs-bound rate
@@ -1111,7 +938,7 @@ module Analysis = Blink_core.Analysis
 
 let analyze_suite () =
   let mbytes = 500. in
-  let elems = Util.elems_of_mb mbytes in
+  let elems = Scenario.elems_of_mb mbytes in
   Util.heading
     "Analyze: critical path vs edge-cut bound, %.0f MB on dgx1v 8 gpus" mbytes;
   let handle = Blink.create Server.dgx1v ~gpus:(Array.init 8 Fun.id) in
@@ -1147,37 +974,23 @@ let analyze_suite () =
       collectives
   in
   let all_reduce = List.hd reports in
-  Util.row "  all_reduce critical path: %d ops, transfer %.2f ms, compute \
-            %.2f ms, delay %.2f ms, wait %.2f ms\n"
-    all_reduce.Analysis.critical_ops
-    (all_reduce.Analysis.transfer_s *. 1e3)
-    (all_reduce.Analysis.compute_s *. 1e3)
-    (all_reduce.Analysis.delay_s *. 1e3)
-    (all_reduce.Analysis.wait_s *. 1e3);
   let phases = Analysis.phases handle in
-  List.iter
-    (fun (p : Analysis.phase) ->
-      Util.row "  phase %-20s %4d calls %10.2f ms\n" p.Analysis.phase
-        p.Analysis.calls
-        (p.Analysis.total_s *. 1e3))
-    phases;
-  Util.write_bench_json ~file:"BENCH_analyze.json" ~suite:"analyze"
+  Scenario.pp_analysis Format.std_formatter all_reduce;
+  Scenario.pp_phases Format.std_formatter phases;
+  Util.write_bench_json ~suite:"analyze"
     [
       ("mbytes", Json.float mbytes);
       ("elems", Json.int elems);
       ("collectives", Json.List (List.map Analysis.report_json reports));
       ("phases", Analysis.phases_json phases);
     ];
-  if all_reduce.Analysis.efficiency < 0.95 then (
-    Printf.eprintf
-      "analyze: all_reduce achieved %.1f GB/s, below 95%% of the %.1f GB/s \
-       edge-cut bound\n"
-      all_reduce.Analysis.achieved_gbps all_reduce.Analysis.bound_gbps;
-    exit 1);
-  if List.length phases < 3 then (
-    Printf.eprintf "analyze: only %d planner phase timers fired (expected >= 3)\n"
-      (List.length phases);
-    exit 1)
+  Util.fail_if (all_reduce.Analysis.efficiency < 0.95)
+    "analyze: all_reduce achieved %.1f GB/s, below 95%% of the %.1f GB/s \
+     edge-cut bound\n"
+    all_reduce.Analysis.achieved_gbps all_reduce.Analysis.bound_gbps;
+  Util.fail_if (List.length phases < 3)
+    "analyze: only %d planner phase timers fired (expected >= 3)\n"
+    (List.length phases)
 
 (* ------------------------------------------------------------------ *)
 (* Planner-backend tournament: every registered backend plans the same
@@ -1209,37 +1022,11 @@ let tournament_topologies =
       `Ungated );
   ]
 
-(* Element-exact AllReduce differential: slab semantics vs the float-array
-   reference, over every buffer of the compiled program. *)
-let tournament_data_correct handle =
-  let elems = 2_048 in
-  let plan = Blink.plan ~chunk_elems:512 handle Plan.All_reduce ~elems in
-  let prog = plan.Plan.program in
-  let layout = plan.Plan.layout in
-  let k = Array.length layout.Codegen.data in
-  let mem = Sem.memory_of_program prog in
-  let rmem = Sem.Ref.memory_of_program prog in
-  for r = 0 to k - 1 do
-    let values =
-      Array.init elems (fun i -> Float.of_int (((i * 3) + (r * 7)) mod 11))
-    in
-    Sem.write mem ~node:r ~buf:layout.Codegen.data.(r) values;
-    Sem.Ref.write rmem ~node:r ~buf:layout.Codegen.data.(r) values
-  done;
-  Sem.run prog mem;
-  Sem.Ref.run prog rmem;
-  List.for_all
-    (fun (node, buf, _len) ->
-      Sem.Ref.read rmem ~node ~buf = Sem.read mem ~node ~buf)
-    (Program.buffers prog)
-
 let tournament_suite () =
+  let open Scenario in
   let mbytes = 100. in
-  let backends = Planner.all () in
   Util.heading "Tournament: %d planner backends x %d topologies, %.0f MB"
-    (List.length backends)
-    (List.length tournament_topologies)
-    mbytes;
+    (List.length (Planner.all ())) (List.length tournament_topologies) mbytes;
   let packing_fields prefix g = function
     | None -> [ (prefix ^ "_trees", Json.Null); (prefix ^ "_rate", Json.Null) ]
     | Some (p : Treegen.packing) ->
@@ -1252,58 +1039,26 @@ let tournament_suite () =
   in
   let results =
     List.map
-      (fun (topo, server, gpus, faults, gated) ->
-        Util.row "  %-17s %-11s %8s %8s %6s %6s %9s %5s %5s\n" topo "backend"
-          "bcast" "allred" "btrees" "atrees" "plan-ms" "feas" "data";
-        let rows =
-          List.map
-            (fun b ->
-              let t0 = Unix.gettimeofday () in
-              let handle =
-                match faults with
-                | [] -> Blink.create ~planner:b server ~gpus
-                | fs -> Blink.create ~planner:b ~link_faults:fs server ~gpus
-              in
-              let plan_s = Unix.gettimeofday () -. t0 in
-              let g = Blink.graph handle in
-              let directed = Blink.packing handle in
-              let undirected = Blink.undirected_packing handle in
-              let feasible =
-                List.for_all
-                  (function
-                    | None -> false | Some p -> Treegen.feasible g p)
-                  [ directed; undirected ]
-              in
-              let data_ok = tournament_data_correct handle in
-              let bcast = Util.blink_broadcast ~mbytes handle in
-              let allred = Util.blink_all_reduce ~mbytes handle in
-              let trees = function
-                | None -> 0
-                | Some p -> List.length p.Treegen.trees
-              in
-              Util.row
-                "  %-17s %-11s %6.1f %8.1f %6d %6d %9.1f %5b %5b\n" ""
-                (Planner.name b) bcast allred (trees directed)
-                (trees undirected) (plan_s *. 1e3) feasible data_ok;
-              ( Planner.name b,
-                Json.Obj
-                  ([
-                     ("backend", Json.str (Planner.name b));
-                     ("plan_wall_s", Json.float plan_s);
-                     ("broadcast_gbps", Json.float bcast);
-                     ("all_reduce_gbps", Json.float allred);
-                     ("feasible", Json.Bool feasible);
-                     ("data_correct", Json.Bool data_ok);
-                   ]
-                  @ packing_fields "broadcast" g directed
-                  @ packing_fields "all_reduce" g undirected),
-                (feasible, data_ok, allred) ))
-            backends
-        in
+      (fun (topo, server, gpus, link_faults, gated) ->
+        let rows = tournament ~link_faults ~mbytes server ~gpus in
+        pp_tournament Format.std_formatter ~label:topo rows;
         (topo, gated, rows))
       tournament_topologies
   in
-  Util.write_bench_json ~file:"BENCH_tournament.json" ~suite:"tournament"
+  let row_json (r : row) =
+    Json.Obj
+      ([
+         ("backend", Json.str r.backend);
+         ("plan_wall_s", Json.float r.plan_wall_s);
+         ("broadcast_gbps", Json.float r.broadcast_gbps);
+         ("all_reduce_gbps", Json.float r.all_reduce_gbps);
+         ("feasible", Json.Bool r.feasible);
+         ("data_correct", Json.Bool r.data_ok);
+       ]
+      @ packing_fields "broadcast" r.graph r.directed
+      @ packing_fields "all_reduce" r.graph r.undirected)
+  in
+  Util.write_bench_json ~suite:"tournament"
     [
       ("mbytes", Json.float mbytes);
       ( "topologies",
@@ -1314,8 +1069,7 @@ let tournament_suite () =
                  [
                    ("name", Json.str topo);
                    ("gated", Json.Bool (gated = `Gated));
-                   ( "backends",
-                     Json.List (List.map (fun (_, json, _) -> json) rows) );
+                   ("backends", Json.List (List.map row_json rows));
                  ])
              results) );
     ];
@@ -1324,18 +1078,16 @@ let tournament_suite () =
     List.concat_map
       (fun (topo, _, rows) ->
         List.filter_map
-          (fun (name, _, (feasible, data_ok, _)) ->
-            if feasible && data_ok then None
-            else Some (topo, name, feasible, data_ok))
+          (fun r -> if r.feasible && r.data_ok then None else Some (topo, r))
           rows)
       results
   in
   List.iter
-    (fun (topo, name, feasible, data_ok) ->
+    (fun (topo, r) ->
       Printf.eprintf
         "tournament: %s on %s failed the differential check (feasible=%b \
          data_correct=%b)\n"
-        name topo feasible data_ok)
+        r.backend topo r.feasible r.data_ok)
     bad;
   if bad <> [] then exit 1;
   (* Gate 2: TreeGen within 5% of the best backend's achieved AllReduce
@@ -1343,23 +1095,13 @@ let tournament_suite () =
   let laggards =
     List.filter_map
       (fun (topo, gated, rows) ->
-        if gated <> `Gated then None
-        else
-        let rate name =
-          List.find_map
-            (fun (n, _, (_, _, r)) ->
-              if String.equal n name then Some r else None)
-            rows
-        in
-        match rate "treegen" with
+        let rate (r : row) = r.all_reduce_gbps in
+        let best = List.fold_left (fun acc r -> Float.max acc (rate r)) 0. rows in
+        match List.find_opt (fun r -> r.backend = "treegen") rows with
+        | _ when gated <> `Gated -> None
         | None -> Some (topo, 0., 0.)
-        | Some tg ->
-            let best =
-              List.fold_left
-                (fun acc (_, _, (_, _, r)) -> Float.max acc r)
-                0. rows
-            in
-            if tg < 0.95 *. best then Some (topo, tg, best) else None)
+        | Some tg when rate tg < 0.95 *. best -> Some (topo, rate tg, best)
+        | Some _ -> None)
       results
   in
   List.iter
@@ -1370,6 +1112,34 @@ let tournament_suite () =
         tg topo best)
     laggards;
   if laggards <> [] then exit 1
+
+(* ------------------------------------------------------------------ *)
+(* The suite registry: bench target, artifact suite ([BENCH_<suite>.json]),
+   runner, and whether bench/baselines/ pins the artifact. The order is
+   the run order of `all`. Every run goes through [Util.guard_artifact],
+   so a suite that dies on an exception before its own write still
+   leaves a stub artifact behind (the in-suite gates write first, then
+   exit 1). *)
+
+let suites =
+  [
+    ("plan-cache", "plan_cache", plan_cache_suite, true);
+    ("parallel-plan", "parallel_plan", parallel_plan_suite, true);
+    ("overlap", "overlap", overlap_suite, true);
+    ("replay", "replay", replay_suite, true);
+    ("kernels", "kernels", kernels_suite, true);
+    ("failover", "failover", failover_suite, true);
+    ("cluster", "cluster", cluster_suite, true);
+    ("analyze", "analyze", analyze_suite, true);
+    ("tournament", "tournament", tournament_suite, false);
+  ]
+
+let run_suite (_, suite, run, _) = Util.guard_artifact ~suite run
+
+let baselined =
+  List.filter_map
+    (fun (_, suite, _, pinned) -> if pinned then Some suite else None)
+    suites
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate: diff fresh BENCH_*.json in the cwd against the
@@ -1450,12 +1220,7 @@ let check_specs =
   let exact suite path = { suite; path; kind = Exact } in
   List.concat
     [
-      List.map
-        (fun suite -> exact suite [ F "schema_version" ])
-        [
-          "plan_cache"; "parallel_plan"; "replay"; "failover"; "cluster";
-          "analyze"; "kernels"; "overlap";
-        ];
+      List.map (fun suite -> exact suite [ F "schema_version" ]) baselined;
       [
         exact "plan_cache" [ F "hits" ];
         exact "plan_cache" [ F "misses" ];
@@ -1548,20 +1313,16 @@ let check_specs =
       ];
     ]
 
-let bench_file suite = Printf.sprintf "BENCH_%s.json" suite
-
 let load_doc file =
   if not (Sys.file_exists file) then None
   else
-    let ic = open_in file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Json.parse_result s with
+    match Json.parse_result (In_channel.with_open_bin file In_channel.input_all) with
     | Ok doc -> Some doc
     | Error e ->
         Printf.eprintf "regress: %s does not parse: %s\n" file e;
         None
+
+let render = function Some v -> Json.to_string v | None -> "missing"
 
 (* Compare one check; [None] means the whole suite is absent on the
    baseline side (skipped: new suites regress from their first commit). *)
@@ -1576,10 +1337,6 @@ let run_check ~baseline ~fresh spec =
         | Some b, Some f ->
             Float.abs (f -. b) <= tol *. Float.max 1e-12 (Float.abs b)
         | _ -> false)
-  in
-  let render = function
-    | Some v -> Json.to_string v
-    | None -> "missing"
   in
   ( ok,
     Json.Obj
@@ -1607,12 +1364,12 @@ let regress_run ?fresh_override () =
     (fun suite ->
       let specs = List.filter (fun s -> s.suite = suite) check_specs in
       let baseline =
-        load_doc (Filename.concat baseline_dir (bench_file suite))
+        load_doc (Filename.concat baseline_dir (Util.bench_file suite))
       in
       let fresh =
         match fresh_override with
         | Some f -> f suite
-        | None -> load_doc (bench_file suite)
+        | None -> load_doc (Util.bench_file suite)
       in
       match (baseline, fresh) with
       | None, _ ->
@@ -1622,7 +1379,7 @@ let regress_run ?fresh_override () =
           skipped := suite :: !skipped
       | Some _, None ->
           Util.row "  %-14s FRESH ARTIFACT MISSING (%s)\n" suite
-            (bench_file suite);
+            (Util.bench_file suite);
           incr failures
       | Some baseline, Some fresh ->
           let bad = ref 0 in
@@ -1636,18 +1393,14 @@ let regress_run ?fresh_override () =
                 Util.row "  %-14s REGRESSION %s: baseline %s, fresh %s\n"
                   suite
                   (path_string spec.path)
-                  (match resolve baseline spec.path with
-                  | Some v -> Json.to_string v
-                  | None -> "missing")
-                  (match resolve fresh spec.path with
-                  | Some v -> Json.to_string v
-                  | None -> "missing")
+                  (render (resolve baseline spec.path))
+                  (render (resolve fresh spec.path))
               end)
             specs;
           Util.row "  %-14s %d checks, %d failed\n" suite (List.length specs)
             !bad)
     suites;
-  Util.write_bench_json ~file:"BENCH_regress.json" ~suite:"regress"
+  Util.write_bench_json ~suite:"regress"
     [
       ("failures", Json.int !failures);
       ("ok", Json.Bool (!failures = 0));
@@ -1659,16 +1412,14 @@ let regress_run ?fresh_override () =
 
 let regress_suite () =
   let failures = regress_run () in
-  if failures > 0 then (
-    Printf.eprintf "regress: %d deterministic checks failed\n" failures;
-    exit 1);
+  Util.fail_if (failures > 0) "regress: %d deterministic checks failed\n" failures;
   Util.row "  gate passed\n"
 
 (* Selftest: perturb one deterministic fresh value (replay all_reduce
    simulated makespan x1.5) and require the comparator to flag it. *)
 let regress_selftest () =
   let perturbed suite =
-    match load_doc (bench_file suite) with
+    match load_doc (Util.bench_file suite) with
     | None -> None
     | Some doc when suite = "replay" ->
         Some
@@ -1680,11 +1431,9 @@ let regress_selftest () =
     | Some doc -> Some doc
   in
   let failures = regress_run ~fresh_override:perturbed () in
-  if failures = 0 then (
-    Printf.eprintf
-      "regress-selftest: a 1.5x makespan slowdown went unflagged — the gate \
-       is toothless\n";
-    exit 1);
+  Util.fail_if (failures = 0)
+    "regress-selftest: a 1.5x makespan slowdown went unflagged — the gate \
+     is toothless\n";
   Util.row "  selftest passed: synthetic slowdown flagged (%d failures)\n"
     failures
 
@@ -1696,95 +1445,45 @@ let regress_selftest () =
    the reviewer sees. *)
 
 let copy_file src dst =
-  let ic = open_in_bin src in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  let oc = open_out_bin dst in
-  output_string oc s;
-  close_out oc
+  let s = In_channel.with_open_bin src In_channel.input_all in
+  Out_channel.with_open_bin dst (fun oc -> output_string oc s)
 
 let regen_baselines () =
   Util.heading "Regen baselines: live run -> %s" baseline_dir;
-  plan_cache_suite ();
-  parallel_plan_suite ();
-  overlap_suite ();
-  replay_suite ();
-  kernels_suite ();
-  failover_suite ();
-  cluster_suite ();
-  analyze_suite ();
+  List.iter
+    (fun ((_, _, _, pinned) as s) -> if pinned then run_suite s)
+    suites;
   if not (Sys.file_exists baseline_dir) then Sys.mkdir baseline_dir 0o755;
   Util.heading "Regen baselines: copying fresh artifacts";
   List.iter
     (fun suite ->
-      let src = bench_file suite in
+      let src = Util.bench_file suite in
       if Sys.file_exists src then begin
         copy_file src (Filename.concat baseline_dir src);
         Util.row "  %s -> %s/\n" src baseline_dir
       end)
-    [
-      "plan_cache"; "parallel_plan"; "overlap"; "replay"; "kernels";
-      "failover"; "cluster"; "analyze";
-    ]
+    baselined
 
 (* ------------------------------------------------------------------ *)
 
-(* Abort insurance: each gated suite leaves at least a stub BENCH_*.json
-   behind if it dies on an uncaught exception before its own write (the
-   in-suite gates already write first, then exit 1). *)
-let plan_cache_suite =
-  let f = plan_cache_suite in
-  fun () -> Util.guard_artifact ~file:"BENCH_plan_cache.json" ~suite:"plan_cache" f
+let targets =
+  List.map (fun ((target, _, _, _) as s) -> (target, fun () -> run_suite s)) suites
+  @ [
+      ("regress", regress_suite);
+      ("regress-selftest", regress_selftest);
+      ("regen-baselines", regen_baselines);
+      ("bechamel", bechamel_suite);
+    ]
 
-let parallel_plan_suite =
-  let f = parallel_plan_suite in
-  fun () ->
-    Util.guard_artifact ~file:"BENCH_parallel_plan.json" ~suite:"parallel_plan" f
-
-let overlap_suite =
-  let f = overlap_suite in
-  fun () -> Util.guard_artifact ~file:"BENCH_overlap.json" ~suite:"overlap" f
-
-let replay_suite =
-  let f = replay_suite in
-  fun () -> Util.guard_artifact ~file:"BENCH_replay.json" ~suite:"replay" f
-
-let kernels_suite =
-  let f = kernels_suite in
-  fun () -> Util.guard_artifact ~file:"BENCH_kernels.json" ~suite:"kernels" f
-
-let failover_suite =
-  let f = failover_suite in
-  fun () -> Util.guard_artifact ~file:"BENCH_failover.json" ~suite:"failover" f
-
-let cluster_suite =
-  let f = cluster_suite in
-  fun () -> Util.guard_artifact ~file:"BENCH_cluster.json" ~suite:"cluster" f
-
-let analyze_suite =
-  let f = analyze_suite in
-  fun () -> Util.guard_artifact ~file:"BENCH_analyze.json" ~suite:"analyze" f
-
-let tournament_suite =
-  let f = tournament_suite in
-  fun () ->
-    Util.guard_artifact ~file:"BENCH_tournament.json" ~suite:"tournament" f
+let run_all () =
+  Figures.all_figures ();
+  List.iter run_suite suites;
+  bechamel_suite ()
 
 let () =
   match Array.to_list Sys.argv with
   | _ :: [] ->
-      Figures.all_figures ();
-      plan_cache_suite ();
-      parallel_plan_suite ();
-      overlap_suite ();
-      replay_suite ();
-      kernels_suite ();
-      failover_suite ();
-      cluster_suite ();
-      analyze_suite ();
-      tournament_suite ();
-      bechamel_suite ();
+      run_all ();
       print_newline ()
   | _ :: args ->
       List.iter
@@ -1792,46 +1491,10 @@ let () =
           match arg with
           | "list" ->
               List.iter (fun (name, _) -> print_endline name) Figures.registry;
-              print_endline "plan-cache";
-              print_endline "parallel-plan";
-              print_endline "overlap";
-              print_endline "replay";
-              print_endline "kernels";
-              print_endline "failover";
-              print_endline "cluster";
-              print_endline "analyze";
-              print_endline "tournament";
-              print_endline "regress";
-              print_endline "regress-selftest";
-              print_endline "regen-baselines";
-              print_endline "bechamel"
-          | "all" ->
-              Figures.all_figures ();
-              plan_cache_suite ();
-              parallel_plan_suite ();
-              overlap_suite ();
-              replay_suite ();
-              kernels_suite ();
-              failover_suite ();
-              cluster_suite ();
-              analyze_suite ();
-              tournament_suite ();
-              bechamel_suite ()
-          | "plan-cache" -> plan_cache_suite ()
-          | "parallel-plan" -> parallel_plan_suite ()
-          | "overlap" -> overlap_suite ()
-          | "replay" -> replay_suite ()
-          | "kernels" -> kernels_suite ()
-          | "failover" -> failover_suite ()
-          | "cluster" -> cluster_suite ()
-          | "analyze" -> analyze_suite ()
-          | "tournament" -> tournament_suite ()
-          | "regress" -> regress_suite ()
-          | "regress-selftest" -> regress_selftest ()
-          | "regen-baselines" -> regen_baselines ()
-          | "bechamel" -> bechamel_suite ()
+              List.iter (fun (name, _) -> print_endline name) targets
+          | "all" -> run_all ()
           | name -> (
-              match List.assoc_opt name Figures.registry with
+              match List.assoc_opt name (targets @ Figures.registry) with
               | Some f -> f ()
               | None ->
                   Printf.eprintf

@@ -1,16 +1,9 @@
 (* Shared helpers for the figure-reproduction harness. *)
 
-module Server = Blink_topology.Server
 module Fabric = Blink_topology.Fabric
 module Alloc = Blink_topology.Alloc
-module Codegen = Blink_collectives.Codegen
-module Tree = Blink_collectives.Tree
 module Blink = Blink_core.Blink
-module Ring = Blink_baselines.Ring
 module E = Blink_sim.Engine
-
-let mb = 1_000_000.
-let elems_of_mb m = int_of_float (m *. mb /. 4.)
 
 (* Chunk policy used uniformly across methods in the figures: 1 MiB for
    large buffers, shrinking for small ones so every transfer still
@@ -29,44 +22,6 @@ let gbps ~elems (r : E.result) = Blink.algbw_gbps ~elems r
 
 let time_fabric fabric prog =
   E.run ~resources:(Fabric.resources fabric) prog
-
-(* Blink vs NCCL measurements on one allocation. *)
-let blink_broadcast ?(mbytes = 500.) handle =
-  let elems = elems_of_mb mbytes in
-  let prog, _ = Blink.broadcast ~chunk_elems:(chunk_for elems) handle ~elems in
-  gbps ~elems (Blink.time handle prog)
-
-let blink_all_reduce ?(mbytes = 500.) handle =
-  let elems = elems_of_mb mbytes in
-  let prog, _ = Blink.all_reduce ~chunk_elems:(chunk_for elems) handle ~elems in
-  gbps ~elems (Blink.time handle prog)
-
-let nccl_broadcast ?(mbytes = 500.) server ~gpus fabric =
-  let elems = elems_of_mb mbytes in
-  let channels = Ring.nccl_channels server ~gpus in
-  let spec = Codegen.spec ~chunk_elems:(chunk_for elems) fabric in
-  let prog, _ = Ring.broadcast spec ~root:0 ~elems ~channels in
-  gbps ~elems (time_fabric fabric prog)
-
-let nccl_all_reduce ?(mbytes = 500.) server ~gpus fabric =
-  let elems = elems_of_mb mbytes in
-  let channels = Ring.nccl_channels server ~gpus in
-  let spec = Codegen.spec ~chunk_elems:(chunk_for elems) fabric in
-  let prog, _ = Ring.all_reduce spec ~elems ~channels in
-  gbps ~elems (time_fabric fabric prog)
-
-(* Simulator-backed AllReduce cost functions for the training model. The
-   Blink side goes through the handle's compiled-plan cache; the ring
-   baseline has no plan layer, so it keeps the generic memoizer. *)
-let blink_backend handle = Blink_dnn.Training.plan_backend handle
-
-let nccl_backend server ~gpus fabric =
-  let channels = Ring.nccl_channels server ~gpus in
-  Blink_dnn.Training.memoized_backend ~label:"nccl" (fun bytes ->
-      let elems = max 64 (int_of_float (bytes /. Blink_dnn.Training.bytes_per_elem)) in
-      let spec = Codegen.spec ~chunk_elems:(chunk_for elems) fabric in
-      let prog, _ = Ring.all_reduce spec ~elems ~channels in
-      (time_fabric fabric prog).E.makespan)
 
 (* ------------------------------------------------------------------ *)
 (* Versioned bench artifacts: every BENCH_*.json goes through one writer
@@ -88,11 +43,14 @@ let host_metadata () =
       ("recommended_domains", Json.int (Domain.recommended_domain_count ()));
     ]
 
-(* Files written this run, so [guard_artifact] knows whether a dying
-   suite already left its evidence behind. *)
+let bench_file suite = Printf.sprintf "BENCH_%s.json" suite
+
+(* Suites whose artifact was written this run, so [guard_artifact] knows
+   whether a dying suite already left its evidence behind. *)
 let written : (string, unit) Hashtbl.t = Hashtbl.create 8
 
-let write_bench_json ~file ~suite fields =
+let write_bench_json ~suite fields =
+  let file = bench_file suite in
   let doc =
     Json.Obj
       (("schema_version", Json.int schema_version)
@@ -104,7 +62,7 @@ let write_bench_json ~file ~suite fields =
   output_string oc (Json.to_string doc);
   output_char oc '\n';
   close_out oc;
-  Hashtbl.replace written file ();
+  Hashtbl.replace written suite ();
   row "  wrote %s\n" file
 
 (* CI uploads BENCH_*.json to explain gate failures — so a suite that
@@ -112,18 +70,28 @@ let write_bench_json ~file ~suite fields =
    write first, then [exit 1]) must still leave an artifact. The stub
    records the abort and the exception; the non-zero exit still fails
    the job. *)
-let guard_artifact ~file ~suite f =
-  Hashtbl.remove written file;
+let guard_artifact ~suite f =
+  Hashtbl.remove written suite;
   try f ()
   with e ->
     let bt = Printexc.get_raw_backtrace () in
-    if not (Hashtbl.mem written file) then
-      write_bench_json ~file ~suite
+    if not (Hashtbl.mem written suite) then
+      write_bench_json ~suite
         [
           ("aborted", Json.Bool true);
           ("error", Json.str (Printexc.to_string e));
         ];
     Printexc.raise_with_backtrace e bt
+
+(* A gate: report and exit 1 when [cond] holds. Suites write their
+   artifact first, so a failed gate still leaves the evidence behind. *)
+let fail_if cond fmt =
+  Printf.ksprintf
+    (fun msg ->
+      if cond then (
+        prerr_string msg;
+        exit 1))
+    fmt
 
 let geomean = function
   | [] -> nan

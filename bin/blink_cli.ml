@@ -22,13 +22,13 @@ module Plan = Blink_core.Plan
 module Treegen = Blink_core.Treegen
 module Telemetry = Blink_telemetry.Telemetry
 module Ring = Blink_baselines.Ring
-module Codegen = Blink_collectives.Codegen
 module Models = Blink_dnn.Models
 module Training = Blink_dnn.Training
 module Scheduler = Blink_cluster.Scheduler
 module Analysis = Blink_core.Analysis
 module Recorder = Blink_sim.Recorder
 module Critical_path = Blink_sim.Critical_path
+module Scenario = Blink_scenario.Scenario
 
 (* --------------------------- shared options --------------------------- *)
 
@@ -60,6 +60,9 @@ let gpus_conv =
 let gpus_arg =
   Arg.(value & opt gpus_conv [| 0; 1; 2; 3; 4; 5; 6; 7 |]
        & info [ "gpus" ] ~docv:"IDS" ~doc:"Allocated GPU ids, e.g. 1,4,5,6.")
+
+let write_file path s =
+  Out_channel.with_open_text path (fun oc -> output_string oc s)
 
 let mbytes_arg =
   Arg.(value & opt float 500. & info [ "mbytes" ] ~docv:"MB" ~doc:"Buffer size in MB.")
@@ -139,44 +142,30 @@ let plan_cmd =
 (* ------------------------------- bench ------------------------------- *)
 
 let collective_arg =
-  Arg.(value & opt (enum [ ("broadcast", `Broadcast); ("allreduce", `All_reduce);
-                           ("gather", `Gather); ("allgather", `All_gather) ])
-         `All_reduce
+  Arg.(value & opt (enum [ ("broadcast", Plan.Broadcast); ("allreduce", Plan.All_reduce);
+                           ("gather", Plan.Gather); ("allgather", Plan.All_gather) ])
+         Plan.All_reduce
        & info [ "collective" ] ~docv:"OP" ~doc:"broadcast|allreduce|gather|allgather")
 
 let bench server gpus collective mbytes =
   let handle = Blink.create server ~gpus in
-  let elems = int_of_float (mbytes *. 1e6 /. Blink.bytes_per_elem) in
-  let chunk = Blink.heuristic_chunk ~elems in
-  let plan_collective =
-    match collective with
-    | `Broadcast -> Plan.Broadcast
-    | `All_reduce -> Plan.All_reduce
-    | `Gather -> Plan.Gather
-    | `All_gather -> Plan.All_gather
-  in
-  let plan = Blink.plan ~chunk_elems:chunk handle plan_collective ~elems in
-  let blink =
-    Blink.algbw_gbps ~elems (Plan.execute ~data:false plan).Plan.timing
-  in
+  let blink = Scenario.blink_gbps ~mbytes handle collective in
   Format.printf "blink: %.1f GB/s@." blink;
-  if server.Server.nvswitch = None then begin
-    let channels = Ring.nccl_channels server ~gpus in
-    let spec = Codegen.spec ~chunk_elems:chunk (Blink.fabric handle) in
-    let prog, _ =
-      match collective with
-      | `Broadcast -> Ring.broadcast spec ~root:(Blink.root handle) ~elems ~channels
-      | `All_reduce -> Ring.all_reduce spec ~elems ~channels
-      | `Gather | `All_gather -> Ring.gather spec ~root:(Blink.root handle) ~elems ~channels
-    in
-    let nccl = Blink.algbw_gbps ~elems (Blink.time handle prog) in
-    Format.printf "nccl-style rings (%s): %.1f GB/s   -> blink is %.2fx@."
-      (match channels.Ring.cls with
-      | Fabric.Pcie -> "pcie fallback"
-      | Fabric.Nv -> "nvlink"
-      | Fabric.Net -> "network")
-      nccl (blink /. nccl)
-  end
+  if server.Server.nvswitch = None then
+    match
+      Scenario.ring_gbps ~root:(Blink.root handle) ~mbytes server ~gpus
+        (Blink.fabric handle) collective
+    with
+    | Some nccl ->
+        Format.printf "nccl-style rings (%s): %.1f GB/s   -> blink is %.2fx@."
+          (match (Ring.nccl_channels server ~gpus).Ring.cls with
+          | Fabric.Pcie -> "pcie fallback"
+          | Fabric.Nv -> "nvlink"
+          | Fabric.Net -> "network")
+          nccl (blink /. nccl)
+    | None ->
+        Format.printf "nccl-style rings: no ring baseline for %s@."
+          (Plan.collective_name collective)
 
 let bench_cmd =
   Cmd.v (Cmd.info "bench" ~doc:"Time a collective on the simulated interconnect")
@@ -191,18 +180,8 @@ let model_arg =
 
 let train server gpus model =
   let handle = Blink.create server ~gpus in
-  let fabric = Blink.fabric handle in
   let blink_backend = Training.plan_backend handle in
-  let channels = Ring.nccl_channels server ~gpus in
-  let nccl_backend =
-    Training.memoized_backend ~label:"nccl" (fun bytes ->
-        let elems = max 64 (int_of_float (bytes /. Training.bytes_per_elem)) in
-        let spec =
-          Codegen.spec ~chunk_elems:(Blink.heuristic_chunk ~elems) fabric
-        in
-        let prog, _ = Ring.all_reduce spec ~elems ~channels in
-        (Blink.time handle prog).Blink_sim.Engine.makespan)
-  in
+  let nccl_backend = Scenario.ring_backend server ~gpus (Blink.fabric handle) in
   let show label backend =
     let it = Training.iteration model backend in
     Format.printf "%-8s iteration %.1f ms (compute %.1f + exposed comm %.1f, overhead %.1f%%)@."
@@ -257,7 +236,7 @@ let small_mbytes_arg =
 let trace collective server gpus mbytes out =
   let telemetry = Telemetry.create ~trace:true () in
   let handle = Blink.create ~telemetry server ~gpus in
-  let elems = int_of_float (mbytes *. 1e6 /. Blink.bytes_per_elem) in
+  let elems = Scenario.elems_of_mb mbytes in
   let plan = Blink.plan handle collective ~elems in
   let exec = Plan.execute ~data:false plan in
   let result = exec.Plan.timing in
@@ -276,9 +255,7 @@ let trace collective server gpus mbytes out =
         Format.printf "  resource %d: %.0f%% utilized@." l.Critical_path.resource
           (100. *. l.Critical_path.utilization))
     attribution.Critical_path.links;
-  let oc = open_out out in
-  output_string oc (Telemetry.chrome_json telemetry);
-  close_out oc;
+  write_file out (Telemetry.chrome_json telemetry);
   Format.printf
     "chrome trace written to %s (load in Perfetto / chrome://tracing): \
      planning spans on the wall-clock track, engine ops on the \
@@ -303,7 +280,7 @@ let trace_cmd =
 let analyze collective server gpus mbytes flight =
   let telemetry = Telemetry.create () in
   let handle = Blink.create ~telemetry server ~gpus in
-  let elems = int_of_float (mbytes *. 1e6 /. Blink.bytes_per_elem) in
+  let elems = Scenario.elems_of_mb mbytes in
   let r = Analysis.analyze handle collective ~elems in
   Format.printf "%s of %.0f MB on %s {%s}: makespan %.3f ms (chunk %d elems)@."
     (Plan.collective_name collective)
@@ -311,44 +288,8 @@ let analyze collective server gpus mbytes flight =
     (Alloc.to_string (Array.to_list gpus))
     (r.Analysis.makespan_s *. 1e3)
     r.Analysis.chunk_elems;
-  Format.printf
-    "achieved %.1f GB/s vs %.1f GB/s edge-cut bound: %.1f%% of what the \
-     topology permits@."
-    r.Analysis.achieved_gbps r.Analysis.bound_gbps
-    (100. *. r.Analysis.efficiency);
-  Format.printf "bottleneck link(s), the run's rate-defining set:@.";
-  List.iter
-    (fun l ->
-      Format.printf "  %-22s %5.1f%% utilized, %.3f ms slack%s@."
-        l.Analysis.li_label
-        (100. *. l.Analysis.li_utilization)
-        (l.Analysis.li_slack_s *. 1e3)
-        (if l.Analysis.li_on_critical_path then "  [on critical path]" else ""))
-    r.Analysis.bottlenecks;
-  Format.printf
-    "critical path: %d ops — transfer %.3f ms, compute %.3f ms, delay %.3f \
-     ms, wait %.3f ms@."
-    r.Analysis.critical_ops
-    (r.Analysis.transfer_s *. 1e3)
-    (r.Analysis.compute_s *. 1e3)
-    (r.Analysis.delay_s *. 1e3)
-    (r.Analysis.wait_s *. 1e3);
-  List.iteri
-    (fun i (label, s) ->
-      if i < 3 then
-        Format.printf "  %d. %-22s %.3f ms on the chain@." (i + 1) label
-          (s *. 1e3))
-    r.Analysis.critical_resources;
-  (match Analysis.phases handle with
-  | [] -> ()
-  | phases ->
-      Format.printf "planner phases (this handle's replan cost, decomposed):@.";
-      List.iter
-        (fun (p : Analysis.phase) ->
-          Format.printf "  %-22s %2d call(s) %8.2f ms@." p.Analysis.phase
-            p.Analysis.calls
-            (p.Analysis.total_s *. 1e3))
-        phases);
+  Scenario.pp_analysis Format.std_formatter r;
+  Scenario.pp_phases Format.std_formatter (Analysis.phases handle);
   match flight with
   | None -> ()
   | Some path ->
@@ -359,9 +300,7 @@ let analyze collective server gpus mbytes flight =
       let recorder = plan.Plan.recorder in
       let tracer = Telemetry.create ~trace:true () in
       let slices = Recorder.dump_slices recorder tracer in
-      let oc = open_out path in
-      output_string oc (Telemetry.chrome_json tracer);
-      close_out oc;
+      write_file path (Telemetry.chrome_json tracer);
       Format.printf
         "flight recorder: %d events captured (%d dropped), %d slices \
          written to %s@."
@@ -392,7 +331,7 @@ let metrics collective server gpus mbytes runs out deterministic =
     else Telemetry.create ()
   in
   let handle = Blink.create ~telemetry server ~gpus in
-  let elems = int_of_float (mbytes *. 1e6 /. Blink.bytes_per_elem) in
+  let elems = Scenario.elems_of_mb mbytes in
   for _ = 1 to max 1 runs do
     let plan = Blink.plan handle collective ~elems in
     ignore (Plan.execute ~data:false plan)
@@ -404,9 +343,7 @@ let metrics collective server gpus mbytes runs out deterministic =
   match out with
   | None -> print_string json; print_newline ()
   | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      close_out oc;
+      write_file path json;
       Format.eprintf "metrics snapshot written to %s@." path
 
 let metrics_cmd =
@@ -434,20 +371,12 @@ let metrics_cmd =
 let replay collective server gpus mbytes runs data =
   let telemetry = Telemetry.create () in
   let handle = Blink.create ~telemetry server ~gpus in
-  let elems = int_of_float (mbytes *. 1e6 /. Blink.bytes_per_elem) in
+  let elems = Scenario.elems_of_mb mbytes in
   let plan = Blink.plan handle collective ~elems in
-  let inputs =
-    Array.init plan.Plan.n_ranks (fun r ->
-        Array.init elems (fun i -> Float.of_int (((i * 3) + (r * 7)) mod 11)))
-  in
   (* Reload every rank's input each iteration, as a training loop would:
      this is the steady state the pooled memory is built for. *)
-  let load mem (layout : Codegen.layout) =
-    Array.iteri
-      (fun r values ->
-        Blink_sim.Semantics.write mem ~node:r ~buf:layout.Codegen.data.(r)
-          values)
-      inputs
+  let load =
+    Scenario.loader (Scenario.rank_inputs ~ranks:plan.Plan.n_ranks ~elems)
   in
   let exec () =
     if data then ignore (Plan.execute ~load plan)
@@ -456,13 +385,7 @@ let replay collective server gpus mbytes runs data =
   exec ();
   (* warm: sizes the pool, compiles the data kernels *)
   let runs = max 1 runs in
-  let t0 = Unix.gettimeofday () in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to runs do
-    exec ()
-  done;
-  let words = (Gc.minor_words () -. w0) /. Float.of_int runs in
-  let wall = (Unix.gettimeofday () -. t0) /. Float.of_int runs in
+  let wall, words = Scenario.per_run ~runs exec in
   Format.printf "%s of %.0f MB, %d steady-state executes (%s pass)@."
     (Plan.collective_name collective) mbytes runs
     (if data then "timing+data" else "timing-only");
@@ -503,13 +426,13 @@ let prewarm server gpus domains async mbytes_list =
   let keys =
     List.concat_map
       (fun mb ->
-        let elems = int_of_float (mb *. 1e6 /. Blink.bytes_per_elem) in
+        let elems = Scenario.elems_of_mb mb in
         [ (Plan.All_reduce, elems); (Plan.Broadcast, elems) ])
       mbytes_list
   in
   let pool = Pool.create ?domains ~telemetry () in
-  let t0 = Unix.gettimeofday () in
-  let built =
+  let dt, built =
+    Scenario.timed @@ fun () ->
     if async then begin
       (* Overlap demo: submit the pipeline, keep the calling domain busy
          with plan replays (the training-loop stand-in), then redeem. *)
@@ -519,7 +442,7 @@ let prewarm server gpus domains async mbytes_list =
       let replays = ref 0 in
       let t_fg = Unix.gettimeofday () in
       while Unix.gettimeofday () -. t_fg < 0.05 do
-        ignore (Blink_core.Plan.execute ~data:false plan);
+        ignore (Plan.execute ~data:false plan);
         incr replays
       done;
       let n = Blink.prewarm_await handle job in
@@ -529,7 +452,6 @@ let prewarm server gpus domains async mbytes_list =
     end
     else Blink.prewarm ~pool handle keys
   in
-  let dt = Unix.gettimeofday () -. t0 in
   Format.printf "prewarmed %d plans (%d keys) in %.1f ms on %d domain(s)%s@."
     built (List.length keys) (dt *. 1e3) (Pool.domains pool)
     (if async then " [async]" else "");
@@ -573,25 +495,6 @@ let prewarm_cmd =
 
 (* ------------------------------ failover ----------------------------- *)
 
-let link_pair_conv =
-  let parse s =
-    match String.split_on_char ',' s |> List.map int_of_string with
-    | [ u; v ] -> Ok (u, v)
-    | _ | (exception _) ->
-        Error (`Msg "expected a GPU pair, e.g. --fail-link 5,6")
-  in
-  Arg.conv (parse, fun ppf (u, v) -> Format.fprintf ppf "%d,%d" u v)
-
-let degrade_conv =
-  let parse s =
-    match String.split_on_char ',' s with
-    | [ u; v; f ] -> (
-        try Ok (int_of_string u, int_of_string v, float_of_string f)
-        with _ -> Error (`Msg "expected GPU,GPU,FACTOR, e.g. --degrade 0,3,0.5"))
-    | _ -> Error (`Msg "expected GPU,GPU,FACTOR, e.g. --degrade 0,3,0.5")
-  in
-  Arg.conv (parse, fun ppf (u, v, f) -> Format.fprintf ppf "%d,%d,%g" u v f)
-
 (* Report faults to a live handle one at a time, printing the replan cost
    and the surviving packing rate after each, then prove the end state
    matches a fresh handle built directly on the degraded fabric. A fault
@@ -600,79 +503,48 @@ let failover server gpus mbytes fail_links degrades fail_gpus cold
     contingencies =
   let telemetry = Telemetry.create () in
   let handle = Blink.create ~telemetry server ~gpus in
-  let elems = int_of_float (mbytes *. 1e6 /. Blink.bytes_per_elem) in
-  let sim_ms h =
-    let plan = Blink.plan h Plan.All_reduce ~elems in
-    (Plan.execute ~data:false plan).Plan.timing.Blink_sim.Engine.makespan
-    *. 1e3
-  in
+  let elems = Scenario.elems_of_mb mbytes in
   Format.printf "healthy: %.1f GB/s packing rate, %.3f ms all_reduce of %.0f MB@."
-    (Blink.all_reduce_rate handle) (sim_ms handle) mbytes;
+    (Blink.all_reduce_rate handle)
+    (Scenario.all_reduce_s handle ~elems *. 1e3)
+    mbytes;
   let replan = if cold then `Cold else `Warm in
   if contingencies then begin
-    let t0 = Unix.gettimeofday () in
-    let n =
-      Blink.prewarm ~contingencies:`All handle [ (Plan.All_reduce, elems) ]
+    let dt, n =
+      Scenario.timed (fun () ->
+          Blink.prewarm ~contingencies:`All handle [ (Plan.All_reduce, elems) ])
     in
     Format.printf "prewarmed %d one-link-down contingency plan(s) in %.1f ms@."
-      n
-      ((Unix.gettimeofday () -. t0) *. 1e3)
+      n (dt *. 1e3)
   end;
-  let mutations =
-    List.map (fun (u, v) -> (Printf.sprintf "fail-link %d-%d" u v,
-                             fun () -> Blink.fail_link ~replan handle ~u ~v))
-      fail_links
-    @ List.map (fun (u, v, f) -> (Printf.sprintf "degrade %d-%d to %g" u v f,
-                                  fun () ->
-                                    Blink.degrade_link ~replan handle ~u ~v
-                                      ~factor:f))
-        degrades
-    @ List.map (fun g -> (Printf.sprintf "fail-gpu %d" g,
-                          fun () -> Blink.fail_gpu handle ~gpu:g))
-        fail_gpus
+  let faults =
+    List.map (fun (u, v) -> Scenario.Fail_link (u, v)) fail_links
+    @ List.map (fun (u, v, f) -> Scenario.Degrade (u, v, f)) degrades
+    @ List.map (fun g -> Scenario.Fail_gpu g) fail_gpus
   in
-  if mutations = [] then
+  if faults = [] then
     Format.printf "(no faults requested: pass --fail-link, --degrade or \
                    --fail-gpu)@."
   else begin
     try
       List.iter
-        (fun (label, apply) ->
-          let hits0 =
-            Telemetry.counter_value telemetry "plan.contingency.hits"
-          in
-          let t0 = Unix.gettimeofday () in
-          apply ();
-          let dt = Unix.gettimeofday () -. t0 in
-          let path =
-            if Telemetry.counter_value telemetry "plan.contingency.hits"
-               > hits0
-            then "contingency"
-            else if cold then "cold"
-            else "warm"
-          in
+        (fun fault ->
+          let s = Scenario.apply ~replan handle ~elems fault in
           Format.printf "%-22s replanned in %6.1f ms (%s): %.1f GB/s, %.3f \
                          ms all_reduce@."
-            label (dt *. 1e3) path (Blink.all_reduce_rate handle)
-            (sim_ms handle))
-        mutations;
+            (Scenario.fault_label fault) (s.Scenario.replan_s *. 1e3)
+            (Scenario.path_name s.Scenario.path) s.Scenario.rate_gbps
+            (s.Scenario.makespan_s *. 1e3))
+        faults;
       Format.printf "counters: fault.injected %d, plan.cache.invalidations %d@."
         (Telemetry.counter_value telemetry "fault.injected")
         (Telemetry.counter_value telemetry "plan.cache.invalidations");
-      (* Cross-check: a handle born on the degraded fabric agrees.
-         Cold (and contingency-served) replans must match bit for bit;
-         a warm replan keeps surviving trees, so its packing may
-         legitimately trade some rate for the sub-10ms replan, and the
-         comparison is informational. *)
-      let fresh =
-        Blink.create ~link_faults:(Blink.link_faults handle) server
-          ~gpus:(Blink.gpus handle)
-      in
-      let agree =
-        Blink.all_reduce_rate fresh = Blink.all_reduce_rate handle
-        && sim_ms fresh = sim_ms handle
-      in
-      if agree then
+      (* Cold (and contingency-served) replans must match a fresh handle
+         bit for bit; a warm replan keeps surviving trees, so its packing
+         may legitimately trade some rate for the sub-10ms replan, and
+         the comparison is informational. *)
+      let fresh = Scenario.fresh_check handle ~elems in
+      if fresh.Scenario.matches then
         Format.printf "fresh handle on the degraded fabric matches exactly@."
       else if cold then begin
         Format.printf "fresh handle on the degraded fabric DIVERGES (bug)@.";
@@ -682,7 +554,7 @@ let failover server gpus mbytes fail_links degrades fail_gpus cold
         Format.printf
           "fresh handle on the degraded fabric: %.1f GB/s vs %.1f GB/s warm \
            (surviving trees kept; pass --cold for bit-identity)@."
-          (Blink.all_reduce_rate fresh)
+          fresh.Scenario.fresh_rate_gbps
           (Blink.all_reduce_rate handle)
     with Blink.Partitioned { alive; unreachable } ->
       Format.printf
@@ -699,10 +571,10 @@ let failover_cmd =
     (Cmd.info "failover"
        ~doc:"Inject link/GPU faults into a live handle and watch it replan")
     Term.(const failover $ server_arg $ gpus_arg $ small_mbytes_arg
-          $ Arg.(value & opt_all link_pair_conv []
+          $ Arg.(value & opt_all (t2 int int) []
                  & info [ "fail-link" ] ~docv:"U,V"
                      ~doc:"Mark the U-V NVLink pair down (repeatable).")
-          $ Arg.(value & opt_all degrade_conv []
+          $ Arg.(value & opt_all (t3 int int float) []
                  & info [ "degrade" ] ~docv:"U,V,F"
                      ~doc:"Degrade the U-V pair to fraction F of its \
                            bandwidth (repeatable).")
@@ -720,16 +592,6 @@ let failover_cmd =
                            cache swap."))
 
 (* ------------------------------ cluster ------------------------------ *)
-
-let straggler_conv =
-  let parse s =
-    match String.split_on_char ',' s with
-    | [ t; f ] -> (
-        try Ok (int_of_string t, float_of_string f)
-        with _ -> Error (`Msg "expected TENANT,FACTOR, e.g. --straggler 3,2.0"))
-    | _ -> Error (`Msg "expected TENANT,FACTOR, e.g. --straggler 3,2.0")
-  in
-  Arg.conv (parse, fun ppf (t, f) -> Format.fprintf ppf "%d,%g" t f)
 
 let cluster jobs servers service tenants quota_frac max_plans verify_every
     straggler straggler_epsilon =
@@ -749,72 +611,7 @@ let cluster jobs servers service tenants quota_frac max_plans verify_every
         ?max_store_plans:max_plans ~verify_every ?straggler
         ~straggler_epsilon ~n_jobs:jobs ()
     in
-    let st = r.Scheduler.store in
-    Format.printf
-      "%d jobs over %d tenants: %d admitted, %d rejected (capacity), %d \
-       rejected (quota)@."
-      r.Scheduler.jobs tenants r.Scheduler.admitted_jobs
-      r.Scheduler.rejected_capacity_jobs r.Scheduler.rejected_quota_jobs;
-    Format.printf "slices: %d planned, %d single-gpu, %d pcie-only@."
-      r.Scheduler.planned_slices r.Scheduler.single_gpu_slices
-      r.Scheduler.pcie_slices;
-    Format.printf
-      "shared store: %d hits / %d misses (%.1f%% cross-job hit rate), %d \
-       unique fingerprints, %d live plans, %d evictions@."
-      st.Blink_store.Store.hits st.Blink_store.Store.misses
-      (100. *. r.Scheduler.hit_rate)
-      r.Scheduler.unique_fingerprints st.Blink_store.Store.entries
-      st.Blink_store.Store.evictions;
-    Format.printf "throughput: %.0f jobs/s (%.2f s wall), fairness %.3f@."
-      r.Scheduler.jobs_per_second r.Scheduler.wall_seconds
-      r.Scheduler.fairness;
-    List.iter
-      (fun t ->
-        Format.printf
-          "  tenant %d: %4d submitted, %4d admitted, %3d/%3d rejected \
-           (cap/quota), %10.0f gpu-s@."
-          t.Scheduler.tenant t.Scheduler.submitted t.Scheduler.admitted
-          t.Scheduler.rejected_capacity t.Scheduler.rejected_quota
-          t.Scheduler.gpu_seconds)
-      r.Scheduler.tenants;
-    if verify_every > 0 then
-      Format.printf "verification: %d sampled slices, %d mismatches@."
-        r.Scheduler.verified_slices r.Scheduler.verify_mismatches;
-    Format.printf "observatory (per-tenant service health):@.";
-    List.iter
-      (fun (o : Scheduler.tenant_observatory) ->
-        Format.printf
-          "  tenant %d: %4d jobs, latency %7.2f/%7.2f ms (mean/p95), \
-           queue-wait %6.2f/%6.2f ms, %d straggler slices@."
-          o.Scheduler.ob_tenant o.Scheduler.ob_jobs
-          (o.Scheduler.ob_latency.Scheduler.h_mean_s *. 1e3)
-          (o.Scheduler.ob_latency.Scheduler.h_p95_s *. 1e3)
-          (o.Scheduler.ob_queue_wait.Scheduler.h_mean_s *. 1e3)
-          (o.Scheduler.ob_queue_wait.Scheduler.h_p95_s *. 1e3)
-          o.Scheduler.ob_straggler_slices)
-      r.Scheduler.observatory;
-    List.iteri
-      (fun i (c : Scheduler.fingerprint_class) ->
-        if i < 5 then
-          Format.printf
-            "  class %-22s %5d slices, %6.1f GB/s mean (best %.1f, worst \
-             %.1f), %d stragglers@."
-            c.Scheduler.fc_class c.Scheduler.fc_slices c.Scheduler.fc_mean_gbps
-            c.Scheduler.fc_best_gbps c.Scheduler.fc_worst_gbps
-            c.Scheduler.fc_stragglers)
-      r.Scheduler.classes;
-    Format.printf "stragglers: %d flagged slices (> %.0f%% below the class's \
-                   best rate)@."
-      r.Scheduler.straggler_slices
-      (100. *. r.Scheduler.straggler_epsilon);
-    List.iteri
-      (fun i (s : Scheduler.straggler) ->
-        if i < 5 then
-          Format.printf
-            "  tenant %d on class %s: %.1f GB/s achieved vs %.1f expected@."
-            s.Scheduler.st_tenant s.Scheduler.st_class
-            s.Scheduler.st_achieved_gbps s.Scheduler.st_expected_gbps)
-      r.Scheduler.stragglers;
+    Scenario.pp_service Format.std_formatter r;
     if r.Scheduler.verify_mismatches > 0 then exit 1
   end
 
@@ -847,7 +644,7 @@ let cluster_cmd =
                      ~doc:"Re-time every Nth planned slice on a fresh \
                            isolated handle and fail on any timing \
                            divergence (0 = off).")
-          $ Arg.(value & opt (some straggler_conv) None
+          $ Arg.(value & opt (some (pair int float)) None
                  & info [ "straggler" ] ~docv:"TENANT,FACTOR"
                      ~doc:"Inject a straggler: multiply the named \
                            tenant's observed slice times by FACTOR > 1 \
@@ -859,7 +656,6 @@ let cluster_cmd =
 
 (* ----------------------------- tournament ----------------------------- *)
 
-module Planner = Blink_core.Planner
 
 (* Every registered planner backend on one allocation: packing rates and
    tree counts, DES-achieved Broadcast/AllReduce, planning wall-clock,
@@ -868,66 +664,13 @@ module Planner = Blink_core.Planner
    check — the same criteria as `bench/main.exe -- tournament`, scoped to
    a single fabric for interactive use. *)
 let tournament server gpus mbytes =
-  let module Sem = Blink_sim.Semantics in
-  let module Program = Blink_sim.Program in
-  let data_correct handle =
-    let elems = 2_048 in
-    let plan = Blink.plan ~chunk_elems:512 handle Plan.All_reduce ~elems in
-    let prog = plan.Plan.program in
-    let layout = plan.Plan.layout in
-    let k = Array.length layout.Codegen.data in
-    let mem = Sem.memory_of_program prog in
-    let rmem = Sem.Ref.memory_of_program prog in
-    for r = 0 to k - 1 do
-      let values =
-        Array.init elems (fun i -> Float.of_int (((i * 3) + (r * 7)) mod 11))
-      in
-      Sem.write mem ~node:r ~buf:layout.Codegen.data.(r) values;
-      Sem.Ref.write rmem ~node:r ~buf:layout.Codegen.data.(r) values
-    done;
-    Sem.run prog mem;
-    Sem.Ref.run prog rmem;
-    List.for_all
-      (fun (node, buf, _len) ->
-        Sem.Ref.read rmem ~node ~buf = Sem.read mem ~node ~buf)
-      (Program.buffers prog)
-  in
-  let elems = int_of_float (mbytes *. 1_000_000. /. 4.) in
   Format.printf "%s gpus {%s}, %.0f MB:@." server.Server.name
     (Alloc.to_string (Array.to_list gpus))
     mbytes;
-  Format.printf "  %-11s %9s %9s %7s %7s %9s %5s %5s@." "backend" "bcast"
-    "allred" "btrees" "atrees" "plan-ms" "feas" "data";
-  let failed = ref false in
-  List.iter
-    (fun b ->
-      let t0 = Unix.gettimeofday () in
-      let handle = Blink.create ~planner:b server ~gpus in
-      let plan_s = Unix.gettimeofday () -. t0 in
-      let g = Blink.graph handle in
-      let feasible =
-        List.for_all
-          (function None -> false | Some p -> Treegen.feasible g p)
-          [ Blink.packing handle; Blink.undirected_packing handle ]
-      in
-      let data_ok = data_correct handle in
-      if not (feasible && data_ok) then failed := true;
-      let chunk = Blink.heuristic_chunk ~elems in
-      let gbps prog = Blink.algbw_gbps ~elems (Blink.time handle prog) in
-      let bcast, _ = Blink.broadcast ~chunk_elems:chunk handle ~elems in
-      let allred, _ = Blink.all_reduce ~chunk_elems:chunk handle ~elems in
-      let trees sel =
-        match sel handle with
-        | None -> 0
-        | Some p -> List.length p.Treegen.trees
-      in
-      Format.printf "  %-11s %5.1f GB/s %5.1f GB/s %5d %7d %9.1f %5b %5b@."
-        (Planner.name b) (gbps bcast) (gbps allred)
-        (trees Blink.packing)
-        (trees Blink.undirected_packing)
-        (plan_s *. 1e3) feasible data_ok)
-    (Planner.all ());
-  if !failed then begin
+  let rows = Scenario.tournament ~mbytes server ~gpus in
+  Scenario.pp_tournament Format.std_formatter ~label:"" rows;
+  if List.exists (fun r -> not (r.Scenario.feasible && r.Scenario.data_ok)) rows
+  then begin
     Format.eprintf "tournament: a backend failed the differential check@.";
     exit 1
   end

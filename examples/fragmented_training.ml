@@ -11,7 +11,6 @@ module Alloc = Blink_topology.Alloc
 module Fabric = Blink_topology.Fabric
 module Blink = Blink_core.Blink
 module Ring = Blink_baselines.Ring
-module Codegen = Blink_collectives.Codegen
 module Models = Blink_dnn.Models
 module Training = Blink_dnn.Training
 
@@ -70,13 +69,8 @@ let () =
     | Fabric.Net -> "network")
     (Blink.all_reduce_rate handle);
 
-  let chunk elems = max 256 (min 262_144 (elems / 16)) in
   let nccl_backend =
-    Training.memoized_backend ~label:"nccl" (fun bytes ->
-        let elems = max 64 (int_of_float (bytes /. Training.bytes_per_elem)) in
-        let spec = Codegen.spec ~chunk_elems:(chunk elems) fabric in
-        let prog, _ = Ring.all_reduce spec ~elems ~channels in
-        (Blink.time handle prog).Blink_sim.Engine.makespan)
+    Blink_scenario.Scenario.ring_backend Server.dgx1v ~gpus fabric
   in
   (* The Blink side goes through the handle's compiled-plan cache: each
      gradient-bucket size compiles once, every later iteration replays. *)

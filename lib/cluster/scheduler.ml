@@ -243,17 +243,6 @@ type straggler = {
   st_achieved_gbps : float;
 }
 
-type failover_drill = {
-  dr_link : int * int;
-  dr_prewarm_s : float;
-  dr_prewarmed_plans : int;
-  dr_cold_replan_s : float;
-  dr_warm_replan_s : float;
-  dr_contingency_replan_s : float;
-  dr_warm_rate_equals_cold : bool;
-  dr_contingency_rate_equals_cold : bool;
-}
-
 type service_report = {
   jobs : int;
   admitted_jobs : int;
@@ -277,7 +266,6 @@ type service_report = {
   stragglers : straggler list;
   straggler_slices : int;
   straggler_epsilon : float;
-  drill : failover_drill option;
 }
 
 (* Jain's fairness index over per-tenant accumulated GPU-time:
@@ -309,7 +297,7 @@ let summarize samples =
 let run_service ?(seed = 42) ?(servers = 64) ?(server = Server.dgx1v)
     ?(n_tenants = 8) ?(quota_frac = 0.5) ?(elems = 1_000_000)
     ?max_store_plans ?(verify_every = 0) ?(telemetry = Telemetry.disabled)
-    ?straggler ?(straggler_epsilon = 0.1) ?(failover_drill = false) ~n_jobs ()
+    ?straggler ?(straggler_epsilon = 0.1) ~n_jobs ()
     =
   if n_tenants <= 0 then
     invalid_arg "Scheduler.run_service: n_tenants must be positive";
@@ -537,66 +525,7 @@ let run_service ?(seed = 42) ?(servers = 64) ?(server = Server.dgx1v)
       end)
     jobs;
   let wall = Unix.gettimeofday () -. t0 in
-  (* Snapshot the store counters before the drill below touches the
-     store, so the report's admission-path stats stay drill-free. *)
   let st = Blink.store_stats store in
-  (* Failover drill: with admission drained, one representative
-     full-server tenant prewarms its one-link-down contingency plans
-     into the shared store, then the three replan paths around the same
-     link loss are timed — cold (fresh isolated handle), warm
-     (tree-reuse incremental replan), and contingency (fingerprint swap
-     onto the prewarmed bucket). Isomorphic tenants created after the
-     drill inherit the contingency entries for free. *)
-  let drill =
-    if not failover_drill then None
-    else
-      match server.Server.nvlinks with
-      | [] -> None
-      | (u, v, _) :: _ ->
-          let wall f =
-            let t0 = Unix.gettimeofday () in
-            let x = f () in
-            (Unix.gettimeofday () -. t0, x)
-          in
-          let gpus = Array.init n_gpus Fun.id in
-          let cold = Blink.create ~telemetry server ~gpus in
-          ignore (Blink.plan cold Plan.All_reduce ~elems);
-          let t_cold, () =
-            wall (fun () -> Blink.fail_link ~replan:`Cold cold ~u ~v)
-          in
-          let cold_rate = Blink.all_reduce_rate cold in
-          (* Warm handle runs before the prewarm publishes the post-fault
-             bucket, so its mutation exercises the incremental path, not
-             a contingency hit. *)
-          let warm = Blink.create ~telemetry ~store server ~gpus in
-          ignore (Blink.plan warm Plan.All_reduce ~elems);
-          let t_warm, () =
-            wall (fun () -> Blink.fail_link ~replan:`Warm warm ~u ~v)
-          in
-          let cont = Blink.create ~telemetry ~store server ~gpus in
-          ignore (Blink.plan cont Plan.All_reduce ~elems);
-          let t_pre, prewarmed =
-            wall (fun () ->
-                Blink.prewarm
-                  ~contingencies:(`Pairs [ (u, v) ])
-                  cont
-                  [ (Plan.All_reduce, elems) ])
-          in
-          let t_cont, () = wall (fun () -> Blink.fail_link cont ~u ~v) in
-          Some
-            {
-              dr_link = (u, v);
-              dr_prewarm_s = t_pre;
-              dr_prewarmed_plans = prewarmed;
-              dr_cold_replan_s = t_cold;
-              dr_warm_replan_s = t_warm;
-              dr_contingency_replan_s = t_cont;
-              dr_warm_rate_equals_cold =
-                Blink.all_reduce_rate warm = cold_rate;
-              dr_contingency_rate_equals_cold =
-                Blink.all_reduce_rate cont = cold_rate;
-            }
-  in
   let lookups = st.Blink_store.Store.hits + st.Blink_store.Store.misses in
   let tenants =
     List.init n_tenants (fun i ->
@@ -660,5 +589,4 @@ let run_service ?(seed = 42) ?(servers = 64) ?(server = Server.dgx1v)
     stragglers = List.rev !straggler_log;
     straggler_slices = !straggler_count;
     straggler_epsilon;
-    drill;
   }

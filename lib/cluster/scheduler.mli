@@ -125,19 +125,6 @@ type straggler = {
   st_achieved_gbps : float;
 }
 
-type failover_drill = {
-  dr_link : int * int;  (** the NVLink pair the drill fails *)
-  dr_prewarm_s : float;  (** wall time to prewarm the contingency bucket *)
-  dr_prewarmed_plans : int;
-  dr_cold_replan_s : float;  (** fresh isolated handle, cold replan *)
-  dr_warm_replan_s : float;  (** tree-reuse incremental replan *)
-  dr_contingency_replan_s : float;
-      (** fingerprint swap onto the prewarmed post-fault bucket *)
-  dr_warm_rate_equals_cold : bool;
-  dr_contingency_rate_equals_cold : bool;
-      (** always [true]: contingency plans are cold plans built early *)
-}
-
 type service_report = {
   jobs : int;
   admitted_jobs : int;
@@ -164,9 +151,6 @@ type service_report = {
   stragglers : straggler list;  (** every flagged slice, in arrival order *)
   straggler_slices : int;
   straggler_epsilon : float;
-  drill : failover_drill option;
-      (** present iff [failover_drill] was requested and the server has
-          point-to-point NVLinks to fail *)
 }
 
 val run_service :
@@ -181,7 +165,6 @@ val run_service :
   ?telemetry:Blink_telemetry.Telemetry.t ->
   ?straggler:int * float ->
   ?straggler_epsilon:float ->
-  ?failover_drill:bool ->
   n_jobs:int ->
   unit ->
   service_report
@@ -209,13 +192,4 @@ val run_service :
     tenant-side slowdown; the flagged slices then concentrate on that
     tenant. Per-tenant latency / queue-wait summaries come back in
     [observatory] and, when [telemetry] is enabled, as labelled
-    histograms.
-
-    [failover_drill] (default off — it mutates the shared store) runs
-    the incremental-replanning drill after the admission loop drains: a
-    representative full-server tenant prewarms its one-link-down
-    contingency plans (see [Blink.prewarm ~contingencies]) into the
-    shared store, then the same link loss is timed over the cold, warm
-    and contingency replan paths; the [drill] report compares the
-    three latencies and checks rate parity against the cold replan. The
-    [store] counters in the report are snapshotted before the drill. *)
+    histograms. *)
