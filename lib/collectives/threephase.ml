@@ -70,10 +70,7 @@ let all_reduce ?pool ?(avoid_roots = []) spec ~n_partitions ~plans ~elems =
   let partition_trees =
     let build p = Array.init n_servers (fun s -> local_tree s p) in
     let ps = List.init n_partitions Fun.id in
-    Array.of_list
-      (match pool with
-      | Some pool -> Blink_parallel.Pool.parallel_map pool build ps
-      | None -> List.map build ps)
+    Array.of_list (Blink_parallel.Pool.map ?pool build ps)
   in
   let no_deps _ _ = [] in
   for p = 0 to n_partitions - 1 do

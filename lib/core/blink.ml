@@ -113,9 +113,11 @@ type t = {
   (* The current topology view came from a warm (incremental) replan
      rather than a cold plan. Warm-derived state is rate-equivalent but
      not guaranteed bit-identical to a cold build, so while this is set a
-     handle on a {e shared} store never publishes: plans compile
-     privately and prewarm declines. A later cold or contingency replan
-     clears it. *)
+     handle on a {e shared} store publishes nothing ([publishes]): chunks
+     tune into [chunk_hints], plan misses compile privately, prewarm
+     compiles no plan and contingencies decline. [plan] and prewarm
+     consult the hints alike, on any store. A later cold or contingency
+     replan clears it. *)
   mutable warm_topology : bool;
   (* Outstanding {!prewarm_async} jobs. While nonzero, topology mutation
      is refused: an inflight job tunes and compiles against the current
@@ -469,62 +471,74 @@ let algbw_gbps ?(bytes_per_elem = bytes_per_elem) ~elems result =
 
 let heuristic_chunk ~elems = max 256 (min 262_144 (elems / 16))
 
-let tune_chunk ?(elems = 67_108_864) ?(max_probe_seconds = default_probe_cap_s)
-    t =
+(* The publication rule. A handle whose topology came from a warm replan
+   on a shared store never writes derived state — tuned chunks, compiled
+   plans, contingencies — into the store: other tenants must only ever be
+   served cold-equivalent entries. *)
+let publishes t = t.owns_store || not t.warm_topology
+
+(* MIAD chunk tuning against simulated AllReduce iterations of [elems]. *)
+let miad ?init ?(max_probe_seconds = default_probe_cap_s) t ~elems =
   let measure ~chunk_elems =
     let prog, _ = all_reduce ~chunk_elems t ~elems in
     algbw_gbps ~elems (time_quiet t prog)
   in
-  Chunking.tune ~max_probe_seconds ~telemetry:t.telemetry ~measure ()
+  Chunking.tune ?init ~max_probe_seconds ~telemetry:t.telemetry ~measure ()
+
+let tune_chunk ?(elems = 67_108_864) ?max_probe_seconds t =
+  miad ?max_probe_seconds t ~elems
 
 let size_class ~elems =
   let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
   log2 (max 1 elems) 0
 
-let tuned_chunk t ~elems =
-  let fp = Fingerprint.id t.fingerprint in
+(* Where the chunk for [elems]'s size class comes from, read without side
+   effects: the store's tuned chunk, else a warm replan's hint (reuse it,
+   or re-probe from it), else a fresh probe from the size heuristic. *)
+let chunk_source t ~elems =
   let cls = size_class ~elems in
-  match Store.find_opt t.store ~fp (Chunk_key cls) with
-  | Some (Chunk chunk) -> chunk
+  match
+    Store.find_opt t.store ~fp:(Fingerprint.id t.fingerprint) (Chunk_key cls)
+  with
+  | Some (Chunk chunk) -> `Stored chunk
   | Some (Topo _ | Compiled _) -> assert false
   | None -> (
-      let measure ~chunk_elems =
-        let prog, _ = all_reduce ~chunk_elems t ~elems in
-        algbw_gbps ~elems (time_quiet t prog)
-      in
       match Hashtbl.find_opt t.chunk_hints cls with
-      | Some (`Reuse chunk) ->
-          (* Post-fault bottleneck rate unchanged: the previous optimum
-             stands; skip the MIAD probes entirely. *)
-          Telemetry.incr t.telemetry "plan.chunk.reused";
-          chunk
-      | Some (`Init init) ->
-          (* The rate moved: re-probe, but descend from the previous
-             optimum instead of the size heuristic. Handle-local only —
-             see the [chunk_hints] invariant. *)
-          let result =
-            Chunking.tune ~init ~max_probe_seconds:default_probe_cap_s
-              ~telemetry:t.telemetry ~measure ()
-          in
-          Telemetry.incr t.telemetry "plan.chunk.retuned";
-          Hashtbl.replace t.chunk_hints cls (`Reuse result.Chunking.chosen);
-          result.Chunking.chosen
-      | None ->
-          (* Probe at a representative size of the class, starting from a
-             size-proportional initial chunk. *)
-          let init = heuristic_chunk ~elems in
-          let result =
-            Chunking.tune ~init ~max_probe_seconds:default_probe_cap_s
-              ~telemetry:t.telemetry ~measure ()
-          in
-          (* Probes against a warm topology stay handle-local on a
-             shared store (same publication rule as compiled plans). *)
-          if t.warm_topology && not t.owns_store then
-            Hashtbl.replace t.chunk_hints cls (`Reuse result.Chunking.chosen)
-          else
-            Store.add t.store ~fp (Chunk_key cls)
-              (Chunk result.Chunking.chosen);
-          result.Chunking.chosen)
+      | Some (`Reuse chunk) -> `Reuse chunk
+      | Some (`Init init) -> `Retune init
+      | None -> `Tune (heuristic_chunk ~elems))
+
+(* The chunk [plan] uses for [elems], with its bookkeeping. [tune ~init]
+   runs the MIAD probes; prewarm passes results it tuned off the calling
+   domain. *)
+let resolve_chunk t ~elems ~tune =
+  let cls = size_class ~elems in
+  match chunk_source t ~elems with
+  | `Stored chunk -> chunk
+  | `Reuse chunk ->
+      (* Post-fault bottleneck rate unchanged: the previous optimum
+         stands; skip the MIAD probes entirely. *)
+      Telemetry.incr t.telemetry "plan.chunk.reused";
+      chunk
+  | `Retune init ->
+      (* The rate moved: re-probe, but descend from the previous optimum
+         instead of the size heuristic. Handle-local only — see the
+         [chunk_hints] invariant. *)
+      let chunk = tune ~init in
+      Telemetry.incr t.telemetry "plan.chunk.retuned";
+      Hashtbl.replace t.chunk_hints cls (`Reuse chunk);
+      chunk
+  | `Tune init ->
+      let chunk = tune ~init in
+      if publishes t then
+        Store.add t.store ~fp:(Fingerprint.id t.fingerprint) (Chunk_key cls)
+          (Chunk chunk)
+      else Hashtbl.replace t.chunk_hints cls (`Reuse chunk);
+      chunk
+
+let tuned_chunk t ~elems =
+  resolve_chunk t ~elems ~tune:(fun ~init ->
+      (miad ~init t ~elems).Chunking.chosen)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled-plan cache *)
@@ -534,6 +548,16 @@ let trees_for t (c : Plan.collective) =
   | Plan.All_reduce | Plan.Reduce_scatter -> all_reduce_trees t
   | Plan.Broadcast | Plan.Reduce | Plan.Gather | Plan.All_gather ->
       broadcast_trees t
+
+(* Pure given the handle's fabric, root and forced tree memos. *)
+let build_plan t ((collective, elems, chunk) : plan_key) =
+  Plan.build collective ~spec:(spec ~chunk_elems:chunk t) ~root:t.root ~elems
+    ~trees:(trees_for t collective)
+
+let count_miss t ~evicted =
+  Telemetry.incr t.telemetry "plan.cache.misses";
+  if evicted > 0 then
+    Telemetry.incr t.telemetry ~by:evicted "plan.cache.evictions"
 
 (* Cached compilation against the shared store. The handle's telemetry
    mirrors the outcome of its own store operations — hits, misses and any
@@ -545,48 +569,30 @@ let plan ?chunk_elems t collective ~elems =
     match chunk_elems with Some c -> c | None -> tuned_chunk t ~elems
   in
   let key = (collective, elems, chunk) in
-  let build () =
-    let spec =
-      Codegen.spec ~chunk_elems:chunk ~telemetry:t.telemetry t.fabric
-    in
-    Compiled
-      (Plan.build collective ~spec ~root:t.root ~elems
-         ~trees:(trees_for t collective))
+  let fp = Fingerprint.id t.fingerprint in
+  let hit plan =
+    Telemetry.incr t.telemetry "plan.cache.hits";
+    plan
   in
-  if t.warm_topology && not t.owns_store then begin
-    (* Warm-derived topology on a shared store: never publish. Existing
-       (cold-built or migrated) entries still serve; misses compile
-       privately and are not inserted, so other tenants only ever see
-       cold-equivalent plans. *)
-    match Store.find_opt t.store ~fp:(Fingerprint.id t.fingerprint)
-            (Plan_key key)
+  if publishes t then
+    match
+      Store.find_or_build t.store ~fp (Plan_key key) ~build:(fun () ->
+          Compiled (build_plan t key))
     with
-    | Some (Compiled plan) ->
-        Telemetry.incr t.telemetry "plan.cache.hits";
+    | `Hit, Compiled plan -> hit plan
+    | `Miss evicted, Compiled plan ->
+        count_miss t ~evicted;
         plan
+    | _, (Topo _ | Chunk _) -> assert false
+  else
+    (* Existing (cold-built or migrated) entries still serve; misses
+       compile privately and are not inserted. *)
+    match Store.find_opt t.store ~fp (Plan_key key) with
+    | Some (Compiled plan) -> hit plan
     | Some (Topo _ | Chunk _) -> assert false
-    | None -> (
-        Telemetry.incr t.telemetry "plan.cache.misses";
-        match build () with
-        | Compiled plan -> plan
-        | Topo _ | Chunk _ -> assert false)
-  end
-  else begin
-    let status, stored =
-      Store.find_or_build t.store
-        ~fp:(Fingerprint.id t.fingerprint)
-        (Plan_key key) ~build
-    in
-    (match status with
-    | `Hit -> Telemetry.incr t.telemetry "plan.cache.hits"
-    | `Miss evicted ->
-        Telemetry.incr t.telemetry "plan.cache.misses";
-        if evicted > 0 then
-          Telemetry.incr t.telemetry ~by:evicted "plan.cache.evictions");
-    match stored with
-    | Compiled plan -> plan
-    | Topo _ | Chunk _ -> assert false
-  end
+    | None ->
+        count_miss t ~evicted:0;
+        build_plan t key
 
 (* Kept as a thin wrapper: the counters now live in the telemetry
    registry, so exporters and this accessor can never disagree. A handle
@@ -855,102 +861,113 @@ let fail_gpu t ~gpu =
   apply_mutation ~replan:`Cold t ~affected:`All
 
 (* ------------------------------------------------------------------ *)
-(* Prewarm: batch-populate the plan cache across domains. Only the pure,
-   expensive stages (MIAD tuning probes, Plan.build codegen) run on pool
-   workers; every handle mutation — the tree memos, the chunk cache, the
-   plan table and its FIFO — happens in the calling domain, so a prewarmed
-   handle is bit-identical to one warmed by sequential [plan] calls. *)
+(* Prewarm: one pipeline behind [prewarm], [prewarm_async] and
+   [prewarm_await]. [prewarm_start] reads the handle in the calling
+   domain; [prewarm_run] is pure — MIAD probes for the size classes that
+   need them, then Plan.build codegen — and may run on pool workers;
+   [prewarm_finish] performs every handle and store mutation in the
+   calling domain, resolving each key's chunk exactly as [plan] does. A
+   prewarmed handle is therefore bit-identical to one warmed by
+   sequential [plan] calls, whichever domain ran the pure stage. *)
 
-let map_pool pool f xs =
-  match pool with
-  | Some pool -> Blink_parallel.Pool.parallel_map pool f xs
-  | None -> List.map f xs
+(* The first element of [xs] for each distinct [key x], in order;
+   elements whose key is [None] are dropped. *)
+let dedup key xs =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun x ->
+      match key x with
+      | Some k when not (Hashtbl.mem seen k) ->
+          Hashtbl.add seen k ();
+          true
+      | Some _ | None -> false)
+    xs
 
-let rec prewarm ?pool ?(contingencies = `None) t keys =
+type prewarm_start = {
+  s_keys : (Plan.collective * int) list;  (* deduplicated, in call order *)
+  s_known : (int * int) list;  (* size class -> chunk already decided *)
+  s_tune : (int * int * int) list;  (* size class, elems, initial chunk *)
+  s_build : (Plan.collective * int) list;  (* keys whose plan is missing *)
+}
+
+let prewarm_start t keys =
   check_usable t;
-  (* Force the tree memos here: workers then only read
-     [t.bcast_trees]/[t.ar_trees] and never race on filling them. *)
+  (* Force the tree memos here: the pure stage then only reads
+     [t.bcast_trees]/[t.ar_trees] and never races on filling them. *)
   ignore (broadcast_trees t);
   ignore (all_reduce_trees t);
-  let fp = Fingerprint.id t.fingerprint in
-  let dedup keep xs =
-    let seen = Hashtbl.create 16 in
-    List.filter_map
-      (fun x ->
-        match keep x with
-        | Some k when not (Hashtbl.mem seen k) ->
-            Hashtbl.add seen k ();
-            Some (k, x)
-        | Some _ | None -> None)
-      xs
-  in
-  let keys = List.map snd (dedup (fun k -> Some k) keys) in
-  (* Stage 1: MIAD-tune every size class not already cached. Each class
-     tunes independently and deterministically, so the probes fan out;
-     the cache inserts stay here. *)
-  let missing_classes =
-    dedup
+  let keys = dedup Option.some keys in
+  let s_known, s_tune =
+    List.partition_map
       (fun (_, elems) ->
         let cls = size_class ~elems in
-        match Store.find_opt t.store ~fp (Chunk_key cls) with
-        | Some _ -> None
-        | None -> Some cls)
-      keys
+        match chunk_source t ~elems with
+        | `Stored chunk | `Reuse chunk -> Left (cls, chunk)
+        | `Retune init | `Tune init -> Right (cls, elems, init))
+      (dedup (fun (_, elems) -> Some (size_class ~elems)) keys)
   in
+  (* A key whose chunk is still to be tuned can't be looked up yet (its
+     plan key embeds that chunk), so it builds and [prewarm_finish]
+     checks the store. A handle that does not publish builds nothing:
+     its plans could not be cached. *)
+  let cached (collective, elems) =
+    match List.assoc_opt (size_class ~elems) s_known with
+    | Some chunk ->
+        Option.is_some
+          (Store.find_opt t.store ~fp:(Fingerprint.id t.fingerprint)
+             (Plan_key (collective, elems, chunk)))
+    | None -> false
+  in
+  let s_build =
+    if publishes t then List.filter (fun k -> not (cached k)) keys else []
+  in
+  { s_keys = keys; s_known; s_tune; s_build }
+
+let prewarm_run ?pool t start =
   let tuned =
-    map_pool pool
-      (fun (cls, (_, elems)) ->
-        let init = heuristic_chunk ~elems in
-        let measure ~chunk_elems =
-          let prog, _ = all_reduce ~chunk_elems t ~elems in
-          algbw_gbps ~elems (time_quiet t prog)
-        in
-        let result =
-          Chunking.tune ~init ~max_probe_seconds:default_probe_cap_s
-            ~telemetry:t.telemetry ~measure ()
-        in
-        (cls, result.Chunking.chosen))
-      missing_classes
+    Blink_parallel.Pool.map ?pool
+      (fun (cls, elems, init) -> (cls, (miad ~init t ~elems).Chunking.chosen))
+      start.s_tune
   in
-  List.iter
-    (fun (cls, chunk) -> Store.add t.store ~fp (Chunk_key cls) (Chunk chunk))
-    tuned;
-  let chunk_for elems =
-    match Store.find_opt t.store ~fp (Chunk_key (size_class ~elems)) with
-    | Some (Chunk chunk) -> chunk
-    | _ -> assert false
-  in
-  (* Stage 2: compile the missing plans in parallel (Plan.build is pure
-     given the spec and trees), then insert in key order so eviction order
-     and the miss counters match the sequential path. *)
-  let missing =
-    dedup
-      (fun (collective, elems) ->
-        let key = (collective, elems, chunk_for elems) in
-        match Store.find_opt t.store ~fp (Plan_key key) with
-        | Some _ -> None
-        | None -> Some key)
-      keys
-  in
+  let chunks = tuned @ start.s_known in
   let built =
-    map_pool pool
-      (fun (((collective, elems, chunk) : plan_key), _) ->
-        let spec =
-          Codegen.spec ~chunk_elems:chunk ~telemetry:t.telemetry t.fabric
-        in
-        ( (collective, elems, chunk),
-          Plan.build collective ~spec ~root:t.root ~elems
-            ~trees:(trees_for t collective) ))
-      missing
+    Blink_parallel.Pool.map ?pool
+      (fun (collective, elems) ->
+        let key = (collective, elems, List.assoc (size_class ~elems) chunks) in
+        (key, build_plan t key))
+      start.s_build
   in
-  List.iter
-    (fun (key, plan) ->
-      let evicted = Store.insert_built t.store ~fp (Plan_key key) (Compiled plan) in
-      Telemetry.incr t.telemetry "plan.cache.misses";
-      if evicted > 0 then
-        Telemetry.incr t.telemetry ~by:evicted "plan.cache.evictions")
-    built;
-  List.length built + prewarm_contingencies ?pool ~contingencies t keys
+  (tuned, built)
+
+(* Key by key, in call order, so chunk bookkeeping, insertion (hence
+   eviction) order and the miss counters match sequential [plan] calls.
+   A class needs tuning here only if it did at the start: a chunk source
+   only ever moves from tuning to decided while a job is open. *)
+let prewarm_finish t start (tuned, built) =
+  check_usable t;
+  let fp = Fingerprint.id t.fingerprint in
+  List.fold_left
+    (fun n (collective, elems) ->
+      let chunk =
+        resolve_chunk t ~elems ~tune:(fun ~init:_ ->
+            List.assoc (size_class ~elems) tuned)
+      in
+      let key = (collective, elems, chunk) in
+      match List.assoc_opt key built with
+      | Some plan
+        when Option.is_none (Store.find_opt t.store ~fp (Plan_key key)) ->
+          let evicted =
+            Store.insert_built t.store ~fp (Plan_key key) (Compiled plan)
+          in
+          count_miss t ~evicted;
+          n + 1
+      | Some _ | None -> n)
+    0 start.s_keys
+
+let rec prewarm ?pool ?(contingencies = `None) t keys =
+  let start = prewarm_start t keys in
+  prewarm_finish t start (prewarm_run ?pool t start)
+  + prewarm_contingencies ?pool ~contingencies t keys
 
 (* Background contingency plans: precompute the full "one link down"
    post-fault state — topology packing, tuned chunks and the requested
@@ -974,10 +991,7 @@ and prewarm_contingencies ?pool ~contingencies t keys =
         else List.map (fun (u, v, _) -> (u, v)) t.server.Server.nvlinks
   in
   if pairs = [] then 0
-  else if t.warm_topology && not t.owns_store then
-    (* Same publication rule as [plan]: a warm topology never writes
-       derived state into a shared store. *)
-    0
+  else if not (publishes t) then 0
   else begin
     let live g = rank_of_gpu t.gpus g >= 0 in
     let current = link_faults t in
@@ -1039,7 +1053,7 @@ and prewarm_contingencies ?pool ~contingencies t keys =
         classes
     in
     let topos =
-      map_pool pool
+      Blink_parallel.Pool.map ?pool
         (fun (fpid, faults) ->
           let fabric, graph, kind, root =
             plan_topology ?epsilon:t.epsilon ?threshold:t.threshold
@@ -1073,157 +1087,39 @@ and prewarm_contingencies ?pool ~contingencies t keys =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Async prewarm: overlap planning with execution. The split mirrors
-   [prewarm]'s stage structure, relocated in time: [prewarm_async]
-   snapshots everything the pipeline needs from the handle (forced tree
-   memos, the fingerprint, which size classes and plan keys the store
-   already holds) in the calling domain and submits the pure pipeline —
-   MIAD tuning probes, then Plan.build codegen — as one pool future;
-   [prewarm_await] redeems it and performs every handle/store mutation
-   in the calling domain, exactly as [prewarm] would have. Between the
-   two calls the caller is free to run [Plan.execute] on live plans
-   while tuning and codegen for the next keys proceed on a worker — the
-   paper's generate-once/run-always split, pipelined. On a sequential
-   pool (or none) the future runs eagerly inside [prewarm_async] in the
-   calling domain, so results degenerate to [prewarm]'s. *)
+(* Async prewarm: the same pipeline, relocated in time. [prewarm_async]
+   runs the start stage and submits the pure stage as one pool future;
+   [prewarm_await] redeems it and runs the finish stage. Between the two
+   calls the caller is free to run [Plan.execute] on live plans while
+   tuning and codegen for the next keys proceed on a worker — the paper's
+   generate-once/run-always split, pipelined. On a sequential pool (or
+   none) the future runs eagerly inside [prewarm_async]. *)
 
 type prewarm_job = {
-  j_fp : string;  (* fingerprint snapshot the job's entries belong to *)
+  j_start : prewarm_start;
   j_future :
     ((int * int) list * (plan_key * Plan.t) list) Blink_parallel.Pool.future;
   mutable j_awaited : bool;
 }
 
 let prewarm_async ?pool t keys =
-  check_usable t;
-  (* Force the tree memos here: the future then only reads
-     [t.bcast_trees]/[t.ar_trees] and never races on filling them. *)
-  ignore (broadcast_trees t);
-  ignore (all_reduce_trees t);
-  let fp = Fingerprint.id t.fingerprint in
-  let dedup keep xs =
-    let seen = Hashtbl.create 16 in
-    List.filter_map
-      (fun x ->
-        match keep x with
-        | Some k when not (Hashtbl.mem seen k) ->
-            Hashtbl.add seen k ();
-            Some (k, x)
-        | Some _ | None -> None)
-      xs
-  in
-  let keys = List.map snd (dedup (fun k -> Some k) keys) in
-  (* Snapshot the store's answers now; the future never touches it. *)
-  let missing_classes =
-    dedup
-      (fun (_, elems) ->
-        let cls = size_class ~elems in
-        match Store.find_opt t.store ~fp (Chunk_key cls) with
-        | Some _ -> None
-        | None -> Some cls)
-      keys
-  in
-  let cached_chunks = Hashtbl.create 8 in
-  List.iter
-    (fun (_, elems) ->
-      let cls = size_class ~elems in
-      if not (Hashtbl.mem cached_chunks cls) then
-        match Store.find_opt t.store ~fp (Chunk_key cls) with
-        | Some (Chunk chunk) -> Hashtbl.add cached_chunks cls chunk
-        | Some _ | None -> ())
-    keys;
-  let plan_cached key =
-    Option.is_some (Store.find_opt t.store ~fp (Plan_key key))
-  in
-  (* For keys whose chunk is already known, presence is decided now; keys
-     waiting on a fresh tune can't be cached yet (their plan key embeds
-     the not-yet-chosen chunk) and are built unconditionally. *)
-  let cached_plan_keys = Hashtbl.create 16 in
-  List.iter
-    (fun (collective, elems) ->
-      match Hashtbl.find_opt cached_chunks (size_class ~elems) with
-      | Some chunk ->
-          let key = (collective, elems, chunk) in
-          if plan_cached key then Hashtbl.replace cached_plan_keys key ()
-      | None -> ())
-    keys;
-  let run_pipeline () =
-    (* Stage 1: tune the missing size classes (pure given the snapshot:
-       probes time simulated replays of the current fabric/trees). *)
-    let tuned =
-      List.map
-        (fun (cls, (_, elems)) ->
-          let init = heuristic_chunk ~elems in
-          let measure ~chunk_elems =
-            let prog, _ = all_reduce ~chunk_elems t ~elems in
-            algbw_gbps ~elems (time_quiet t prog)
-          in
-          let result =
-            Chunking.tune ~init ~max_probe_seconds:default_probe_cap_s
-              ~telemetry:t.telemetry ~measure ()
-          in
-          (cls, result.Chunking.chosen))
-        missing_classes
-    in
-    let chunk_for elems =
-      let cls = size_class ~elems in
-      match List.assoc_opt cls tuned with
-      | Some chunk -> chunk
-      | None -> Hashtbl.find cached_chunks cls
-    in
-    (* Stage 2: compile the missing plans, walking keys in the same order
-       [prewarm] does so insertion (and hence eviction) order matches. *)
-    let missing =
-      dedup
-        (fun (collective, elems) ->
-          let key = (collective, elems, chunk_for elems) in
-          if Hashtbl.mem cached_plan_keys key then None else Some key)
-        keys
-    in
-    let built =
-      List.map
-        (fun (((collective, elems, chunk) : plan_key), _) ->
-          let spec =
-            Codegen.spec ~chunk_elems:chunk ~telemetry:t.telemetry t.fabric
-          in
-          ( (collective, elems, chunk),
-            Plan.build collective ~spec ~root:t.root ~elems
-              ~trees:(trees_for t collective) ))
-        missing
-    in
-    (tuned, built)
-  in
+  let start = prewarm_start t keys in
+  let run () = prewarm_run t start in
   let future =
     match pool with
-    | Some pool -> Blink_parallel.Pool.async pool run_pipeline
+    | Some pool -> Blink_parallel.Pool.async pool run
     | None ->
         (* No pool: run eagerly, wrapped as an already-finished future
            through a 1-domain pool's degenerate async. *)
         Blink_parallel.Pool.with_pool ~domains:1 (fun p ->
-            Blink_parallel.Pool.async p run_pipeline)
+            Blink_parallel.Pool.async p run)
   in
   t.prewarm_inflight <- t.prewarm_inflight + 1;
-  { j_fp = fp; j_future = future; j_awaited = false }
+  { j_start = start; j_future = future; j_awaited = false }
 
 let prewarm_await t job =
   if job.j_awaited then
     invalid_arg "Blink.prewarm_await: job already awaited";
   job.j_awaited <- true;
   t.prewarm_inflight <- t.prewarm_inflight - 1;
-  let tuned, built = Blink_parallel.Pool.await job.j_future in
-  check_usable t;
-  let fp = job.j_fp in
-  (* Calling-domain mutation, identical to [prewarm]'s insert stages. *)
-  List.iter
-    (fun (cls, chunk) -> Store.add t.store ~fp (Chunk_key cls) (Chunk chunk))
-    tuned;
-  List.iter
-    (fun (key, plan) ->
-      let evicted =
-        Store.insert_built t.store ~fp (Plan_key key) (Compiled plan)
-      in
-      Telemetry.incr t.telemetry "plan.cache.misses";
-      if evicted > 0 then
-        Telemetry.incr t.telemetry ~by:evicted "plan.cache.evictions")
-    built;
-  List.length built
+  prewarm_finish t job.j_start (Blink_parallel.Pool.await job.j_future)

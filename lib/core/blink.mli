@@ -230,6 +230,16 @@ val prewarm :
     with any pool size. After [prewarm], {!plan} calls for these keys are
     cache hits.
 
+    After a warm fault replan ({!degrade_link} or {!fail_link} with the
+    default [~replan:`Warm]) the handle's chunk hints are consulted
+    exactly as {!plan} consults them: a class whose bottleneck rate did
+    not move reuses its previous chunk, one whose rate moved re-probes
+    from it ([plan.chunk.reused] / [plan.chunk.retuned]). A warm handle
+    on a {e shared} store publishes nothing: its chunks tune into the
+    handle's private hints, no plan is compiled (those keys count 0 —
+    {!plan} compiles them privately) and [contingencies] are declined,
+    so other tenants are only ever served cold-equivalent entries.
+
     [contingencies] additionally precomputes background "one link down"
     plans: for [`All] every NVLink pair of the live fabric (for
     [`Pairs ps] just those pairs), the complete post-fault state —
@@ -262,7 +272,10 @@ val prewarm_async :
     are forced, fingerprint and store answers captured); every handle
     and store mutation is deferred to {!prewarm_await}, also in the
     calling domain. After awaiting, the handle is in the state
-    [prewarm t keys] (without contingencies) would have produced.
+    [prewarm t keys] (without contingencies) would have produced — the
+    two share one pipeline, so the warm-handle behaviour is the same:
+    chunk hints are consulted, and a warm handle on a shared store
+    publishes nothing.
 
     On a 1-domain pool — in particular any host where
     [Pool.default_domains () = 1] — or when [pool] is omitted, the
@@ -277,12 +290,12 @@ val prewarm_async :
 
 val prewarm_await : t -> prewarm_job -> int
 (** Block until the job's pipeline finishes, apply its results to the
-    handle (chunk cache and plan store insertions, miss/eviction
-    counters — exactly the mutations {!prewarm} performs), and return
-    how many plans were newly compiled. Raises [Invalid_argument] if the
-    job was already awaited. If the pipeline raised, that exception is
-    re-raised here and the handle is left unmutated (the inflight guard
-    is still released). *)
+    handle (chunk cache, chunk hints and plan store insertions under the
+    publication rule of {!prewarm}, miss/eviction counters — exactly the
+    mutations {!prewarm} performs), and return how many plans were newly
+    compiled. Raises [Invalid_argument] if the job was already awaited.
+    If the pipeline raised, that exception is re-raised here and the
+    handle is left unmutated (the inflight guard is still released). *)
 
 (** {2 Fault tolerance}
 

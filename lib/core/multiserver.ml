@@ -75,12 +75,7 @@ let create ?net_bw ?epsilon ?threshold ?pool servers =
   let plan_one (server, gpus, rank_offset) =
     plan_server ?epsilon ?threshold server ~gpus ~rank_offset
   in
-  let plans =
-    match pool with
-    | Some pool -> Pool.parallel_map pool plan_one jobs
-    | None -> List.map plan_one jobs
-  in
-  let plans = Array.of_list plans in
+  let plans = Array.of_list (Pool.map ?pool plan_one jobs) in
   let max_trees =
     Array.fold_left
       (fun acc plan -> max acc (List.length plan.Threephase.trees))

@@ -181,6 +181,9 @@ let parallel_map t f xs =
              | None -> assert false)
            results)
 
+let map ?pool f xs =
+  match pool with Some t -> parallel_map t f xs | None -> List.map f xs
+
 let parallel_iter t f xs = ignore (parallel_map t f xs)
 
 (* Single-task futures: the overlap primitive behind Blink.prewarm_async.

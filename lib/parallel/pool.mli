@@ -50,6 +50,10 @@ val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
     exception of the earliest-submitted failing task is re-raised in the
     caller (after the batch has drained). *)
 
+val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
+(** {!parallel_map} on [pool], or [List.map] when there is none: the
+    shape of every planning layer that takes an optional pool. *)
+
 val parallel_iter : t -> ('a -> unit) -> 'a list -> unit
 
 val both : t -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b

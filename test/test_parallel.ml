@@ -189,48 +189,100 @@ let test_hybrid_deterministic () =
         (Blink.time handle (fst seq)).E.makespan
         (Blink.time handle (fst par)).E.makespan)
 
-let keys =
-  [ (Plan.All_reduce, 4_096); (Plan.Broadcast, 4_096);
-    (Plan.All_reduce, 100_000); (Plan.Gather, 100_000) ]
+(* Handle states the prewarm equivalence tests run in: a healthy quad,
+   and a DGX-1V-8 on a private store after a warm degrade, whose size
+   classes then carry the warm replan's chunk hints. *)
+type state = {
+  label : string;
+  make : unit -> Blink.t;
+  keys : (Plan.collective * int) list;
+}
 
-let test_prewarm_deterministic () =
-  let gpus = [| 1; 4; 5; 6 |] in
-  (* Handle A: prewarmed through a multi-domain pool. Handle B: warmed by
-     sequential plan calls. Every compiled plan must match exactly. *)
-  let a = Blink.create Server.dgx1v ~gpus in
-  let b = Blink.create Server.dgx1v ~gpus in
-  let built =
-    Pool.with_pool ~domains:4 (fun pool -> Blink.prewarm ~pool a keys)
+let plan_all h keys =
+  List.iter (fun (c, elems) -> ignore (Blink.plan h c ~elems)) keys
+
+let states =
+  let degraded_keys =
+    [ (Plan.All_reduce, 1_048_576); (Plan.Broadcast, 1_048_576);
+      (Plan.All_reduce, 4_194_304); (Plan.Reduce_scatter, 4_194_304) ]
   in
-  Alcotest.(check int) "all keys compiled" (List.length keys) built;
-  List.iter (fun (c, elems) -> ignore (Blink.plan b c ~elems)) keys;
+  [
+    {
+      label = "healthy";
+      make = (fun () -> Blink.create Server.dgx1v ~gpus:[| 1; 4; 5; 6 |]);
+      keys =
+        [ (Plan.All_reduce, 4_096); (Plan.Broadcast, 4_096);
+          (Plan.All_reduce, 100_000); (Plan.Gather, 100_000) ];
+    };
+    {
+      label = "warm degrade";
+      make =
+        (fun () ->
+          let h = Blink.create Server.dgx1v ~gpus:(Array.init 8 Fun.id) in
+          plan_all h degraded_keys;
+          Blink.degrade_link h ~u:0 ~v:3 ~factor:0.5;
+          h);
+      keys = degraded_keys;
+    };
+  ]
+
+let warm_counters h =
+  List.map
+    (Telemetry.counter_value (Blink.telemetry h))
+    [ "plan.chunk.reused"; "plan.chunk.retuned"; "plan.cache.hits";
+      "plan.cache.misses" ]
+
+(* [a] was warmed by some prewarm path, which reported [built] plans; it
+   must be in exactly the state sequential [plan] calls leave a fresh
+   handle of the same [st] in: same compile count, chunk and cache
+   counters, tuned chunks, ops and makespans. *)
+let check_same_warm_state label st ~built a =
+  let b = st.make () in
+  let misses0 = (Blink.plan_cache_stats b).Blink.misses in
+  plan_all b st.keys;
+  Alcotest.(check int) (label ^ ": same number compiled")
+    ((Blink.plan_cache_stats b).Blink.misses - misses0) built;
+  Alcotest.(check (list int)) (label ^ ": chunk and cache counters")
+    (warm_counters b) (warm_counters a);
   List.iter
     (fun (c, elems) ->
       let pa = Blink.plan a c ~elems in
       let pb = Blink.plan b c ~elems in
-      let label = Plan.collective_name c ^ string_of_int elems in
-      Alcotest.(check int) (label ^ ": same tuned chunk") pb.Plan.chunk_elems
+      let l = label ^ ": " ^ Plan.collective_name c ^ string_of_int elems in
+      Alcotest.(check int) (l ^ ": same tuned chunk") pb.Plan.chunk_elems
         pa.Plan.chunk_elems;
-      Alcotest.(check int) (label ^ ": op count") (Program.n_ops pb.Plan.program)
+      Alcotest.(check int) (l ^ ": op count") (Program.n_ops pb.Plan.program)
         (Program.n_ops pa.Plan.program);
-      Alcotest.(check bool) (label ^ ": identical ops") true
+      Alcotest.(check bool) (l ^ ": identical ops") true
         (ops_of pa.Plan.program = ops_of pb.Plan.program);
-      Alcotest.(check (float 0.)) (label ^ ": identical makespan")
+      Alcotest.(check (float 0.)) (l ^ ": identical makespan")
         (Plan.execute ~data:false pb).Plan.timing.E.makespan
         (Plan.execute ~data:false pa).Plan.timing.E.makespan)
-    keys;
-  (* Every prewarmed key was a cache hit just now, and re-prewarming is a
-     no-op. *)
-  let { Blink.hits; misses } = Blink.plan_cache_stats a in
-  Alcotest.(check int) "prewarm misses once per key" (List.length keys) misses;
-  Alcotest.(check int) "plan calls all hit" (List.length keys) hits;
-  Alcotest.(check int) "re-prewarm builds nothing" 0 (Blink.prewarm a keys)
+    st.keys
 
-(* Async prewarm must land the handle in exactly the state sequential
-   prewarm does — same tuned chunks, same compiled plans, same cache
-   counters — whether the future ran on a worker domain or degenerated
-   to an eager call. Futures themselves: value passing, exception
-   propagation, idempotent await. *)
+let test_prewarm_deterministic () =
+  List.iter
+    (fun st ->
+      (* Prewarmed through a multi-domain pool, compared against
+         sequential plan calls. *)
+      let a = st.make () in
+      let built =
+        Pool.with_pool ~domains:4 (fun pool -> Blink.prewarm ~pool a st.keys)
+      in
+      Alcotest.(check int) (st.label ^ ": all keys compiled")
+        (List.length st.keys) built;
+      let hits0 = (Blink.plan_cache_stats a).Blink.hits in
+      check_same_warm_state st.label st ~built a;
+      (* Every prewarmed key was a cache hit just now, and re-prewarming
+         is a no-op. *)
+      Alcotest.(check int) (st.label ^ ": plan calls all hit")
+        (List.length st.keys)
+        ((Blink.plan_cache_stats a).Blink.hits - hits0);
+      Alcotest.(check int) (st.label ^ ": re-prewarm builds nothing") 0
+        (Blink.prewarm a st.keys))
+    states
+
+(* Futures: value passing, exception propagation, idempotent await. *)
 let test_future_basics () =
   Pool.with_pool ~domains:2 (fun pool ->
       let f = Pool.async pool (fun () -> 6 * 7) in
@@ -257,39 +309,26 @@ let test_future_basics () =
       Alcotest.(check bool) "eager on 1-domain pool" true
         (Pool.await f = self))
 
-let check_same_warm_state label a b =
-  List.iter
-    (fun (c, elems) ->
-      let pa = Blink.plan a c ~elems in
-      let pb = Blink.plan b c ~elems in
-      let l = label ^ ": " ^ Plan.collective_name c ^ string_of_int elems in
-      Alcotest.(check int) (l ^ ": same tuned chunk") pb.Plan.chunk_elems
-        pa.Plan.chunk_elems;
-      Alcotest.(check bool) (l ^ ": identical ops") true
-        (ops_of pa.Plan.program = ops_of pb.Plan.program))
-    keys
-
+(* Async prewarm must land the handle in exactly the state sequential
+   plan calls do, whether the future ran on a worker domain or
+   degenerated to an eager call. *)
 let test_prewarm_async_equivalent () =
-  let gpus = [| 1; 4; 5; 6 |] in
-  let seq = Blink.create Server.dgx1v ~gpus in
-  let seq_built = Blink.prewarm seq keys in
-  (* Async through a real worker domain. *)
-  Pool.with_pool ~domains:2 (fun pool ->
-      let a = Blink.create Server.dgx1v ~gpus in
-      let job = Blink.prewarm_async ~pool a keys in
-      let built = Blink.prewarm_await a job in
-      Alcotest.(check int) "worker path builds the same count" seq_built built;
-      check_same_warm_state "worker" a seq;
-      let sa = Blink.plan_cache_stats seq and sb = Blink.plan_cache_stats a in
-      Alcotest.(check int) "same misses" sa.Blink.misses sb.Blink.misses;
-      Alcotest.(check int) "re-async builds nothing" 0
-        (Blink.prewarm_await a (Blink.prewarm_async ~pool a keys)));
-  (* Degenerate path: no pool at all. *)
-  let b = Blink.create Server.dgx1v ~gpus in
-  let job = Blink.prewarm_async b keys in
-  Alcotest.(check int) "eager path builds the same count" seq_built
-    (Blink.prewarm_await b job);
-  check_same_warm_state "eager" b seq
+  List.iter
+    (fun st ->
+      (* Async through a real worker domain. *)
+      Pool.with_pool ~domains:2 (fun pool ->
+          let a = st.make () in
+          let built =
+            Blink.prewarm_await a (Blink.prewarm_async ~pool a st.keys)
+          in
+          check_same_warm_state (st.label ^ " worker") st ~built a;
+          Alcotest.(check int) "re-async builds nothing" 0
+            (Blink.prewarm_await a (Blink.prewarm_async ~pool a st.keys)));
+      (* Degenerate path: no pool at all. *)
+      let b = st.make () in
+      let built = Blink.prewarm_await b (Blink.prewarm_async b st.keys) in
+      check_same_warm_state (st.label ^ " eager") st ~built b)
+    states
 
 let test_prewarm_async_guards () =
   let gpus = [| 1; 4; 5; 6 |] in

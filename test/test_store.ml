@@ -10,6 +10,7 @@ module Fingerprint = Blink_store.Fingerprint
 module Store = Blink_store.Store
 
 module Tree = Blink_collectives.Tree
+module Engine = Blink_sim.Engine
 
 let full = Array.init 8 Fun.id
 let quad_lo = [| 0; 1; 2; 3 |]
@@ -158,7 +159,28 @@ let test_fault_isolation_between_tenants () =
   Alcotest.(check int) "healthy tenant hit its cache" 1 sb.Blink.hits;
   (* The store now tracks both topology classes. *)
   Alcotest.(check int) "two fingerprints after the fault" 2
-    (Blink.store_stats store).Store.fingerprints
+    (Blink.store_stats store).Store.fingerprints;
+  (* A warm replan on a shared store publishes nothing, prewarm included:
+     a fresh tenant born on the same degraded fabric still gets the cold
+     plan a private handle builds. *)
+  let store = Blink.new_store () in
+  let a = Blink.create ~store Server.dgx1v ~gpus:full in
+  Blink.fail_link a ~u:0 ~v:1;
+  let before = Blink.store_stats store in
+  ignore (Blink.prewarm a [ (Plan.All_reduce, 1_048_576) ]);
+  Alcotest.(check bool) "warm prewarm inserts nothing" true
+    (Blink.store_stats store = before);
+  let cold_plan ?store () =
+    let link_faults = [ ((0, 1), Server.Down) ] in
+    let h = Blink.create ?store ~link_faults Server.dgx1v ~gpus:full in
+    Blink.plan h Plan.All_reduce ~elems:1_048_576
+  in
+  let fresh = cold_plan ~store () and private_ = cold_plan () in
+  let makespan p = (Plan.execute ~data:false p).Plan.timing.Engine.makespan in
+  Alcotest.(check int) "fresh tenant gets the cold chunk"
+    private_.Plan.chunk_elems fresh.Plan.chunk_elems;
+  Alcotest.(check (float 0.)) "fresh tenant gets the cold makespan"
+    (makespan private_) (makespan fresh)
 
 let test_store_capacity_shared () =
   let store = Blink.new_store ~max_plans:2 () in
