@@ -381,7 +381,7 @@ let replay_suite () =
     "prepared/exec" "wall" "seed minor/ex" "prep minor/ex" "alloc";
   let guard_worst = ref 0. in
   let tot_chains = ref 0 and tot_fops = ref 0 in
-  let tot_kraw = ref 0 and tot_kcomp = ref 0 and tot_kfused = ref 0 in
+  let tot_kraw = ref 0 and tot_kcomp = ref 0 in
   let rows, headline =
     List.fold_left
       (fun (rows, headline) collective ->
@@ -422,7 +422,7 @@ let replay_suite () =
         let prep = plan.Plan.prepared in
         let fusion_on = E.fusion_enabled prep in
         let f_chains = E.fused_chains prep and f_ops = E.fused_ops prep in
-        let k_raw, k_compiled, k_fused =
+        let k_raw, k_compiled, _ =
           match plan.Plan.pool_mem with
           | Some mem -> Sem.kernel_stats mem prog
           | None -> Sem.kernel_stats (Sem.memory_of_program prog) prog
@@ -431,7 +431,6 @@ let replay_suite () =
         tot_fops := !tot_fops + f_ops;
         tot_kraw := !tot_kraw + k_raw;
         tot_kcomp := !tot_kcomp + k_compiled;
-        tot_kfused := !tot_kfused + k_fused;
         guard_worst := Float.max !guard_worst prep_t_w;
         let speedup = if prep_s > 0. then seed_s /. prep_s else 0. in
         let alloc_ratio = if prep_w > 0. then seed_w /. prep_w else infinity in
@@ -459,7 +458,6 @@ let replay_suite () =
               ("fused_ops", Json.int f_ops);
               ("kernels_raw", Json.int k_raw);
               ("kernels_compiled", Json.int k_compiled);
-              ("kernels_fused", Json.int k_fused);
             ]
         in
         let headline =
@@ -486,8 +484,8 @@ let replay_suite () =
             lowered once, replayed thereafter)\n"
     (counter "engine.prepares") (counter "engine.runs");
   Util.row "  fusion: %d chains covering %d ops; kernel tables %d raw -> \
-            %d compiled (%d fused) across the six plans\n"
-    !tot_chains !tot_fops !tot_kraw !tot_kcomp !tot_kfused;
+            %d compiled across the six plans\n"
+    !tot_chains !tot_fops !tot_kraw !tot_kcomp;
   Util.write_bench_json ~suite:"replay"
     [
       ("iters", Json.int iters);
@@ -506,14 +504,12 @@ let replay_suite () =
     !guard_worst alloc_guard_minor_words
 
 (* ------------------------------------------------------------------ *)
-(* Kernel microbench: GB/s of each C stub entry point on large slabs,
-   plus the dispatch-cost comparison of one fused copy_add call against
-   the separate copy-then-reduce pair it replaces, at pipeline-chunk
-   granularity. Throughputs are host-dependent (the gate ignores them);
-   the benchmarked shapes are exact. *)
+(* Kernel microbench: GB/s of each C stub entry point on large slabs.
+   Throughputs are host-dependent (the gate ignores them); the
+   benchmarked shapes are exact. *)
 
 let kernels_suite () =
-  Util.heading "Kernels: C stub throughput and fused vs unfused dispatch";
+  Util.heading "Kernels: C stub throughput";
   let elems = 4_194_304 in
   let make () =
     Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout elems
@@ -537,15 +533,11 @@ let kernels_suite () =
     (name, dt, gbps)
   in
   (* Bytes moved per element: copy touches 8 (read + write), reduce 12
-     (read both + write), copy_add 16, of_f64 12 (8 in, 4 out), to_f64
-     12 (4 in, 8 out). Bound sequentially: list elements evaluate
-     right-to-left. *)
+     (read both + write), of_f64 12 (8 in, 4 out), to_f64 12 (4 in,
+     8 out). Bound sequentially: list elements evaluate right-to-left. *)
   let k_copy = bench "copy" 8. (fun () -> Sem.Kernels.copy b 0 a 0 elems) in
   let k_reduce =
     bench "reduce" 12. (fun () -> Sem.Kernels.reduce c 0 a 0 elems)
-  in
-  let k_copy_add =
-    bench "copy_add" 16. (fun () -> Sem.Kernels.copy_add b 0 c 0 a 0 elems)
   in
   let k_of_f64 =
     bench "of_f64" 12. (fun () -> Sem.Kernels.of_f64 a 0 f64 elems)
@@ -554,32 +546,7 @@ let kernels_suite () =
   let k_to_f64 =
     bench "to_f64" 12. (fun () -> Sem.Kernels.to_f64 wide a 0 elems)
   in
-  let ks = [ k_copy; k_reduce; k_copy_add; k_of_f64; k_to_f64 ] in
-  (* Dispatch cost at pipeline-chunk granularity: the fused entry makes
-     one call (and one pass over src) where the unfused path makes two. *)
-  let chunk = 4_096 in
-  let calls = elems / chunk in
-  let ns_per_chunk f = per_call f /. Float.of_int calls *. 1e9 in
-  let fused_ns =
-    ns_per_chunk (fun () ->
-        for i = 0 to calls - 1 do
-          let off = i * chunk in
-          Sem.Kernels.copy_add b off c off a off chunk
-        done)
-  in
-  let unfused_ns =
-    ns_per_chunk (fun () ->
-        for i = 0 to calls - 1 do
-          let off = i * chunk in
-          Sem.Kernels.copy b off a off chunk;
-          Sem.Kernels.reduce c off a off chunk
-        done)
-  in
-  let ratio = unfused_ns /. Float.max 1e-9 fused_ns in
-  Util.row
-    "  dispatch (%d-elem chunks): fused copy_add %.0f ns/call, separate \
-     copy+reduce %.0f ns (%.2fx)\n"
-    chunk fused_ns unfused_ns ratio;
+  let ks = [ k_copy; k_reduce; k_of_f64; k_to_f64 ] in
   Util.write_bench_json ~suite:"kernels"
     [
       ("elems", Json.int elems);
@@ -596,15 +563,6 @@ let kernels_suite () =
                    ("gbps", Json.float gbps);
                  ])
              ks) );
-      ( "fused_dispatch",
-        Json.Obj
-          [
-            ("chunk_elems", Json.int chunk);
-            ("calls", Json.int calls);
-            ("fused_ns_per_call", Json.float fused_ns);
-            ("unfused_ns_per_call", Json.float unfused_ns);
-            ("unfused_over_fused", Json.float ratio);
-          ] );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1245,12 +1203,11 @@ let check_specs =
             exact "replay" (row "fused_ops");
             exact "replay" (row "kernels_raw");
             exact "replay" (row "kernels_compiled");
-            exact "replay" (row "kernels_fused");
           ])
         six_collectives;
       List.map
         (fun k -> exact "kernels" [ Row ("kernels", "kernel", k); F "elems" ])
-        [ "copy"; "reduce"; "copy_add"; "of_f64"; "to_f64" ];
+        [ "copy"; "reduce"; "of_f64"; "to_f64" ];
       List.concat_map
         (fun c ->
           let row field = [ Row ("collectives", "collective", c); F field ] in

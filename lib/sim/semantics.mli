@@ -17,8 +17,8 @@
     Storage is one contiguous Bigarray float32 slab per node with an
     offset table per buffer — the element width the library models
     everywhere ([Blink.bytes_per_elem] = 4). The replay program is
-    compiled once per (memory, program) pair into flat kernels (blit
-    copies, fused in-place reduces); {!reset} re-zeroes the slabs in
+    compiled once per (memory, program) pair into flat kernels, each one
+    copy or one in-place reduce; {!reset} re-zeroes the slabs in
     place so a pooled memory replays repeatedly without reallocation.
     Values exactly representable in float32 round-trip unchanged through
     {!write}/{!read}; reductions accumulate in float32 as a real fp32
@@ -85,19 +85,18 @@ val run : Program.t -> memory -> unit
     The first run against a given program compiles the kernel table;
     later runs replay it directly.
 
-    Compilation batches the kernel table: a copy whose destination is
-    immediately re-read by a reduce fuses into one copy+reduce pass, and
-    back-to-back kernels of one kind over adjacent slab ranges (the
-    shape pipelined chunk chains produce) collapse into single wide
-    calls — each rewrite applies only when aliasing rules prove the
-    batched form element-identical to the sequential one. *)
+    Compilation batches the kernel table: back-to-back kernels of one
+    kind over adjacent slab ranges (the shape pipelined chunk chains
+    produce) collapse into single wide calls. Reduces always merge;
+    copies merge only when the combined ranges are disjoint, so the
+    batched form is element-identical to the sequential one. *)
 
 val kernel_stats : memory -> Program.t -> int * int * int
-(** [(raw, compiled, fused)] for this program's kernel table: kernels
-    before batching (one per op action), kernel calls actually
-    dispatched per replay, and how many of those are fused copy+reduce
-    entries. Compiles the table if needed (and may then raise like
-    {!run}). *)
+(** [(raw, compiled, 0)] for this program's kernel table: kernels
+    before batching (one per op action) and kernel calls actually
+    dispatched per replay. The third component is always [0]; it is kept
+    so callers that destructure the triple still compile. Compiles the
+    table if needed (and may then raise like {!run}). *)
 
 type slab = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The storage type of every buffer: a float32 view into its node's
@@ -114,10 +113,6 @@ module Kernels : sig
   val reduce : slab -> int -> slab -> int -> int -> unit
   (** [reduce dst doff src soff len]: dst += src, unrolled wide when
       disjoint, strict forward order under overlap. *)
-
-  val copy_add : slab -> int -> slab -> int -> slab -> int -> int -> unit
-  (** [copy_add mid moff acc aoff src soff len]: mid = src and
-      acc += src in one pass. *)
 
   val of_f64 : slab -> int -> float array -> int -> unit
   (** [of_f64 dst doff src len]: narrowing float64 -> float32 store. *)

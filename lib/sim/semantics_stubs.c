@@ -1,15 +1,15 @@
 /* Float32 data-path kernels for Semantics.
 
-   The replay hot loops — copies, the in-place reduce, the fused
-   copy+reduce used by batched chunk chains — and both boundary
-   conversions (float64 -> float32 for writes, float32 -> float64 for
-   reads) are conversion-bound through the Bigarray accessors in OCaml
-   (every element pays a cvtss2sd/cvtsd2ss round trip through double,
-   and a read would box it). These C loops keep the work in single
-   precision; the wide paths are restrict-qualified and unrolled so the
-   compiler vectorizes the slab loops, with a runtime overlap check
-   falling back to order-exact scalar loops (overlapping ranges must
-   behave exactly like the OCaml reference's element-by-element order).
+   The replay hot loops — the copy and the in-place reduce — and both
+   boundary conversions (float64 -> float32 for writes, float32 ->
+   float64 for reads) are conversion-bound through the Bigarray
+   accessors in OCaml (every element pays a cvtss2sd/cvtsd2ss round trip
+   through double, and a read would box it). These C loops keep the
+   work in single precision; the wide paths are restrict-qualified and
+   unrolled so the compiler vectorizes the slab loops, with a runtime
+   overlap check falling back to order-exact scalar loops (overlapping
+   ranges must behave exactly like the OCaml reference's
+   element-by-element order).
 
    All stubs are [@@noalloc]: they touch no OCaml heap values beyond
    the already-pinned bigarray payloads and an unboxed float array
@@ -92,58 +92,6 @@ CAMLprim value blink_f32_copy(value vdst, value vdoff, value vsrc,
   } else
     memmove(dst, src, (size_t)n * sizeof(float));
   return Val_unit;
-}
-
-/* Fused copy+reduce, the data-path twin of the engine's fused transfer →
-   reduce chains: one pass performs mid = src (the chunk landing in its
-   receive buffer) and acc += src (the in-place reduction that would
-   otherwise re-read mid). Pairwise-disjoint ranges take the wide path;
-   any aliasing falls back to the strict forward order of the two
-   sequential kernels. */
-static void copy_add_wide(float *restrict mid, float *restrict acc,
-                          const float *restrict src, long n)
-{
-  long i = 0;
-  for (; i + 8 <= n; i += 8) {
-    float v0 = src[i + 0], v1 = src[i + 1], v2 = src[i + 2], v3 = src[i + 3];
-    float v4 = src[i + 4], v5 = src[i + 5], v6 = src[i + 6], v7 = src[i + 7];
-    mid[i + 0] = v0; mid[i + 1] = v1; mid[i + 2] = v2; mid[i + 3] = v3;
-    mid[i + 4] = v4; mid[i + 5] = v5; mid[i + 6] = v6; mid[i + 7] = v7;
-    acc[i + 0] += v0; acc[i + 1] += v1; acc[i + 2] += v2; acc[i + 3] += v3;
-    acc[i + 4] += v4; acc[i + 5] += v5; acc[i + 6] += v6; acc[i + 7] += v7;
-  }
-  for (; i < n; i++) {
-    float v = src[i];
-    mid[i] = v;
-    acc[i] += v;
-  }
-}
-
-CAMLprim value blink_f32_copy_add_native(value vmid, value vmoff, value vacc,
-                                         value vaoff, value vsrc, value vsoff,
-                                         value vlen)
-{
-  float *mid = (float *)Caml_ba_data_val(vmid) + Long_val(vmoff);
-  float *acc = (float *)Caml_ba_data_val(vacc) + Long_val(vaoff);
-  const float *src = (const float *)Caml_ba_data_val(vsrc) + Long_val(vsoff);
-  long n = Long_val(vlen);
-  if (disjoint2(mid, acc, n) && disjoint2(mid, src, n) &&
-      disjoint2(acc, src, n))
-    copy_add_wide(mid, acc, src, n);
-  else
-    for (long i = 0; i < n; i++) {
-      float v = src[i];
-      mid[i] = v;
-      acc[i] += v;
-    }
-  return Val_unit;
-}
-
-CAMLprim value blink_f32_copy_add_bytecode(value *argv, int argn)
-{
-  (void)argn;
-  return blink_f32_copy_add_native(argv[0], argv[1], argv[2], argv[3], argv[4],
-                                   argv[5], argv[6]);
 }
 
 /* dst[doff..doff+len) = (float)src[0..len): src is an OCaml float array

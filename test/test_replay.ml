@@ -3,7 +3,8 @@
 
    - Data: the Bigarray float32 slab semantics produce element-identical
      buffers to the seed float-array reference (Semantics.Ref) for all
-     six collectives (inputs are small integers, exact in float32).
+     six collectives (inputs are small integers, exact in float32), on
+     DGX-1V {1,4,5,6} and on the full DGX-2's one-hop NVSwitch trees.
    - Timing: a plan's prepared-schedule replay (Engine.run_prepared on
      the plan's arena) returns the same makespan/start/finish/busy as a
      from-scratch Engine.run, under both queueing policies, including
@@ -34,11 +35,26 @@ let collectives =
   ]
 
 let handle = lazy (Blink.create Server.dgx1v ~gpus:[| 1; 4; 5; 6 |])
+let dgx2 = lazy (Blink.create Server.dgx2 ~gpus:(Array.init 16 Fun.id))
 
 let elems = 3_000
 let chunk_elems = 512
 
-let plan_for collective = Blink.plan ~chunk_elems (Lazy.force handle) collective ~elems
+let plan_on handle collective =
+  Blink.plan ~chunk_elems (Lazy.force handle) collective ~elems
+
+let plan_for = plan_on handle
+
+(* DGX-2-16 kernel tables as (raw, compiled): one kernel per op action,
+   then what contiguity batching leaves. A change here is a compiler or
+   codegen change, not noise. *)
+let dgx2_kernels = function
+  | Plan.All_reduce -> (960, 960)
+  | Plan.Broadcast -> (180, 30)
+  | Plan.Reduce -> (180, 30)
+  | Plan.Gather -> (181, 31)
+  | Plan.All_gather -> (3061, 511)
+  | Plan.Reduce_scatter -> (480, 480)
 
 let inputs k =
   Array.init k (fun r ->
@@ -58,8 +74,10 @@ let load_both prog (layout : Codegen.layout) =
     ins;
   (mem, rmem)
 
-let test_data_equivalence collective () =
-  let plan = plan_for collective in
+(* Replay [collective] on [handle] through both implementations and
+   return the compiled memory for further checks. *)
+let check_against_ref label handle collective =
+  let plan = plan_on handle collective in
   let prog = plan.Plan.program in
   let mem, rmem = load_both prog plan.Plan.layout in
   Sem.run prog mem;
@@ -69,12 +87,22 @@ let test_data_equivalence collective () =
   List.iter
     (fun (node, buf, _len) ->
       Alcotest.(check (array (float 0.)))
-        (Printf.sprintf "%s node=%d buf=%d"
+        (Printf.sprintf "%s %s node=%d buf=%d" label
            (Plan.collective_name collective)
            node buf)
         (Sem.Ref.read rmem ~node ~buf)
         (Sem.read mem ~node ~buf))
-    (P.buffers prog)
+    (P.buffers prog);
+  (prog, mem)
+
+let test_data_equivalence collective () =
+  ignore (check_against_ref "dgx1v-4" handle collective);
+  let prog, mem = check_against_ref "dgx2-16" dgx2 collective in
+  let raw, compiled = dgx2_kernels collective in
+  Alcotest.(check (triple int int int))
+    (Plan.collective_name collective ^ " dgx2-16 kernel_stats")
+    (raw, compiled, 0)
+    (Sem.kernel_stats mem prog)
 
 let check_results_equal label (a : E.result) (b : E.result) =
   Alcotest.(check (float 0.)) (label ^ ": makespan") a.E.makespan b.E.makespan;
