@@ -3,9 +3,21 @@
    Layout: columns [0 .. n-1] are the structural variables, [n .. n+m-1] the
    slacks, and during phase I columns [n+m ..] are artificials. The tableau
    keeps A (m x total), the rhs b (>= 0 after row normalization), and the
-   basis (one column index per row). The objective row is maintained
-   implicitly by recomputing reduced costs from the basis, which is slower
-   but simpler and perfectly fine at these sizes. *)
+   basis (one column index per row). There is no objective row: Bland's
+   rule only needs the first column with a positive reduced cost, so
+   [optimize] prices columns in index order, over the rows whose basic
+   variable has a nonzero cost, and stops at the first eligible one.
+   [pivot] touches only the pivot row's nonzero columns, which keeps it
+   cheap on the sparse 0/1 packing LPs.
+
+   Bit-identity contract: every reduced cost sums the same terms in the
+   same order as a full objective-row recomputation would, and the pivot
+   skips only the pivot row's zero entries, whose updates would add or
+   divide a zero, so the method takes exactly the pivots of the plain
+   dense tableau and returns the same bits. The one possible difference
+   is the sign of a zero tableau entry, which no comparison below can
+   see. An incrementally updated objective row would
+   round differently and could change which column enters. *)
 
 type status =
   | Optimal of { objective : float; solution : float array }
@@ -20,42 +32,47 @@ type tableau = {
   a : float array array;  (* m rows, total cols *)
   b : float array;  (* length m, kept >= -eps *)
   basis : int array;  (* length m *)
+  cols : int array;  (* scratch, length total: the pivot row's nonzeros *)
+  rows : int array;  (* scratch, length m: rows with a costed basic var *)
+  costs : float array;  (* scratch, length m: the cost of each such row *)
 }
 
 let pivot t ~row ~col =
   let prow = t.a.(row) in
   let pval = prow.(col) in
+  let cols = t.cols in
+  let n_cols = ref 0 in
   for j = 0 to t.total - 1 do
-    prow.(j) <- prow.(j) /. pval
+    let v = prow.(j) in
+    if v <> 0. then begin
+      let v = v /. pval in
+      prow.(j) <- v;
+      if v <> 0. then begin
+        cols.(!n_cols) <- j;
+        incr n_cols
+      end
+    end
   done;
+  let n_cols = !n_cols in
   t.b.(row) <- t.b.(row) /. pval;
+  let brow = t.b.(row) in
   for i = 0 to t.m - 1 do
     if i <> row then begin
-      let factor = t.a.(i).(col) in
+      let irow = t.a.(i) in
+      let factor = irow.(col) in
       if Float.abs factor > 0. then begin
-        let irow = t.a.(i) in
-        for j = 0 to t.total - 1 do
-          irow.(j) <- irow.(j) -. (factor *. prow.(j))
+        (* [cols] holds [n_cols] indices, each below [total], the length
+           of every tableau row. *)
+        for k = 0 to n_cols - 1 do
+          let j = Array.unsafe_get cols k in
+          Array.unsafe_set irow j
+            (Array.unsafe_get irow j -. (factor *. Array.unsafe_get prow j))
         done;
-        t.b.(i) <- t.b.(i) -. (factor *. t.b.(row))
+        t.b.(i) <- t.b.(i) -. (factor *. brow)
       end
     end
   done;
   t.basis.(row) <- col
-
-(* Reduced cost of column j for objective [obj] (maximization):
-   obj_j - sum_i obj_{basis i} * a_{i j}. *)
-let reduced_costs t obj =
-  let rc = Array.make t.total 0. in
-  for j = 0 to t.total - 1 do
-    let acc = ref obj.(j) in
-    for i = 0 to t.m - 1 do
-      let cb = obj.(t.basis.(i)) in
-      if cb <> 0. then acc := !acc -. (cb *. t.a.(i).(j))
-    done;
-    rc.(j) <- !acc
-  done;
-  rc
 
 let objective_value t obj =
   let acc = ref 0. in
@@ -64,20 +81,50 @@ let objective_value t obj =
   done;
   !acc
 
+(* The first column in index order that [allowed] admits and whose
+   reduced cost obj_j - sum_i obj_{basis i} * a_{i j} (maximization)
+   exceeds [eps], or -1 when there is none. The sum runs over the rows
+   with a nonzero basic cost, in ascending row order. *)
+let entering_column t obj allowed =
+  let rows = t.rows and costs = t.costs in
+  let n_rows = ref 0 in
+  for i = 0 to t.m - 1 do
+    let cb = obj.(t.basis.(i)) in
+    if cb <> 0. then begin
+      rows.(!n_rows) <- i;
+      costs.(!n_rows) <- cb;
+      incr n_rows
+    end
+  done;
+  let n_rows = !n_rows in
+  let a = t.a in
+  let entering = ref (-1) and j = ref 0 in
+  while !entering < 0 && !j < t.total do
+    let col = !j in
+    if allowed col then begin
+      let acc = ref obj.(col) in
+      (* [rows] and [costs] hold [n_rows] entries; each row index is
+         below [m] and [col] below [total], the tableau's dimensions. *)
+      for k = 0 to n_rows - 1 do
+        let arow = Array.unsafe_get a (Array.unsafe_get rows k) in
+        acc :=
+          !acc -. (Array.unsafe_get costs k *. Array.unsafe_get arow col)
+      done;
+      if !acc > eps then entering := col
+    end;
+    incr j
+  done;
+  !entering
+
 (* Optimize [obj] (maximize) over the current tableau. [allowed] masks the
    columns the entering variable may come from. Returns [false] when
    unbounded. Bland's rule: smallest eligible entering column, smallest
    basis variable on ratio ties. *)
 let optimize t obj allowed =
   let rec loop () =
-    let rc = reduced_costs t obj in
-    let entering = ref (-1) in
-    (for j = 0 to t.total - 1 do
-       if !entering < 0 && allowed j && rc.(j) > eps then entering := j
-     done);
-    if !entering < 0 then true
+    let col = entering_column t obj allowed in
+    if col < 0 then true
     else begin
-      let col = !entering in
       let row = ref (-1) in
       let best = ref infinity in
       for i = 0 to t.m - 1 do
@@ -125,6 +172,9 @@ let solve_max ~c ~a ~b =
       a = Array.make_matrix m total 0.;
       b = Array.make m 0.;
       basis = Array.make m 0;
+      cols = Array.make total 0;
+      rows = Array.make m 0;
+      costs = Array.make m 0.;
     }
   in
   let art_col = ref (n + m) in

@@ -5,7 +5,14 @@
     [b] entries may be negative (phase I handles them with artificial
     variables). Bland's rule is used throughout, so the method cannot
     cycle. Problem sizes in this code base are tiny (hundreds of rows),
-    so the dense tableau is the right tool. *)
+    so the dense tableau is the right tool.
+
+    Each iteration prices columns lazily (the first eligible column in
+    index order ends the scan) and each pivot updates only the pivot
+    row's nonzero columns. Both are exact: the pivots, objectives and
+    solutions are bit-identical to recomputing every reduced cost and
+    updating every entry, so callers that pin packings (TreeGen's ILP)
+    see the same results. *)
 
 type status =
   | Optimal of { objective : float; solution : float array }

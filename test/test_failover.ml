@@ -483,6 +483,158 @@ let test_chunk_reuse_only_when_rate_unchanged () =
   Alcotest.(check int) "rate unchanged: no re-probe" 1
     (Telemetry.counter_value t "plan.chunk.retuned")
 
+(* Bit-identity pins for the planner's numerics: the campaign's two
+   slowest fault sequences (bench/e2e failover), each on a fresh DGX-1V-8
+   handle, with both packings pinned after every step — tree count, rate
+   (float equality) and, per tree, the MD5 of its edge list and its
+   weight printed [%h]. A numerics change in the simplex, the ILP or
+   TreeGen that alters either packing on these sequences fails here. *)
+type pin = { trees : int; rate : float; digests : string list }
+
+let pin trees rate digests = { trees; rate; digests }
+
+let tree_digest (t : Treegen.tree) =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "," (List.map string_of_int t.Treegen.edges)
+       ^ Printf.sprintf "|%h" t.Treegen.weight))
+
+let check_pin label expected = function
+  | None -> Alcotest.fail (label ^ ": missing packing")
+  | Some (p : Treegen.packing) ->
+      Alcotest.(check int) (label ^ ": trees") expected.trees
+        (List.length p.Treegen.trees);
+      Alcotest.(check (float 0.)) (label ^ ": rate") expected.rate p.Treegen.rate;
+      Alcotest.(check (list string))
+        (label ^ ": tree digests")
+        expected.digests
+        (List.map tree_digest p.Treegen.trees)
+
+let pinned_sequences =
+  [
+    [
+      ( "warm degrade 1-5",
+        (fun h -> Blink.degrade_link h ~u:1 ~v:5 ~factor:0.5),
+        pin 7 0x1.aep+6
+          [
+            "0933d6c317b5604db7f3f8c4bb94f709"; "2f6e84b769b362c0c34ec6f6997b3946";
+            "a881351432453dc2f88fa14296bfa92b"; "839fd1dba2651ad6535e8b8c6710e509";
+            "40a1b0a4e92b254716fc9fd9c1c9576f"; "9bba2588add5d76c0aa25800b14e0ec9";
+            "803e42e2c639be6a57dcb2f6c0eca892";
+          ],
+        pin 14 0x1.1055555555554p+6
+          [
+            "10b2253628c208eb0adea1d5759ccf2f"; "27c852a70376db8cda347b3d22c5f477";
+            "8fa235128629144e4e8f5fafa64734dc"; "36f8436eaedf960139a3ecc6042ef862";
+            "657f6f8a400ce727904c2cc2819a689d"; "516b6327e1bd6cb060fddf1a83d573a9";
+            "715ac8e8a1dfd5ad4c26053cc0222f22"; "d6086110cbc061786a196f7d1e494412";
+            "fb8b8b7c0c033286e68bdac4ecfe1177"; "7bf50408156fa9edcd688dcc76e7618e";
+            "b6ff8760f2f543f58745338bb9526ee8"; "64c28f962f8ceb48e47cdc97f43c45bd";
+            "271c2e395ffc27df0cbda4741df2347a"; "d47b6128368024def43b37cd5e1167be";
+          ] );
+      ( "warm fail 4-6",
+        (fun h -> Blink.fail_link h ~u:4 ~v:6),
+        pin 7 0x1.aep+6
+          [
+            "350f5c08f99366d5fab8aca39020f869"; "9383e847520a673c230b3c18a2183add";
+            "797746f3e20a61bbca07d1e32ac16f6a"; "7e0d5b78ed7f54f315a479061dc58de3";
+            "a311d7736f0cd123081ffcc4c34b4f47"; "09f940ff9550c50ae8479b472f3df52d";
+            "026c091dcc47943e55c57b66ce89d17d";
+          ],
+        pin 11 0x1.02p+6
+          [
+            "f2382690fa2081be9c4e01afb0fc7432"; "9b784df0740ea78835c463637eccd413";
+            "7ca7d2a575c551e9f2ea1362674f0724"; "242c1409b0fb542e100e27554ac305d9";
+            "21d6fd82f7daf1a26cdb1cb3e356a028"; "4b50f8b7e62e7c659f8693ea558ea6d7";
+            "8101a1785671818d3ec2c7f213ef0003"; "e2605bb5dee775a53e8a2d96b919f766";
+            "116c274450236bf4fa681a3b7559d7ab"; "c76d92b8aefe974ff2788fd8447b1575";
+            "eca1aaebc5267f6ab76d1027e36dd93a";
+          ] );
+      ( "warm fail 0-1",
+        (fun h -> Blink.fail_link h ~u:0 ~v:1),
+        pin 5 0x1.58p+6
+          [
+            "887e84a0d6afe3f7345083d3e8fa5320"; "cae6ffd36058e04701fc93722f6d853e";
+            "7465933dd9509b5875b5161316bfb200"; "0de4a7f6a4f2c62bd3424d1edf54118a";
+            "28d758910004a1d7f1919cd1f292cc0b";
+          ],
+        pin 12 0x1.f9ae147ae1478p+5
+          [
+            "7a17da9ead84ec7c9a56d953dcfa4726"; "cc77d4a0db9b276961e435f3704c798a";
+            "570efdcbd2d06e85a1e974b0a83095ad"; "d48dbc584ab74c0a2b331e16cdbf3cf6";
+            "003c804a07630b6249de3496065967e4"; "1b0d855346450d891fddb9ecd8a8290e";
+            "916afdafc3097386962bac0317df66c1"; "becfb8051c8d8a76fac0dfe46f5b13f4";
+            "5dfecf4638d9331311c606098e0bebcd"; "ed8750c14d135dc8e3f2ab08bd64341d";
+            "b2d4fcb877bf2b9b22162eea8ca6d73e"; "8e8efa05620d1901ca731fda485468c7";
+          ] );
+    ];
+    [
+      ( "cold degrade 2-3",
+        (fun h -> Blink.degrade_link ~replan:`Cold h ~u:2 ~v:3 ~factor:0.5),
+        pin 10 0x1.aep+6
+          [
+            "9968df13da1fe1d6d5a4b3e3304a27d9"; "a89b8ae5cf25c7f9139fb4e324ccaa18";
+            "086affaf9e01f20c6c974ef65ebefd71"; "8caf2708f6a379fe0dab2bc643e49863";
+            "7617ed00023d4f9b8d5bd50b06512451"; "0be51a64c5f0ef88af8775eb41447491";
+            "aec7c6e1726d275a0e906393d12c58d2"; "c3a19b2770f5cd32a10fd9bae18452c1";
+            "8d1bfdc730438d5b290a989b161953fd"; "f010e0930fda240c5d0c88bc4fb9bd67";
+          ],
+        pin 14 0x1.11a2e8ba2e8b9p+6
+          [
+            "62a79e34f5ba582b6166131ecb93e544"; "4632965e23ee8b2deade746921837baa";
+            "cb1f39487cc7b9ba7fa7880610185be8"; "cc2d98d06d69d9a3a6a88f598de253e9";
+            "4af0d46f4b691b75cca92befef834be2"; "ef5c4a3b2cb0b937f426e4f27c7d28eb";
+            "dd7d6248f34b3d6e7e5a30166a58f7d8"; "4a99b009209e8a58273831d091ed005d";
+            "b58bf9b1dc62a353163fdd9ac4cae3dc"; "caaba07ed901c56b61a7d978746d89d6";
+            "c364d7aae81e3c7b9f1a09145e45e13b"; "0d31ed582e8318f1b3441a86509e5721";
+            "a8f7619b502fa5e031b786b305de368c"; "5e20411d525a1d3c6bdbac7d9e6e70ad";
+          ] );
+      ( "warm fail 4-7",
+        (fun h -> Blink.fail_link h ~u:4 ~v:7),
+        pin 6 0x1.58p+6
+          [
+            "d27911b791fa384611a4dae09326d031"; "b93266610ae6969a9440d0204ed1e1dc";
+            "32007110f5d82d625c90af1c975394bb"; "e37d126b7af7b7e860dcc07f312868c7";
+            "8f414fa133ddb9702d322bb049fef313"; "2cf6d94cf9da60e2d7076c56d961a747";
+          ],
+        pin 6 0x1.02p+6
+          [
+            "436895cfa631e37938c7ab1898fa028c"; "1787f724b8db273ee4a8845386c30ed1";
+            "654c94a32f5800a96a2207472d0c5708"; "40d27b636cc6f715dc5dd4a764f8dba0";
+            "e36def20693b0b6de85c5fa8bb0374dd"; "febf9673afaf1d8f3290a6cfff3b72d7";
+          ] );
+      ( "warm fail 0-2",
+        (fun h -> Blink.fail_link h ~u:0 ~v:2),
+        pin 8 0x1.58p+6
+          [
+            "1e1d0b34ae2c2d49662f65b71dc534bd"; "db2c3584311d943aa08d1a82d06dbb95";
+            "5525bb1f65db88f128bc6a06662264ba"; "24ab5ddf40ceb836e5d9ae597d089765";
+            "67ba77a3d54773da39035d1cfe097ae2"; "06cca9a57fd88f7e91582d50762d1db0";
+            "fe45cbad4fc20a392ac3cc3a73166b00"; "a182e1f8232535ad25570a69ae7b0758";
+          ],
+        pin 8 0x1.d9p+5
+          [
+            "a6f19c664eac22640ed2d1cfd3769d4e"; "2073d725553c9000f13e5e3f343c57de";
+            "2f46a8a61a14bd43fbaceac5ac667822"; "1331984a2989e88917f3b79c8dbf523b";
+            "de6a9ee1ec39ca39b309e5f96dfb23a6"; "29b06c63f89b8952851354cf2dca375f";
+            "24c0a940137ed6ad404825f0a87436e2"; "e7d96bbe20c033b77f93dae19e4bcaea";
+          ] );
+    ];
+  ]
+
+let test_slowest_sequences_pinned () =
+  List.iter
+    (fun steps ->
+      let h = Blink.create Server.dgx1v ~gpus:full in
+      List.iter
+        (fun (label, fault, directed, undirected) ->
+          fault h;
+          check_pin (label ^ " directed") directed (Blink.packing h);
+          check_pin (label ^ " undirected") undirected
+            (Blink.undirected_packing h))
+        steps)
+    pinned_sequences
+
 let () =
   Alcotest.run "failover"
     [
@@ -513,6 +665,8 @@ let () =
             test_isomorphic_tenants_share_contingencies;
           Alcotest.test_case "chunk reuse only when rate unchanged" `Quick
             test_chunk_reuse_only_when_rate_unchanged;
+          Alcotest.test_case "slowest campaign sequences pinned" `Quick
+            test_slowest_sequences_pinned;
         ] );
       ( "partition",
         [

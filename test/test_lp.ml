@@ -112,6 +112,41 @@ let prop_simplex_sound =
       | Simplex.Infeasible -> false (* origin is feasible *)
       | Simplex.Unbounded -> false (* variables are capped *))
 
+(* LP duality: max c.x s.t. Ax <= b and its dual min b.y s.t. -A^T y <= -c
+   (y >= 0) reach the same optimum. Sparse 0/1 or small-integer rows and
+   right-hand sides in 0..3 give degenerate vertices and tied ratios; the
+   dual's negative right-hand sides (one per positive c_j) drive phase I.
+   An all-ones row keeps the primal bounded, hence the dual feasible. *)
+let prop_simplex_strong_duality =
+  QCheck.Test.make ~name:"simplex primal and dual optima agree" ~count:200
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed + 23 |] in
+      let n = 1 + Random.State.int rng 5 in
+      let m = 1 + Random.State.int rng 5 in
+      let binary = Random.State.bool rng in
+      let coeff () =
+        if Random.State.int rng 3 > 0 then 0.
+        else if binary then 1.
+        else Float.of_int (1 + Random.State.int rng 3)
+      in
+      let a =
+        Array.append
+          (Array.init m (fun _ -> Array.init n (fun _ -> coeff ())))
+          [| Array.make n 1. |]
+      in
+      let b = Array.init (m + 1) (fun _ -> Float.of_int (Random.State.int rng 4)) in
+      let c = Array.init n (fun _ -> Float.of_int (Random.State.int rng 4)) in
+      let at = Array.init n (fun j -> Array.init (m + 1) (fun i -> -.a.(i).(j))) in
+      let neg_c = Array.map (fun x -> -.x) c in
+      match (Simplex.maximize ~c ~a ~b, Simplex.minimize ~c:b ~a:at ~b:neg_c) with
+      | ( Simplex.Optimal { objective = primal; solution = x },
+          Simplex.Optimal { objective = dual; solution = y } ) ->
+          feasible_point ~a ~b x
+          && feasible_point ~a:at ~b:neg_c y
+          && Float.abs (primal -. dual) <= 1e-6
+      | _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* ILP *)
 
@@ -211,6 +246,7 @@ let () =
           Alcotest.test_case "minimize" `Quick test_simplex_minimize;
           Alcotest.test_case "degenerate" `Quick test_simplex_degenerate;
           QCheck_alcotest.to_alcotest prop_simplex_sound;
+          QCheck_alcotest.to_alcotest prop_simplex_strong_duality;
         ] );
       ( "ilp",
         [
