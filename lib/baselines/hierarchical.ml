@@ -1,5 +1,5 @@
 module Fabric = Blink_topology.Fabric
-module Subtree = Blink_collectives.Subtree
+module Tree = Blink_collectives.Tree
 module Threephase = Blink_collectives.Threephase
 module Codegen = Blink_collectives.Codegen
 
@@ -10,14 +10,15 @@ type t = {
 }
 
 (* A directed ring's path tree towards the server's leader (first local
-   rank), as a subset tree over global ranks. *)
-let ring_plan server ~gpus ~rank_offset =
+   rank), as a tree over the cluster's [n_ranks] global ranks that covers
+   only this server's. *)
+let ring_plan ~n_ranks server ~gpus ~rank_offset =
   let k = Array.length gpus in
   let global i = rank_offset + i in
   let ranks = List.init k global in
   if k = 1 then
     {
-      Threephase.trees = [ Subtree.of_edges ~root:(global 0) [] ];
+      Threephase.trees = [ Tree.of_undirected ~n_ranks ~root:(global 0) [] ];
       ranks;
       cls = Fabric.Nv;
     }
@@ -30,7 +31,7 @@ let ring_plan server ~gpus ~rank_offset =
             | a :: (b :: _ as rest) -> (global a, global b) :: path_edges rest
             | [ _ ] | [] -> []
           in
-          Subtree.of_edges ~root:(global (List.hd ring)) (path_edges ring))
+          Tree.of_undirected ~n_ranks ~root:(global (List.hd ring)) (path_edges ring))
         channels.Ring.rings
     in
     { Threephase.trees; ranks; cls = channels.Ring.cls }
@@ -45,7 +46,10 @@ let create ?net_bw servers =
   let _, plans =
     List.fold_left
       (fun (offset, acc) (server, gpus) ->
-        let plan = ring_plan server ~gpus ~rank_offset:offset in
+        let plan =
+          ring_plan ~n_ranks:(Fabric.n_ranks fabric) server ~gpus
+            ~rank_offset:offset
+        in
         (offset + Array.length gpus, plan :: acc))
       (0, []) servers
   in

@@ -27,6 +27,8 @@ let check_trees spec ~root ~trees =
     (fun { Tree.tree; share } ->
       if Tree.n_ranks tree <> k then
         invalid_arg "Codegen: tree rank count does not match fabric";
+      if not (Tree.spans tree) then
+        invalid_arg "Codegen: tree does not span the fabric";
       if share <= 0. then invalid_arg "Codegen: non-positive tree share";
       match root with
       | Some r when tree.Tree.root <> r ->
@@ -159,7 +161,7 @@ let emit_tree_reduce spec ctx ~tree_idx ~(tree : Tree.t) ~chunks ~data =
           chunks
       end)
     (List.rev tree.Tree.order);
-  List.mapi (fun ci _ -> contrib (tree.Tree.root, ci)) chunks
+  Array.of_list (List.mapi (fun ci _ -> contrib (tree.Tree.root, ci)) chunks)
 
 let broadcast spec ~root ~elems ~trees =
   check_trees spec ~root:(Some root) ~trees;
@@ -204,9 +206,7 @@ let all_reduce spec ~elems ~trees =
     (fun tree_idx ({ Tree.tree; _ }, off, len) ->
       if len > 0 then begin
         let chunks = split_chunks ~chunk:spec.chunk_elems ~off ~len in
-        let root_done =
-          Array.of_list (emit_tree_reduce spec ctx ~tree_idx ~tree ~chunks ~data)
-        in
+        let root_done = emit_tree_reduce spec ctx ~tree_idx ~tree ~chunks ~data in
         let source ci =
           let o, l = List.nth chunks ci in
           ( mem ~node:tree.Tree.root ~buf:data.(tree.Tree.root) ~off:o ~len:l,

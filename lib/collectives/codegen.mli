@@ -80,8 +80,8 @@ val run :
 
 val check_trees : spec -> root:int option -> trees:Tree.weighted list -> unit
 (** Validate tree shapes against the fabric (raises [Invalid_argument]):
-    rank counts match, shares are positive, and when [root] is given every
-    tree is rooted there. *)
+    rank counts match, every tree spans the fabric, shares are positive,
+    and when [root] is given every tree is rooted there. *)
 
 val instrument :
   spec ->
@@ -99,7 +99,10 @@ val instrument :
 
     For composing programs that mix link classes or phases (hybrid
     PCIe+NVLink transfers, the three-phase multi-server protocol, the
-    hierarchical baseline). All emit into a caller-owned {!Emit.t}. *)
+    hierarchical baseline, re-rooted reduce-scatter). All emit into a
+    caller-owned {!Emit.t}. They are the only tree emitters, and they
+    accept a tree over a subset of the ranks: only its members send or
+    receive. *)
 
 val regions :
   elems:int -> Tree.weighted list -> (Tree.weighted * int * int) list
@@ -133,6 +136,7 @@ val emit_tree_reduce :
   tree:Tree.t ->
   chunks:(int * int) list ->
   data:int array ->
-  int list list
+  int list array
 (** In-place reduction of each chunk towards the tree root over [data]
-    buffers. Returns, per chunk, the ops completing the root's sum. *)
+    buffers (indexed by rank). Returns, per chunk index, the ops
+    completing the root's sum. *)

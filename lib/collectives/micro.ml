@@ -115,18 +115,18 @@ let mimo ?chunk_elems  mbytes =
   in
   let data = Codegen.declare_data ctx ~elems:(2 * elems) in
   (* ranks: 0 -> 0, 1 -> 1, 2 -> 2, 3 -> 3, 6 -> 4 *)
-  let flow_a = Subtree.of_edges ~root:3 [ (3, 2); (2, 0) ] in
-  let flow_b = Subtree.of_edges ~root:4 [ (4, 2); (2, 1) ] in
-  let no_deps _ _ = [] in
+  let flow root edges =
+    Tree.of_undirected ~n_ranks:(Fabric.n_ranks fabric) ~root edges
+  in
   let chunks region_off =
     Codegen.split_chunks ~chunk:spec.Codegen.chunk_elems ~off:region_off ~len:elems
   in
   ignore
-    (Subtree.reduce spec ctx ~tree_idx:0 flow_a ~chunks:(chunks 0)
-       ~data:(fun r -> data.(r)) ~deps:no_deps);
+    (Codegen.emit_tree_reduce spec ctx ~tree_idx:0
+       ~tree:(flow 3 [ (3, 2); (2, 0) ]) ~chunks:(chunks 0) ~data);
   ignore
-    (Subtree.reduce spec ctx ~tree_idx:1 flow_b ~chunks:(chunks elems)
-       ~data:(fun r -> data.(r)) ~deps:no_deps);
+    (Codegen.emit_tree_reduce spec ctx ~tree_idx:1
+       ~tree:(flow 4 [ (4, 2); (2, 1) ]) ~chunks:(chunks elems) ~data);
   run_gbps fabric (Emit.program ctx) ~bytes:(4. *. Float.of_int elems)
 
 (* MCA (figure 8b): chains from GPUs 0 and 1 merge at GPU 2, which forwards

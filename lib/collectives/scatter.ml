@@ -1,9 +1,7 @@
-module Program = Blink_sim.Program
 module Fabric = Blink_topology.Fabric
 
-(* ReduceScatter: segment r -> rank r, each over a re-rooted tree shape.
-   Uses the subset-tree emitter for its re-rooting support; every tree here
-   spans all ranks. *)
+(* ReduceScatter: segment r -> rank r, over tree [r mod n_trees] re-rooted
+   at r. *)
 let reduce_scatter spec ~elems ~trees =
   Codegen.check_trees spec ~root:None ~trees;
   Codegen.instrument spec ~name:"reduce_scatter" ~elems ~trees @@ fun () ->
@@ -13,29 +11,15 @@ let reduce_scatter spec ~elems ~trees =
       ~staging_elems:elems ()
   in
   let data = Codegen.declare_data ctx ~elems in
-  let shapes =
-    List.map
-      (fun { Tree.tree; _ } ->
-        let edges = ref [] in
-        Array.iteri
-          (fun child parent -> if parent >= 0 then edges := (parent, child) :: !edges)
-          tree.Tree.parent;
-        Subtree.of_edges ~root:tree.Tree.root !edges)
-      trees
-    |> Array.of_list
-  in
+  let shapes = Array.of_list (List.map (fun w -> w.Tree.tree) trees) in
   let boundary r = r * elems / k in
   for r = 0 to k - 1 do
     let off = boundary r in
     let len = boundary (r + 1) - off in
     if len > 0 then begin
-      let tree = Subtree.reroot shapes.(r mod Array.length shapes) ~root:r in
+      let tree = Tree.reroot shapes.(r mod Array.length shapes) ~root:r in
       let chunks = Codegen.split_chunks ~chunk:spec.Codegen.chunk_elems ~off ~len in
-      ignore
-        (Subtree.reduce spec ctx ~tree_idx:r tree ~chunks
-           ~data:(fun rank -> data.(rank))
-           ~deps:(fun _ _ -> []))
+      ignore (Codegen.emit_tree_reduce spec ctx ~tree_idx:r ~tree ~chunks ~data)
     end
   done;
   (Emit.program ctx, { Codegen.data; output = None })
-

@@ -2,7 +2,7 @@ module Program = Blink_sim.Program
 module Fabric = Blink_topology.Fabric
 
 type plan = {
-  trees : Subtree.t list;
+  trees : Tree.t list;
   ranks : int list;
   cls : Fabric.link_class;
 }
@@ -19,21 +19,24 @@ let () =
              server)
     | _ -> None)
 
-let validate plans =
+let validate spec plans =
   if Array.length plans = 0 then invalid_arg "Threephase: no plans";
+  let n_ranks = Fabric.n_ranks spec.Codegen.fabric in
   Array.iter
     (fun plan ->
       if plan.trees = [] then invalid_arg "Threephase: plan without trees";
       let want = List.sort compare plan.ranks in
       List.iter
         (fun tree ->
-          if List.sort compare (Subtree.members tree) <> want then
-            invalid_arg "Threephase: tree does not span the plan's ranks")
+          if Tree.n_ranks tree <> n_ranks then
+            invalid_arg "Threephase: tree rank count does not match fabric";
+          if Tree.members tree <> want then
+            invalid_arg "Threephase: tree does not cover the plan's ranks")
         plan.trees)
     plans
 
 let all_reduce ?pool ?(avoid_roots = []) spec ~n_partitions ~plans ~elems =
-  validate plans;
+  validate spec plans;
   if n_partitions <= 0 then invalid_arg "Threephase: n_partitions <= 0";
   let n_servers = Array.length plans in
   (* Per-server root rotation, restricted to ranks whose network attach
@@ -60,7 +63,7 @@ let all_reduce ?pool ?(avoid_roots = []) spec ~n_partitions ~plans ~elems =
     let plan = plans.(s) in
     let tree = List.nth plan.trees (p mod List.length plan.trees) in
     let roots = eligible_roots.(s) in
-    Subtree.reroot tree ~root:roots.(p mod Array.length roots)
+    Tree.reroot tree ~root:roots.(p mod Array.length roots)
   in
   (* Re-rooting every server's tree for every partition is pure, so the
      per-partition batches fan out across the pool when one is supplied
@@ -72,7 +75,6 @@ let all_reduce ?pool ?(avoid_roots = []) spec ~n_partitions ~plans ~elems =
     let ps = List.init n_partitions Fun.id in
     Array.of_list (Blink_parallel.Pool.map ?pool build ps)
   in
-  let no_deps _ _ = [] in
   for p = 0 to n_partitions - 1 do
     let off = boundary p in
     let len = boundary (p + 1) - off in
@@ -81,14 +83,13 @@ let all_reduce ?pool ?(avoid_roots = []) spec ~n_partitions ~plans ~elems =
       let chunks_arr = Array.of_list chunks in
       let hub = p mod n_servers in
       let trees = partition_trees.(p) in
-      let roots = Array.map (fun (t : Subtree.t) -> t.Subtree.root) trees in
+      let roots = Array.map (fun (t : Tree.t) -> t.Tree.root) trees in
       let local_spec s = { spec with Codegen.cls = plans.(s).cls } in
       (* Phase 1: local reductions. *)
       let local_done =
         Array.init n_servers (fun s ->
-            Subtree.reduce (local_spec s) ctx ~tree_idx:p trees.(s) ~chunks
-              ~data:(fun r -> data.(r))
-              ~deps:no_deps)
+            Codegen.emit_tree_reduce (local_spec s) ctx ~tree_idx:p
+              ~tree:trees.(s) ~chunks ~data)
       in
       (* Phase 2: one-hop cross-server reduce then scatter-back, between
          the partition's server-local roots, over the network. *)
@@ -141,15 +142,15 @@ let all_reduce ?pool ?(avoid_roots = []) spec ~n_partitions ~plans ~elems =
       in
       (* Phase 3: local broadcasts from each server-local root. *)
       Array.iteri
-        (fun s (tree : Subtree.t) ->
+        (fun s tree ->
           let source ci =
             let coff, clen = chunks_arr.(ci) in
             ( { Program.node = roots.(s); buf = data.(roots.(s)); off = coff; len = clen },
               root_has.(ci).(s) )
           in
           ignore
-            (Subtree.broadcast (local_spec s) ctx ~tree_idx:(n_partitions + p)
-               tree ~chunks ~source
+            (Codegen.emit_tree_broadcast (local_spec s) ctx
+               ~tree_idx:(n_partitions + p) ~tree ~chunks ~source
                ~dst_buf:(fun r -> data.(r))))
         trees
     end

@@ -10,12 +10,15 @@
     + {b local broadcast} — each local root broadcasts the result down the
       same local tree.
 
-    The local trees are supplied by the caller: Blink packs spanning trees
-    (core library), the Horovod/NCCL-style baseline uses ring path trees —
-    both flavours share this emitter. *)
+    The local trees are supplied by the caller as {!Tree.t}s over the
+    fabric's ranks that cover only the server's own ranks: Blink packs
+    spanning trees (core library), the Horovod/NCCL-style baseline uses
+    ring path trees — both flavours share this emitter. Each partition
+    re-roots its tree ({!Tree.reroot}), and both local phases emit
+    through {!Codegen.emit_tree_reduce} and {!Codegen.emit_tree_broadcast}. *)
 
 type plan = {
-  trees : Subtree.t list;
+  trees : Tree.t list;
       (** local trees of one server; partition [p] uses tree [p mod length]
           re-rooted at that partition's local root *)
   ranks : int list;  (** the server's global ranks *)
@@ -42,7 +45,7 @@ val all_reduce :
     server's local phases; the cross-server phase always routes over [Net].
     Partition hubs rotate over servers; local roots rotate over each
     server's ranks. Requires at least one plan and one tree per plan, and
-    every plan's trees spanning exactly that plan's ranks. Every rank's
+    every plan's trees covering exactly that plan's ranks. Every rank's
     data buffer ends up holding the global sum.
 
     [avoid_roots] (global rank ids, default none) excludes ranks from

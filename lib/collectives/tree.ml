@@ -6,20 +6,16 @@ type t = {
   order : int list;
 }
 
-let of_parents ~root parent =
+(* Children (ascending), depths and BFS order from [root] over a parent
+   array. A rank that BFS never reaches (parent [-1], or a parent chain
+   that cycles) gets depth [-1]. *)
+let build ~root parent =
   let n = Array.length parent in
-  if root < 0 || root >= n || parent.(root) <> -1 then
-    invalid_arg "Tree.of_parents: bad root";
   let children = Array.make n [] in
-  Array.iteri
-    (fun child p ->
-      if child <> root then begin
-        if p < 0 || p >= n || p = child then
-          invalid_arg "Tree.of_parents: bad parent entry";
-        children.(p) <- child :: children.(p)
-      end)
-    parent;
-  Array.iteri (fun i c -> children.(i) <- List.sort compare c) children;
+  for child = n - 1 downto 0 do
+    let p = parent.(child) in
+    if p >= 0 then children.(p) <- child :: children.(p)
+  done;
   let depth = Array.make n (-1) in
   let order = ref [ root ] in
   depth.(root) <- 0;
@@ -34,9 +30,23 @@ let of_parents ~root parent =
         Queue.add c queue)
       children.(v)
   done;
-  if Array.exists (fun d -> d < 0) depth then
-    invalid_arg "Tree.of_parents: not spanning (cycle or disconnected)";
   { root; parent; children; depth; order = List.rev !order }
+
+let spans t = Array.for_all (fun d -> d >= 0) t.depth
+
+let of_parents ~root parent =
+  let n = Array.length parent in
+  if root < 0 || root >= n || parent.(root) <> -1 then
+    invalid_arg "Tree.of_parents: bad root";
+  Array.iteri
+    (fun child p ->
+      if child <> root && (p < 0 || p >= n || p = child) then
+        invalid_arg "Tree.of_parents: bad parent entry")
+    parent;
+  let t = build ~root parent in
+  if not (spans t) then
+    invalid_arg "Tree.of_parents: not spanning (cycle or disconnected)";
+  t
 
 let of_edges ~n_ranks ~root edges =
   if List.length edges <> n_ranks - 1 then
@@ -54,6 +64,52 @@ let of_edges ~n_ranks ~root edges =
   if Array.exists (fun p -> p = -2) parent then
     invalid_arg "Tree.of_edges: not spanning";
   of_parents ~root parent
+
+let of_undirected ~n_ranks ~root edges =
+  if root < 0 || root >= n_ranks then
+    invalid_arg "Tree.of_undirected: root out of range";
+  let adj = Array.make n_ranks [] in
+  List.iter
+    (fun (u, v) ->
+      if u < 0 || u >= n_ranks || v < 0 || v >= n_ranks then
+        invalid_arg "Tree.of_undirected: rank out of range";
+      if u = v then invalid_arg "Tree.of_undirected: self loop";
+      adj.(u) <- v :: adj.(u);
+      adj.(v) <- u :: adj.(v))
+    edges;
+  let parent = Array.make n_ranks (-1) in
+  let seen = Array.make n_ranks false in
+  let reached = ref 1 in
+  seen.(root) <- true;
+  let queue = Queue.create () in
+  Queue.add root queue;
+  while not (Queue.is_empty queue) do
+    let v = Queue.take queue in
+    List.iter
+      (fun u ->
+        if not seen.(u) then begin
+          seen.(u) <- true;
+          parent.(u) <- v;
+          incr reached;
+          Queue.add u queue
+        end)
+      (List.sort compare adj.(v))
+  done;
+  if !reached <> List.length edges + 1 then
+    invalid_arg "Tree.of_undirected: edges do not form a tree containing root";
+  build ~root parent
+
+let edges t =
+  List.filter_map
+    (fun v -> if v = t.root then None else Some (t.parent.(v), v))
+    t.order
+
+let reroot t ~root =
+  if root < 0 || root >= Array.length t.depth || t.depth.(root) < 0 then
+    invalid_arg "Tree.reroot: rank not a member";
+  of_undirected ~n_ranks:(Array.length t.parent) ~root (edges t)
+
+let members t = List.sort compare t.order
 
 let path_to_root t rank =
   let rec climb v acc =

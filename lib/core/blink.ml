@@ -247,6 +247,8 @@ let topo_via_store ?epsilon ?threshold ~telemetry ~planner ~on_disconnected
 
 let create ?root ?epsilon ?threshold ?telemetry ?max_cached_plans ?link_faults
     ?store ?(planner = Planner.default) server ~gpus =
+  if Array.length gpus < 2 then
+    invalid_arg "Blink.create: gpus must name at least 2 GPUs";
   let telemetry =
     match telemetry with Some t -> t | None -> Telemetry.create ()
   in
@@ -458,12 +460,6 @@ let time_quiet t prog =
   Engine.run_prepared
     (Engine.prepare ~resources:(Fabric.resources t.fabric) prog)
 
-(* Probe-time safety net for all tuning driven by this facade: one MIAD
-   probe of a pathological class (tiny chunks × many GPUs) can cost
-   seconds of simulation; half a second of processor time is far above
-   any healthy probe and bounds the bad ones. *)
-let default_probe_cap_s = 0.5
-
 let bytes_per_elem = 4.
 
 let algbw_gbps ?(bytes_per_elem = bytes_per_elem) ~elems result =
@@ -478,15 +474,14 @@ let heuristic_chunk ~elems = max 256 (min 262_144 (elems / 16))
 let publishes t = t.owns_store || not t.warm_topology
 
 (* MIAD chunk tuning against simulated AllReduce iterations of [elems]. *)
-let miad ?init ?(max_probe_seconds = default_probe_cap_s) t ~elems =
+let miad ?init t ~elems =
   let measure ~chunk_elems =
     let prog, _ = all_reduce ~chunk_elems t ~elems in
     algbw_gbps ~elems (time_quiet t prog)
   in
-  Chunking.tune ?init ~max_probe_seconds ~telemetry:t.telemetry ~measure ()
+  Chunking.tune ?init ~telemetry:t.telemetry ~measure ()
 
-let tune_chunk ?(elems = 67_108_864) ?max_probe_seconds t =
-  miad ?max_probe_seconds t ~elems
+let tune_chunk ?(elems = 67_108_864) t = miad t ~elems
 
 let size_class ~elems =
   let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in

@@ -56,7 +56,8 @@ val create :
     On NVLink machines this runs MWU packing + ILP minimization
     ({!Treegen.plan}) from [root] (default: the max-rate root). On
     NVSwitch machines (DGX-2) it uses the one-hop constructions of paper
-    section 3.5 instead.
+    section 3.5 instead. Raises [Invalid_argument] when [gpus] names fewer
+    than 2 GPUs: one GPU has no interconnect to plan over.
 
     [telemetry] (default: a fresh metrics-only
     [Blink_telemetry.Telemetry.create ()]) is threaded through every
@@ -388,19 +389,14 @@ val heuristic_chunk : elems:int -> int
     262144]): the uniform default used by benchmarks and as the MIAD
     tuner's starting point. *)
 
-val tune_chunk : ?elems:int -> ?max_probe_seconds:float -> t -> Chunking.result
-(** Run the MIAD chunk-size autotuner against simulated AllReduce
-    iterations (default 64 Mi elements = 256 MB). [max_probe_seconds]
-    (default 0.5 s of processor time) caps a single probe, ending the
-    search early on pathological small-chunk classes; see
-    {!Chunking.tune}. *)
+val tune_chunk : ?elems:int -> t -> Chunking.result
+(** Run the MIAD chunk-size autotuner ({!Chunking.tune}) against simulated
+    AllReduce iterations (default 64 Mi elements = 256 MB). *)
 
 val tuned_chunk : t -> elems:int -> int
 (** MIAD-chosen chunk size for AllReduce buffers of roughly this size,
     cached per power-of-two size class on the handle — the library's
-    analogue of Blink tuning during a job's first training iterations.
-    Probes run under the same default per-probe time cap as
-    {!tune_chunk}. *)
+    analogue of Blink tuning during a job's first training iterations. *)
 
 (** {2 Helpers reused by benchmarks and the multi-server layer} *)
 

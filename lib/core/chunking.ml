@@ -2,31 +2,17 @@ module Telemetry = Blink_telemetry.Telemetry
 module Json = Blink_telemetry.Json
 
 type step = { chunk_elems : int; throughput : float }
-type result = { chosen : int; trace : step list; capped : bool }
+type result = { chosen : int; trace : step list }
 
-let tune ?(init = 262_144) ?(grow = 2.0) ?shrink ?(max_iters = 16)
-    ?max_probe_seconds ?(telemetry = Telemetry.disabled) ~measure () =
+let tune ?(init = 262_144) ?(max_iters = 16) ?(telemetry = Telemetry.disabled)
+    ~measure () =
   if init <= 0 then invalid_arg "Chunking.tune: init <= 0";
-  if grow <= 1. then invalid_arg "Chunking.tune: grow <= 1";
-  (match max_probe_seconds with
-  | Some s when s <= 0. -> invalid_arg "Chunking.tune: max_probe_seconds <= 0"
-  | Some _ | None -> ());
-  let shrink = Option.value shrink ~default:(max 1 (init / 2)) in
+  let shrink = max 1 (init / 2) in
   let span_start = Telemetry.now_s telemetry in
   let w0 = Telemetry.wall_s telemetry in
   let trace = ref [] in
-  let capped = ref false in
   let probe chunk_elems =
-    let t0 = Sys.time () in
     let throughput = measure ~chunk_elems in
-    (match max_probe_seconds with
-    | Some cap when Sys.time () -. t0 > cap ->
-        (* One pathologically slow probe (tiny chunks × many GPUs blow up
-           the simulated op count) is the sign to stop exploring in this
-           direction, not to keep paying for more of the same. *)
-        capped := true;
-        Telemetry.incr telemetry "miad.probe_time_capped"
-    | Some _ | None -> ());
     trace := { chunk_elems; throughput } :: !trace;
     Telemetry.incr telemetry "miad.iterations";
     Telemetry.observe telemetry "miad.probe_throughput_gbps" throughput;
@@ -34,9 +20,9 @@ let tune ?(init = 262_144) ?(grow = 2.0) ?shrink ?(max_iters = 16)
   in
   (* Multiplicative increase while throughput improves. *)
   let rec increase chunk best iters =
-    if iters >= max_iters || !capped then (chunk, best)
+    if iters >= max_iters then (chunk, best)
     else begin
-      let next = int_of_float (Float.of_int chunk *. grow) in
+      let next = 2 * chunk in
       let t = probe next in
       if t > best then increase next t (iters + 1) else (chunk, best)
     end
@@ -45,9 +31,11 @@ let tune ?(init = 262_144) ?(grow = 2.0) ?shrink ?(max_iters = 16)
      The decrease phase gets its own [max_iters] probe budget: seeding it
      with the up-phase probe count would silently consume it (the seed
      behaviour), starving back-off exactly when the up phase explored
-     most. *)
+     most. It never probes below [shrink]: with an odd [init] the steps
+     would otherwise reach a 1-element chunk, whose program has millions
+     of ops. *)
   let rec decrease chunk best iters =
-    if iters >= max_iters || !capped || chunk - shrink <= 0 then (chunk, best)
+    if iters >= max_iters || chunk - shrink < shrink then (chunk, best)
     else begin
       let next = chunk - shrink in
       let t = probe next in
@@ -66,8 +54,7 @@ let tune ?(init = 262_144) ?(grow = 2.0) ?shrink ?(max_iters = 16)
         [
           ("probes", Json.int (List.length !trace));
           ("chosen_chunk_elems", Json.int chosen);
-          ("capped", Json.Bool !capped);
         ]
       "miad.tune"
   end;
-  { chosen; trace = List.rev !trace; capped = !capped }
+  { chosen; trace = List.rev !trace }

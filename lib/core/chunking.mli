@@ -11,35 +11,30 @@ type step = { chunk_elems : int; throughput : float }
 type result = {
   chosen : int;  (** steady-state chunk size, in elements *)
   trace : step list;  (** every probe, in order — figure 12's series *)
-  capped : bool;
-      (** a probe overran [max_probe_seconds], ending the search early *)
 }
 
 val tune :
   ?init:int ->
-  ?grow:float ->
-  ?shrink:int ->
   ?max_iters:int ->
-  ?max_probe_seconds:float ->
   ?telemetry:Blink_telemetry.Telemetry.t ->
   measure:(chunk_elems:int -> float) ->
   unit ->
   result
 (** [tune ~measure ()] probes [measure] (higher is better; e.g. simulated
     GB/s) starting from [init] (default 262144 elements = 1 MiB of fp32),
-    multiplying by [grow] (default 2.0) while improving, then stepping
-    back by [shrink] elements (default [init/2]) until throughput stops
-    recovering. Each phase gets its own budget of at most [max_iters]
-    probes (default 16): the increase phase counts the initial probe
-    against its budget; the decrease phase starts from a fresh count, so
-    an exhaustive up-sweep can no longer starve back-off.
+    doubling the chunk while throughput improves, then stepping back by
+    [shrink = max 1 (init/2)] elements until throughput stops recovering.
+    Each phase gets its own budget of at most [max_iters] probes (default
+    16): the increase phase counts the initial probe against its budget;
+    the decrease phase starts from a fresh count, so an exhaustive
+    up-sweep can no longer starve back-off.
 
-    [max_probe_seconds], when given, caps a single probe's processor
-    time: the first probe to overrun it ends the search (its measurement
-    still enters the trace and may be chosen), bounding the pathological
-    small-chunk classes whose simulated op counts explode. Raises
-    [Invalid_argument] when non-positive.
+    The decrease never probes below [shrink]: it stops once the next step
+    would land under it, so every probed chunk is at least [shrink].
+    Without this floor an odd [init] steps down to a 1-element chunk,
+    whose simulated program has millions of ops; with an even [init] it
+    is the rule that stops at a non-positive chunk.
 
-    [telemetry] counts tuning iterations (["miad.iterations"]) and capped
-    probes (["miad.probe_time_capped"]), observes each probe's throughput
-    and, when tracing, records a ["miad.tune"] span. *)
+    [telemetry] counts tuning iterations (["miad.iterations"]), observes
+    each probe's throughput and, when tracing, records a ["miad.tune"]
+    span. *)

@@ -1,7 +1,7 @@
 module Digraph = Blink_graph.Digraph
 module Server = Blink_topology.Server
 module Fabric = Blink_topology.Fabric
-module Subtree = Blink_collectives.Subtree
+module Tree = Blink_collectives.Tree
 module Threephase = Blink_collectives.Threephase
 module Codegen = Blink_collectives.Codegen
 module Pool = Blink_parallel.Pool
@@ -13,15 +13,16 @@ type t = {
   pool : Pool.t option;
 }
 
-(* Local spanning trees of one server's allocation, as subset trees over
-   global ranks. A single GPU yields one trivial tree. *)
-let plan_server ?epsilon ?threshold server ~gpus ~rank_offset =
+(* Local spanning trees of one server's allocation, as trees over the
+   cluster's [n_ranks] global ranks that cover only this server's. A
+   single GPU yields one trivial tree. *)
+let plan_server ?epsilon ?threshold ~n_ranks server ~gpus ~rank_offset =
   let k = Array.length gpus in
   let global i = rank_offset + i in
   let ranks = List.init k global in
   if k = 1 then
     {
-      Threephase.trees = [ Subtree.of_edges ~root:(global 0) [] ];
+      Threephase.trees = [ Tree.of_undirected ~n_ranks ~root:(global 0) [] ];
       ranks;
       cls = Fabric.Nv;
     }
@@ -45,7 +46,7 @@ let plan_server ?epsilon ?threshold server ~gpus ~rank_offset =
                 (global e.Digraph.src, global e.Digraph.dst))
               tree.Treegen.edges
           in
-          Subtree.of_edges ~root:(global root) edges)
+          Tree.of_undirected ~n_ranks ~root:(global root) edges)
         packing.Treegen.trees
     in
     { Threephase.trees; ranks; cls = Fabric.Nv }
@@ -73,7 +74,8 @@ let create ?net_bw ?epsilon ?threshold ?pool servers =
     List.rev rev
   in
   let plan_one (server, gpus, rank_offset) =
-    plan_server ?epsilon ?threshold server ~gpus ~rank_offset
+    plan_server ?epsilon ?threshold ~n_ranks:(Fabric.n_ranks fabric) server ~gpus
+      ~rank_offset
   in
   let plans = Array.of_list (Pool.map ?pool plan_one jobs) in
   let max_trees =

@@ -2,7 +2,6 @@ module Server = Blink_topology.Server
 module Fabric = Blink_topology.Fabric
 module Tree = Blink_collectives.Tree
 module Codegen = Blink_collectives.Codegen
-module Subtree = Blink_collectives.Subtree
 module Threephase = Blink_collectives.Threephase
 module Micro = Blink_collectives.Micro
 module Emit = Blink_collectives.Emit
@@ -261,21 +260,82 @@ let test_check_trees_validation () =
     (try
        ignore (Codegen.broadcast spec ~root:1 ~elems:4 ~trees:[ { Tree.tree = t; share = 1. } ]);
        false
+     with Invalid_argument _ -> true);
+  (* The whole-fabric generators take spanning trees only: a subset tree
+     would leave non-members without data. *)
+  let fabric3 = Fabric.of_server Server.dgx1v ~gpus:[| 0; 1; 2 |] in
+  let subset = Tree.of_undirected ~n_ranks:3 ~root:0 [ (0, 1) ] in
+  Alcotest.(check bool) "subset tree rejected" true
+    (try
+       ignore
+         (Codegen.broadcast (Codegen.spec fabric3) ~root:0 ~elems:4
+            ~trees:[ { Tree.tree = subset; share = 1. } ]);
+       false
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Subtree *)
+(* Subset trees and the three-phase protocol *)
 
-let test_subtree_reroot () =
-  let t = Subtree.of_edges ~root:2 [ (2, 5); (5, 7) ] in
-  Alcotest.(check (list int)) "members" [ 2; 5; 7 ] (List.sort compare (Subtree.members t));
-  let r = Subtree.reroot t ~root:7 in
-  Alcotest.(check int) "new root" 7 r.Subtree.root;
-  Alcotest.(check (list int)) "same members" (List.sort compare (Subtree.members t))
-    (List.sort compare (Subtree.members r));
+let rejects f = try ignore (f ()); false with Invalid_argument _ -> true
+
+let test_tree_reroot () =
+  let t = Tree.of_undirected ~n_ranks:8 ~root:2 [ (2, 5); (5, 7) ] in
+  Alcotest.(check (list int)) "members" [ 2; 5; 7 ] (Tree.members t);
+  Alcotest.(check bool) "subset does not span" false (Tree.spans t);
+  Alcotest.(check int) "off-tree parent" (-1) t.Tree.parent.(0);
+  Alcotest.(check int) "off-tree depth" (-1) t.Tree.depth.(0);
+  Alcotest.(check (list int)) "bfs order" [ 2; 5; 7 ] t.Tree.order;
+  let r = Tree.reroot t ~root:7 in
+  Alcotest.(check int) "new root" 7 r.Tree.root;
+  Alcotest.(check (list int)) "same members" (Tree.members t) (Tree.members r);
+  Alcotest.(check (list int)) "re-oriented" [ 7; 5; 2 ] r.Tree.order;
+  Alcotest.(check (list int)) "single rank" [ 4 ]
+    (Tree.members (Tree.of_undirected ~n_ranks:8 ~root:4 []));
   Alcotest.(check bool) "bad edges rejected" true
-    (try ignore (Subtree.of_edges ~root:0 [ (0, 1); (1, 0) ]); false
-     with Invalid_argument _ -> true)
+    (rejects (fun () -> Tree.of_undirected ~n_ranks:2 ~root:0 [ (0, 1); (1, 0) ]));
+  Alcotest.(check bool) "root off the edges rejected" true
+    (rejects (fun () -> Tree.of_undirected ~n_ranks:4 ~root:0 [ (1, 2) ]));
+  Alcotest.(check bool) "non-member root rejected" true
+    (rejects (fun () -> Tree.reroot t ~root:0))
+
+(* A random tree over a random subset of [n] ranks (every rank when the
+   subset is full), built by attaching each member to an earlier one. *)
+let random_tree rng =
+  let n = 1 + Random.State.int rng 12 in
+  let perm = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- x
+  done;
+  let m = 1 + Random.State.int rng n in
+  let edges =
+    List.init (m - 1) (fun i ->
+        let child = perm.(i + 1) and parent = perm.(Random.State.int rng (i + 1)) in
+        if Random.State.bool rng then (parent, child) else (child, parent))
+  in
+  Tree.of_undirected ~n_ranks:n ~root:perm.(Random.State.int rng m) edges
+
+let undirected_edges (t : Tree.t) =
+  List.filter_map
+    (fun v -> if v = t.Tree.root then None else Some (min v t.Tree.parent.(v), max v t.Tree.parent.(v)))
+    t.Tree.order
+  |> List.sort compare
+
+let prop_reroot =
+  QCheck.Test.make ~name:"reroot keeps edges, round-trips" ~count:300
+    QCheck.(pair (int_bound 100_000) (int_bound 1_000))
+    (fun (seed, pick) ->
+      let t = random_tree (Random.State.make [| seed |]) in
+      let members = Tree.members t in
+      let root = List.nth members (pick mod List.length members) in
+      let r = Tree.reroot t ~root in
+      r.Tree.root = root
+      && Tree.members r = members
+      && Tree.spans r = Tree.spans t
+      && undirected_edges r = undirected_edges t
+      && (Tree.reroot r ~root:t.Tree.root).Tree.parent = t.Tree.parent)
 
 let test_threephase_semantics () =
   let servers = [ (Server.dgx1v, [| 0; 1; 2 |]); (Server.dgx1v, [| 0; 1; 2; 3; 4 |]) ] in
@@ -306,6 +366,87 @@ let test_threephase_three_servers () =
     Alcotest.(check bool) (Printf.sprintf "rank %d" r) true
       (array_eq want (Sem.read mem ~node:r ~buf:layout.Codegen.data.(r)))
   done
+
+(* ------------------------------------------------------------------ *)
+(* Program pins: op count, makespan (printed [%h]) and the MD5 of every
+   op printed in full, for the programs the three-phase emitter and the
+   re-rooted reduce-scatter build. A change to tree orientation, op
+   order, streams or dependencies fails here. *)
+
+let op_line (o : P.op) =
+  let mref (m : P.mem_ref) = Printf.sprintf "%d:%d[%d+%d]" m.node m.buf m.off m.len in
+  let action = function
+    | None -> "-"
+    | Some (P.Copy { src; dst }) -> "copy " ^ mref src ^ ">" ^ mref dst
+    | Some (P.Reduce { src; dst }) -> "reduce " ^ mref src ^ ">" ^ mref dst
+  in
+  let kind =
+    match o.P.kind with
+    | P.Transfer { bytes; link; bw_scale; action = a } ->
+        Printf.sprintf "xfer %h l%d %h %s" bytes link bw_scale (action a)
+    | P.Compute { bytes; engine; action = a } ->
+        Printf.sprintf "compute %h e%d %s" bytes engine (action a)
+    | P.Delay { seconds } -> Printf.sprintf "delay %h" seconds
+  in
+  Printf.sprintf "%d %s s%d [%s]\n" o.P.id kind o.P.stream
+    (String.concat "," (List.map string_of_int o.P.deps))
+
+let program_pin prog makespan =
+  let b = Buffer.create 4096 in
+  List.iter (fun op -> Buffer.add_string b (op_line op)) (P.ops prog);
+  ( P.n_ops prog,
+    Printf.sprintf "%h" makespan,
+    Digest.to_hex (Digest.string (Buffer.contents b)) )
+
+let three_plus_five = [ (Server.dgx1v, [| 0; 1; 2 |]); (Server.dgx1v, [| 0; 1; 2; 3; 4 |]) ]
+
+let pinned_programs =
+  let module MS = Blink_core.Multiserver in
+  let module H = Blink_baselines.Hierarchical in
+  let module B = Blink_core.Blink in
+  let multiserver ?avoid_roots () =
+    let ms = MS.create three_plus_five in
+    let prog, _ = MS.all_reduce ?avoid_roots ~chunk_elems:256 ms ~elems:3_000 in
+    program_pin prog (MS.time ms prog).E.makespan
+  in
+  let reduce_scatter server gpus =
+    let h = B.create server ~gpus in
+    let prog, _ = B.reduce_scatter ~chunk_elems:512 h ~elems:16_000 in
+    program_pin prog (B.time h prog).E.makespan
+  in
+  [
+    ( "multiserver 3+5",
+      (fun () -> multiserver ()),
+      (240, "0x1.a9194f636936ap-12", "95f008611b68dceeac577125b95adbea") );
+    ( "multiserver 3+5 avoid_roots",
+      (fun () -> multiserver ~avoid_roots:[ 0; 3 ] ()),
+      (240, "0x1.af761e820b98dp-12", "9e52420e4b98d3dcb18e7312bd58e1ed") );
+    ( "hierarchical 3+5",
+      (fun () ->
+        let hi = H.create three_plus_five in
+        let prog, _ = H.all_reduce ~chunk_elems:256 hi ~elems:3_000 in
+        program_pin prog (H.time hi prog).E.makespan),
+      (492, "0x1.7de969ef38483p-11", "93181dd81f9a6b307bf6f32d5daa051f") );
+    ( "reduce_scatter dgx-2-16",
+      (fun () -> reduce_scatter Server.dgx2 (Array.init 16 Fun.id)),
+      (960, "0x1.72cb3816a63f4p-15", "813872aa459ab1abd73a73442c532825") );
+    ( "reduce_scatter dgx-1v-8",
+      (fun () -> reduce_scatter Server.dgx1v (Array.init 8 Fun.id)),
+      (224, "0x1.37b3526b28a7dp-14", "e5ec81ae38efdce61cfb100008788f3e") );
+  ]
+
+(* Micro.mimo reduces two flows over trees covering a subset of its
+   fabric; its rate is pinned the same way. *)
+let test_program_pins () =
+  Alcotest.(check string) "mimo rate" "0x1.e3266a4576266p+1"
+    (Printf.sprintf "%h" (Micro.mimo ~chunk_elems:4096 1.));
+  List.iter
+    (fun (label, build, (ops, makespan, digest)) ->
+      let ops', makespan', digest' = build () in
+      Alcotest.(check int) (label ^ ": ops") ops ops';
+      Alcotest.(check string) (label ^ ": makespan") makespan makespan';
+      Alcotest.(check string) (label ^ ": op digest") digest digest')
+    pinned_programs
 
 (* ------------------------------------------------------------------ *)
 (* Calibration: the simulator must land on the paper's micro-benchmarks *)
@@ -375,9 +516,11 @@ let () =
         ] );
       ( "subtree/threephase",
         [
-          Alcotest.test_case "reroot" `Quick test_subtree_reroot;
+          Alcotest.test_case "reroot" `Quick test_tree_reroot;
+          QCheck_alcotest.to_alcotest prop_reroot;
           Alcotest.test_case "three-phase 3+5" `Quick test_threephase_semantics;
           Alcotest.test_case "three-phase 2+2+4" `Quick test_threephase_three_servers;
+          Alcotest.test_case "program pins" `Quick test_program_pins;
         ] );
       ( "calibration",
         [

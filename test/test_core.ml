@@ -148,6 +148,18 @@ let test_facade_rejects_disconnected () =
     (try ignore (Blink.create Server.dgx1v ~gpus:[| 0; 5; 6 |]); false
      with Invalid_argument _ -> true)
 
+(* One GPU has nothing to plan over: [create] says so up front instead of
+   failing inside share normalization. *)
+let test_facade_rejects_single_gpu () =
+  List.iter
+    (fun gpus ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d gpus rejected" (Array.length gpus))
+        true
+        (try ignore (Blink.create Server.dgx1v ~gpus); false
+         with Invalid_argument msg -> msg = "Blink.create: gpus must name at least 2 GPUs"))
+    [ [| 3 |]; [||] ]
+
 let test_facade_beats_pcie_fallback () =
   (* The headline: on 1,4,5,6 Blink uses NVLinks NCCL cannot ring. *)
   let gpus = [| 1; 4; 5; 6 |] in
@@ -231,32 +243,22 @@ let test_miad_decrease_has_own_budget () =
     (List.length sizes > max_iters);
   let last_up = List.nth up_probes (max_iters - 1) in
   Alcotest.(check bool) "decrease probed below the up endpoint" true
-    (List.exists (fun c -> c < last_up) (List.filteri (fun i _ -> i >= max_iters) sizes));
-  Alcotest.(check bool) "not capped" false r.Chunking.capped
+    (List.exists (fun c -> c < last_up) (List.filteri (fun i _ -> i >= max_iters) sizes))
 
-let test_miad_probe_time_cap () =
-  (* A probe that burns well past the cap must end the search: exactly
-     one more probe lands in the trace after the slow one. *)
-  let calls = ref 0 in
-  let measure ~chunk_elems =
-    incr calls;
-    let t0 = Sys.time () in
-    while Sys.time () -. t0 < 0.03 do () done;
-    Float.of_int chunk_elems
-  in
-  let r = Chunking.tune ~init:1024 ~max_probe_seconds:0.01 ~measure () in
-  Alcotest.(check bool) "capped flagged" true r.Chunking.capped;
-  Alcotest.(check int) "stopped after the first slow probe" 1 !calls;
-  Alcotest.(check int) "trace matches probe count" 1
-    (List.length r.Chunking.trace);
-  Alcotest.(check bool) "cap validation" true
-    (try
-       ignore
-         (Chunking.tune ~max_probe_seconds:0.
-            ~measure:(fun ~chunk_elems:_ -> 0.)
-            ());
-       false
-     with Invalid_argument _ -> true)
+(* The decrease floor: whatever the throughput curve, no probe lands
+   below [min init (max 1 (init / 2))]. From an odd init the additive
+   decrease used to step down to a 1-element chunk. *)
+let prop_miad_probe_floor =
+  QCheck.Test.make ~name:"probes stay above the floor" ~count:300
+    QCheck.(pair (int_range 1 8_000_000) int)
+    (fun (elems, seed) ->
+      let init = Blink.heuristic_chunk ~elems in
+      let measure ~chunk_elems =
+        Float.of_int (Hashtbl.hash (seed, chunk_elems) mod 1000)
+      in
+      let r = Chunking.tune ~init ~measure () in
+      let floor = min init (max 1 (init / 2)) in
+      List.for_all (fun s -> s.Chunking.chunk_elems >= floor) r.Chunking.trace)
 
 (* ------------------------------------------------------------------ *)
 (* Hybrid *)
@@ -387,6 +389,7 @@ let () =
           Alcotest.test_case "rates" `Quick test_facade_rates;
           Alcotest.test_case "dgx-2" `Quick test_facade_dgx2;
           Alcotest.test_case "rejects disconnected" `Quick test_facade_rejects_disconnected;
+          Alcotest.test_case "rejects a single gpu" `Quick test_facade_rejects_single_gpu;
           Alcotest.test_case "beats pcie fallback" `Quick test_facade_beats_pcie_fallback;
           Alcotest.test_case "one-hop trees" `Quick test_one_hop_trees_shape;
         ] );
@@ -398,7 +401,7 @@ let () =
           Alcotest.test_case "facade tuner" `Quick test_facade_tuner_runs;
           Alcotest.test_case "decrease budget" `Quick
             test_miad_decrease_has_own_budget;
-          Alcotest.test_case "probe time cap" `Quick test_miad_probe_time_cap;
+          QCheck_alcotest.to_alcotest prop_miad_probe_floor;
         ] );
       ( "hybrid",
         [
