@@ -61,6 +61,30 @@ let gpus_arg =
   Arg.(value & opt gpus_conv [| 0; 1; 2; 3; 4; 5; 6; 7 |]
        & info [ "gpus" ] ~docv:"IDS" ~doc:"Allocated GPU ids, e.g. 1,4,5,6.")
 
+(* The allocation of every command that plans over it, checked up front:
+   an allocation [Blink.create] would reject is a usage error, not an
+   uncaught exception or an empty packing. *)
+let alloc_arg =
+  let check server gpus =
+    let ids = Array.to_list gpus in
+    let error fmt =
+      Printf.ksprintf (fun msg -> `Error (true, "--gpus: " ^ msg)) fmt
+    in
+    if List.length ids < 2 then error "a collective needs at least 2 GPUs"
+    else if List.exists (fun g -> g < 0 || g >= server.Server.n_gpus) ids then
+      error "%s has GPUs 0..%d" server.Server.name (server.Server.n_gpus - 1)
+    else if List.length (List.sort_uniq compare ids) <> List.length ids then
+      error "a GPU is named twice"
+    else if server.Server.nvswitch = None && not (Alloc.nvlink_connected server ids)
+    then
+      error "GPUs {%s} are not NVLink-connected on %s" (Alloc.to_string ids)
+        server.Server.name
+    else `Ok (server, gpus)
+  in
+  Term.(ret (const check $ server_arg $ gpus_arg))
+
+let with_alloc f (server, gpus) = f server gpus
+
 let write_file path s =
   Out_channel.with_open_text path (fun oc -> output_string oc s)
 
@@ -91,7 +115,7 @@ let topo server gpus =
         (if links = [] then "(no NVLink peers in allocation)"
          else String.concat ", " links))
     gpus;
-  if server.Server.nvswitch = None then begin
+  if server.Server.nvswitch = None && Array.length gpus > 1 then begin
     let g = Server.nvlink_digraph server ~gpus in
     if Blink_graph.Digraph.is_connected_from g ~root:0 then begin
       let root = Treegen.best_root g in
@@ -137,7 +161,7 @@ let undirected_arg =
 
 let plan_cmd =
   Cmd.v (Cmd.info "plan" ~doc:"Run TreeGen (MWU packing + ILP minimization)")
-    Term.(const plan $ server_arg $ gpus_arg $ undirected_arg)
+    Term.(const (with_alloc plan) $ alloc_arg $ undirected_arg)
 
 (* ------------------------------- bench ------------------------------- *)
 
@@ -169,7 +193,7 @@ let bench server gpus collective mbytes =
 
 let bench_cmd =
   Cmd.v (Cmd.info "bench" ~doc:"Time a collective on the simulated interconnect")
-    Term.(const bench $ server_arg $ gpus_arg $ collective_arg $ mbytes_arg)
+    Term.(const (with_alloc bench) $ alloc_arg $ collective_arg $ mbytes_arg)
 
 (* ------------------------------- train ------------------------------- *)
 
@@ -197,7 +221,7 @@ let train server gpus model =
 
 let train_cmd =
   Cmd.v (Cmd.info "train" ~doc:"Model a data-parallel training iteration")
-    Term.(const train $ server_arg $ gpus_arg $ model_arg)
+    Term.(const (with_alloc train) $ alloc_arg $ model_arg)
 
 (* --------------------------- trace / metrics --------------------------- *)
 
@@ -266,7 +290,7 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Run the full plan+execute pipeline and export a merged Chrome trace")
-    Term.(const trace $ trace_collective_arg $ server_arg $ gpus_arg
+    Term.(const (fun c -> with_alloc (trace c)) $ trace_collective_arg $ alloc_arg
           $ small_mbytes_arg
           $ Arg.(value & opt string "blink_trace.json"
                  & info [ "out" ] ~docv:"FILE" ~doc:"Output JSON path."))
@@ -315,7 +339,7 @@ let analyze_cmd =
          "Attribute a collective's makespan: bottleneck links, critical \
           path, achieved rate vs the topology's edge-cut bound, and the \
           planner phase breakdown")
-    Term.(const analyze $ trace_collective_arg $ server_arg $ gpus_arg
+    Term.(const (fun c -> with_alloc (analyze c)) $ trace_collective_arg $ alloc_arg
           $ mbytes_arg
           $ Arg.(value & opt (some string) None
                  & info [ "flight" ] ~docv:"FILE"
@@ -350,7 +374,7 @@ let metrics_cmd =
   Cmd.v
     (Cmd.info "metrics"
        ~doc:"Run a collective repeatedly and print the telemetry metrics snapshot")
-    Term.(const metrics $ trace_collective_arg $ server_arg $ gpus_arg
+    Term.(const (fun c -> with_alloc (metrics c)) $ trace_collective_arg $ alloc_arg
           $ small_mbytes_arg
           $ Arg.(value & opt int 3 & info [ "runs" ] ~docv:"N"
                  ~doc:"Plan+execute repetitions (repeats hit the plan cache).")
@@ -405,7 +429,7 @@ let replay_cmd =
   Cmd.v
     (Cmd.info "replay"
        ~doc:"Measure steady-state plan re-execution cost (wall + allocation)")
-    Term.(const replay $ trace_collective_arg $ server_arg $ gpus_arg
+    Term.(const (fun c -> with_alloc (replay c)) $ trace_collective_arg $ alloc_arg
           $ small_mbytes_arg
           $ Arg.(value & opt int 100 & info [ "runs" ] ~docv:"N"
                  ~doc:"Steady-state executes to average over.")
@@ -490,7 +514,7 @@ let prewarm_cmd =
   Cmd.v
     (Cmd.info "prewarm"
        ~doc:"Batch-compile the plan cache across domains (Blink.prewarm)")
-    Term.(const prewarm $ server_arg $ gpus_arg $ domains_arg $ async_arg
+    Term.(const (with_alloc prewarm) $ alloc_arg $ domains_arg $ async_arg
           $ mbytes_list_arg)
 
 (* ------------------------------ failover ----------------------------- *)
@@ -570,7 +594,7 @@ let failover_cmd =
   Cmd.v
     (Cmd.info "failover"
        ~doc:"Inject link/GPU faults into a live handle and watch it replan")
-    Term.(const failover $ server_arg $ gpus_arg $ small_mbytes_arg
+    Term.(const (with_alloc failover) $ alloc_arg $ small_mbytes_arg
           $ Arg.(value & opt_all (t2 int int) []
                  & info [ "fail-link" ] ~docv:"U,V"
                      ~doc:"Mark the U-V NVLink pair down (repeatable).")
@@ -682,7 +706,7 @@ let tournament_cmd =
          "Race every planner backend on one allocation: achieved rates, \
           tree counts, planning time, and a feasibility + data-correctness \
           differential check")
-    Term.(const tournament $ server_arg $ gpus_arg $ mbytes_arg)
+    Term.(const (with_alloc tournament) $ alloc_arg $ mbytes_arg)
 
 (* -------------------------------- main -------------------------------- *)
 

@@ -63,8 +63,9 @@ let split_chunks ~chunk ~off ~len =
 
 (* Wrap one generator invocation: a wall-clock span plus ops/chunks
    counters, all behind the spec's telemetry handle (a single match when
-   telemetry is disabled). *)
-let instrument spec ~name ~elems ~trees f =
+   telemetry is disabled). [payload] (default [elems]) is the element
+   count the trees' regions partition. *)
+let instrument ?payload spec ~name ~elems ~trees f =
   let tel = spec.telemetry in
   if not (Telemetry.enabled tel) then f ()
   else begin
@@ -76,7 +77,8 @@ let instrument spec ~name ~elems ~trees f =
         (fun acc (_, _, len) ->
           if len <= 0 then acc
           else acc + ((len + spec.chunk_elems - 1) / spec.chunk_elems))
-        0 (regions ~elems trees)
+        0
+        (regions ~elems:(Option.value payload ~default:elems) trees)
     in
     let labels = [ ("collective", name) ] in
     Telemetry.incr tel ~labels "codegen.invocations";
@@ -231,8 +233,6 @@ let forward_buffers ctx ~total =
 let emit_gather spec ctx ~root ~elems ~trees ~data ~out =
   let total = Fabric.n_ranks spec.fabric * elems in
   let fwd = forward_buffers ctx ~total in
-  (* Per (segment, chunk-offset) completion op at the root, for all_gather. *)
-  let arrived = Hashtbl.create 64 in
   List.iteri
     (fun tree_idx ({ Tree.tree; _ }, off, len) ->
       if len > 0 then begin
@@ -257,8 +257,7 @@ let emit_gather spec ctx ~root ~elems ~trees ~data ~out =
                         let op =
                           Emit.send ctx ~hops ~src ~dst ~reduce:false ~deps
                         in
-                        if y = root then Hashtbl.replace arrived (w, coff) op
-                        else forward dst [ op ] rest
+                        if y <> root then forward dst [ op ] rest
                     | [ _ ] | [] -> ()
                   in
                   let src0 = mem ~node:w ~buf:data.(w) ~off:coff ~len:clen in
@@ -269,13 +268,11 @@ let emit_gather spec ctx ~root ~elems ~trees ~data ~out =
       end)
     (regions ~elems trees);
   (* The root's own contribution is a local copy. *)
-  let self =
-    Emit.local_copy ctx ~rank:root
-      ~src:(mem ~node:root ~buf:data.(root) ~off:0 ~len:elems)
-      ~dst:(mem ~node:root ~buf:out ~off:(root * elems) ~len:elems)
-      ~deps:[]
-  in
-  (arrived, self)
+  ignore
+    (Emit.local_copy ctx ~rank:root
+       ~src:(mem ~node:root ~buf:data.(root) ~off:0 ~len:elems)
+       ~dst:(mem ~node:root ~buf:out ~off:(root * elems) ~len:elems)
+       ~deps:[])
 
 let gather spec ~root ~elems ~trees =
   check_trees spec ~root:(Some root) ~trees;
@@ -285,52 +282,83 @@ let gather spec ~root ~elems ~trees =
   let ctx = Emit.create ~fabric:spec.fabric ~elem_bytes:spec.elem_bytes ~staging_elems:total () in
   let data = declare_data ctx ~elems in
   let out_root = Emit.data_buffer ctx ~rank:root ~len:total in
-  let _arrived, _self = emit_gather spec ctx ~root ~elems ~trees ~data ~out:out_root in
+  emit_gather spec ctx ~root ~elems ~trees ~data ~out:out_root;
   let output = Array.make k (-1) in
   output.(root) <- out_root;
   (Emit.program ctx, { data; output = Some output })
 
-let all_gather spec ~root ~elems ~trees =
-  check_trees spec ~root:(Some root) ~trees;
-  instrument spec ~name:"all_gather" ~elems ~trees @@ fun () ->
+(* The root-less collectives run over per-root packings: [trees] holds
+   every rank's own trees, each rooted at its owner, with the shares of
+   one root's trees summing to that root's whole segment. [seg root]
+   gives the root's segment [(base, len)] in the buffer the chunks
+   address; each tree's region of it is pipelined as its own chunk
+   sequence, with the tree's index in [trees] as its stream identity. *)
+let iter_root_regions spec ~trees ~seg f =
+  let k = Fabric.n_ranks spec.fabric in
+  let owned = Array.make k [] in
+  List.iteri
+    (fun tree_idx w ->
+      let r = w.Tree.tree.Tree.root in
+      owned.(r) <- (tree_idx, w) :: owned.(r))
+    trees;
+  Array.iteri
+    (fun root mine ->
+      if mine = [] then invalid_arg "Codegen: a rank roots no tree";
+      let mine = List.rev mine in
+      let base, len = seg root in
+      List.iter2
+        (fun (tree_idx, _) ({ Tree.tree; _ }, off, l) ->
+          if l > 0 then
+            f ~root ~tree_idx ~tree
+              ~chunks:
+                (split_chunks ~chunk:spec.chunk_elems ~off:(base + off) ~len:l))
+        mine
+        (regions ~elems:len (List.map snd mine)))
+    owned
+
+let all_gather spec ~elems ~trees =
+  check_trees spec ~root:None ~trees;
   let k = Fabric.n_ranks spec.fabric in
   let total = k * elems in
+  instrument spec ~name:"all_gather" ~payload:total ~elems ~trees @@ fun () ->
   let ctx = Emit.create ~fabric:spec.fabric ~elem_bytes:spec.elem_bytes ~staging_elems:total () in
   let data = declare_data ctx ~elems in
   let output = Array.init k (fun r -> Emit.data_buffer ctx ~rank:r ~len:total) in
-  let arrived, self = emit_gather spec ctx ~root ~elems ~trees ~data ~out:output.(root) in
-  (* Down phase: broadcast every segment's slice of each tree's region. *)
-  List.iteri
-    (fun tree_idx ({ Tree.tree; _ }, off, len) ->
-      if len > 0 then
-        for segment = 0 to k - 1 do
-          let chunks =
-            split_chunks ~chunk:spec.chunk_elems ~off:((segment * elems) + off)
-              ~len
-          in
-          let source ci =
-            let o, l = List.nth chunks ci in
-            let seg_off = o - (segment * elems) in
-            let dep =
-              if segment = root then [ self ]
-              else
-                match Hashtbl.find_opt arrived (segment, seg_off) with
-                | Some op -> [ op ]
-                | None ->
-                    (* Chunk boundaries line up between phases because both
-                       use the same chunk size and region offsets. *)
-                    assert false
-            in
-            (mem ~node:root ~buf:output.(root) ~off:o ~len:l, dep)
-          in
-          ignore
-            (emit_tree_broadcast spec ctx
-               ~tree_idx:(tree_idx + (segment * List.length trees))
-               ~tree ~chunks ~source
-               ~dst_buf:(fun r -> output.(r)))
-        done)
-    (regions ~elems trees);
+  for r = 0 to k - 1 do
+    ignore
+      (Emit.local_copy ctx ~rank:r
+         ~src:(mem ~node:r ~buf:data.(r) ~off:0 ~len:elems)
+         ~dst:(mem ~node:r ~buf:output.(r) ~off:(r * elems) ~len:elems)
+         ~deps:[])
+  done;
+  (* Rank r broadcasts its shard straight from its data buffer into
+     segment r of every output buffer. *)
+  iter_root_regions spec ~trees
+    ~seg:(fun r -> (r * elems, elems))
+    (fun ~root ~tree_idx ~tree ~chunks ->
+      let base = root * elems in
+      let chunk_at = Array.of_list chunks in
+      let source ci =
+        let o, l = chunk_at.(ci) in
+        (mem ~node:root ~buf:data.(root) ~off:(o - base) ~len:l, [])
+      in
+      ignore
+        (emit_tree_broadcast spec ctx ~tree_idx ~tree ~chunks ~source
+           ~dst_buf:(fun r -> output.(r))));
   (Emit.program ctx, { data; output = Some output })
+
+let reduce_scatter spec ~elems ~trees =
+  check_trees spec ~root:None ~trees;
+  instrument spec ~name:"reduce_scatter" ~elems ~trees @@ fun () ->
+  let k = Fabric.n_ranks spec.fabric in
+  let ctx = Emit.create ~fabric:spec.fabric ~elem_bytes:spec.elem_bytes ~staging_elems:elems () in
+  let data = declare_data ctx ~elems in
+  let boundary r = r * elems / k in
+  iter_root_regions spec ~trees
+    ~seg:(fun r -> (boundary r, boundary (r + 1) - boundary r))
+    (fun ~root:_ ~tree_idx ~tree ~chunks ->
+      ignore (emit_tree_reduce spec ctx ~tree_idx ~tree ~chunks ~data));
+  (Emit.program ctx, { data; output = None })
 
 let run ?policy spec prog =
   Engine.run ?policy ~resources:(Fabric.resources spec.fabric) prog

@@ -65,13 +65,22 @@ val gather :
 (** Every rank's data buffer lands in segment [r] of [root]'s output
     buffer. *)
 
-
 val all_gather :
-  spec -> root:int -> elems:int -> trees:Tree.weighted list ->
-  Blink_sim.Program.t * layout
-(** Gather to [root] then broadcast the concatenation: every rank's output
-    buffer ends up with all contributions. [root] selects the hub rank
-    (all trees must be rooted there). *)
+  spec -> elems:int -> trees:Tree.weighted list -> Blink_sim.Program.t * layout
+(** Every rank's data buffer lands in segment [r] of every rank's output
+    buffer. [trees] is a per-root packing: every rank roots at least one
+    tree, and rank [r] broadcasts its buffer over the trees rooted at
+    [r], split by their shares (ForestColl's schedule, arXiv
+    2402.06787). Raises [Invalid_argument] if some rank roots no tree. *)
+
+val reduce_scatter :
+  spec -> elems:int -> trees:Tree.weighted list -> Blink_sim.Program.t * layout
+(** The buffer is cut into [n_ranks] equal segments; segment [r] of
+    every data buffer is reduced into rank [r]'s data buffer over the
+    trees of the per-root packing [trees] rooted at [r], split by their
+    shares. Other regions hold in-flight partials afterwards (reduction
+    is in place, like {!reduce}). Raises [Invalid_argument] if some rank
+    roots no tree. *)
 
 val run :
   ?policy:Blink_sim.Engine.policy ->
@@ -83,26 +92,13 @@ val check_trees : spec -> root:int option -> trees:Tree.weighted list -> unit
     rank counts match, every tree spans the fabric, shares are positive,
     and when [root] is given every tree is rooted there. *)
 
-val instrument :
-  spec ->
-  name:string ->
-  elems:int ->
-  trees:Tree.weighted list ->
-  (unit -> Blink_sim.Program.t * 'a) ->
-  Blink_sim.Program.t * 'a
-(** Run one generator under the spec's telemetry: a ["codegen.<name>"]
-    span plus ops/chunks counters labelled by collective. Exactly the
-    thunk call when telemetry is disabled. Exposed for out-of-module
-    generators ({!Scatter}, baselines). *)
-
 (** {2 Low-level phase emitters}
 
     For composing programs that mix link classes or phases (hybrid
     PCIe+NVLink transfers, the three-phase multi-server protocol, the
-    hierarchical baseline, re-rooted reduce-scatter). All emit into a
-    caller-owned {!Emit.t}. They are the only tree emitters, and they
-    accept a tree over a subset of the ranks: only its members send or
-    receive. *)
+    hierarchical baseline). All emit into a caller-owned {!Emit.t}. They
+    are the only tree emitters, and they accept a tree over a subset of
+    the ranks: only its members send or receive. *)
 
 val regions :
   elems:int -> Tree.weighted list -> (Tree.weighted * int * int) list

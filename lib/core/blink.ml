@@ -1,5 +1,6 @@
 module Digraph = Blink_graph.Digraph
 module Maxflow = Blink_graph.Maxflow
+module Automorphism = Blink_graph.Automorphism
 module Server = Blink_topology.Server
 module Fabric = Blink_topology.Fabric
 module Tree = Blink_collectives.Tree
@@ -102,6 +103,10 @@ type t = {
   (* Tree extraction from the packings is pure; memoize it per handle. *)
   mutable bcast_trees : Tree.weighted list option;
   mutable ar_trees : Tree.weighted list option;
+  (* One directed packing per rank ([None] on one-hop fabrics) and its
+     trees, for the root-less all-gather and reduce-scatter. *)
+  mutable root_trees :
+    (Treegen.packing array option * Tree.weighted list array) option;
   (* Selective re-tune state, filled by a warm fault replan from the old
      fingerprint's tuned chunks: [`Reuse c] — the post-fault bottleneck
      rate is unchanged, keep chunk [c] without probing; [`Init c] — the
@@ -316,6 +321,7 @@ let create ?root ?epsilon ?threshold ?telemetry ?max_cached_plans ?link_faults
     fingerprint;
     bcast_trees = None;
     ar_trees = None;
+    root_trees = None;
     chunk_hints = Hashtbl.create 4;
     warm_topology = false;
     prewarm_inflight = 0;
@@ -357,6 +363,38 @@ let all_reduce_rate t =
 
 let graph t = t.graph
 
+(* The least [ratio cap_in(S) |S|] over the nonempty proper rank
+   subsets S of [g], where [cap_in(S)] is the capacity entering S from
+   outside. Exact for up to 16 ranks; above that only the singletons and
+   their complements are tried, which can only raise the minimum, so the
+   result stays an upper bound on what any schedule reaches. *)
+let min_cut_ratio g ratio =
+  let n = Digraph.n_vertices g in
+  let popcount m =
+    let rec go m acc = if m = 0 then acc else go (m land (m - 1)) (acc + 1) in
+    go m 0
+  in
+  let cap_in mask =
+    Digraph.fold_edges
+      (fun e acc ->
+        if mask land (1 lsl e.Digraph.dst) <> 0
+           && mask land (1 lsl e.Digraph.src) = 0
+        then acc +. e.Digraph.cap
+        else acc)
+      g 0.
+  in
+  let full = (1 lsl n) - 1 in
+  let masks =
+    if n <= 16 then List.init (full - 1) (fun i -> i + 1)
+    else
+      List.concat_map
+        (fun v -> [ 1 lsl v; full lxor (1 lsl v) ])
+        (List.init n Fun.id)
+  in
+  List.fold_left
+    (fun acc mask -> Float.min acc (ratio (cap_in mask) (popcount mask)))
+    infinity masks
+
 (* The topology's edge-cut upper bound on the collective's algorithm
    bandwidth, in GB/s of buffer bytes per second (the {!algbw_gbps}
    convention). Rooted move-only collectives are bounded by the Edmonds
@@ -364,14 +402,16 @@ let graph t = t.graph
    Reduce-type collectives de-rate every cut by
    {!Blink_topology.Link.reduce_scale}: a transfer whose receiver
    reduces inline runs at [scale * bw], and the reduce phase carries the
-   full buffer across each cut. Root-less collectives are bounded by the
-   undirected spanning-tree-packing weight (the Tutte/Nash-Williams
-   quantity the MWU+LP packing computes): each packed tree carries the
-   buffer once in each direction of every tree edge, and the de-rated
-   reduce direction binds. Gather-type collectives funnel n-1 per-rank
-   buffers through the root's cut, so their algbw bound divides by n-1.
-   One-hop fabrics (NVSwitch) replace both packing values with the
-   attach bandwidth the kind already carries. *)
+   full buffer across each cut. All-reduce is bounded by the undirected
+   spanning-tree-packing weight (the Tutte/Nash-Williams quantity the
+   MWU+LP packing computes): each packed tree carries the buffer once in
+   each direction of every tree edge, and the de-rated reduce direction
+   binds. Gather funnels n-1 per-rank buffers through the root's cut, so
+   its bound divides by n-1. All-gather and reduce-scatter take their
+   cut bounds (ForestColl, arXiv 2402.06787): every subset S must
+   receive the |V\S| buffers held outside it, or, reduced, the |S|/n of
+   the buffer it owns. One-hop fabrics (NVSwitch) replace every cut by
+   the attach bandwidth the kind already carries. *)
 let edge_cut_bound t (collective : Plan.collective) =
   let n = Digraph.n_vertices t.graph in
   if n <= 1 then infinity
@@ -384,11 +424,16 @@ let edge_cut_bound t (collective : Plan.collective) =
             p.undirected.Treegen.rate )
     in
     let s = Blink_topology.Link.reduce_scale in
-    match collective with
-    | Plan.Broadcast -> directed
-    | Plan.Reduce -> s *. directed
-    | Plan.All_reduce | Plan.Reduce_scatter -> s *. undirected
-    | Plan.Gather | Plan.All_gather -> directed /. Float.of_int (n - 1)
+    let nf = Float.of_int n in
+    match (collective, t.kind) with
+    | Plan.Broadcast, _ -> directed
+    | Plan.Reduce, _ -> s *. directed
+    | Plan.All_reduce, _ | Plan.Reduce_scatter, One_hop _ -> s *. undirected
+    | Plan.Gather, _ | Plan.All_gather, One_hop _ -> directed /. (nf -. 1.)
+    | Plan.All_gather, Packed _ ->
+        min_cut_ratio t.graph (fun cap size -> cap /. (nf -. Float.of_int size))
+    | Plan.Reduce_scatter, Packed _ ->
+        min_cut_ratio t.graph (fun cap size -> s *. nf *. cap /. Float.of_int size)
 
 let broadcast_trees t =
   check_usable t;
@@ -418,6 +463,118 @@ let all_reduce_trees t =
       t.ar_trees <- Some trees;
       trees
 
+(* The planning accuracy for the packings of ranks other than the
+   handle's root. MWU at this epsilon followed by the ILP returns the
+   same integral trees as the default on the DGX-1 fabrics at a fifth of
+   the cost, and a fabric can need one such packing per rank. *)
+let root_epsilon = 0.3
+
+(* [p] carried through the rank permutation [sigma]: the k-th parallel
+   edge [a -> b] becomes the k-th [sigma a -> sigma b] edge. [None] when
+   such an edge is missing or has another capacity. *)
+let map_packing g sigma (p : Treegen.packing) =
+  let parallel ~src ~dst =
+    List.filter (fun e -> e.Digraph.dst = dst) (Digraph.out_edges g src)
+  in
+  let image id =
+    let e = Digraph.edge g id in
+    let rec index k = function
+      | [] -> raise Exit
+      | x :: rest -> if x.Digraph.id = id then k else index (k + 1) rest
+    in
+    let k = index 0 (parallel ~src:e.Digraph.src ~dst:e.Digraph.dst) in
+    match
+      List.nth_opt
+        (parallel ~src:sigma.(e.Digraph.src) ~dst:sigma.(e.Digraph.dst))
+        k
+    with
+    | Some e' when Float.equal e'.Digraph.cap e.Digraph.cap -> e'.Digraph.id
+    | Some _ | None -> raise Exit
+  in
+  match
+    List.map
+      (fun tree -> { tree with Treegen.edges = List.map image tree.Treegen.edges })
+      p.Treegen.trees
+  with
+  | trees -> Some { p with Treegen.root = sigma.(p.Treegen.root); trees }
+  | exception Exit -> None
+
+(* One directed packing per rank. The handle's root keeps its own; a
+   rank that an automorphism of the fabric maps a packed rank onto takes
+   that packing through the automorphism; every other rank is packed by
+   the handle's planner at [root_epsilon]. *)
+let per_root_packings t (p : Treegen.packing) =
+  let n = n_ranks t in
+  let cap =
+    Array.init n (fun u ->
+        Array.init n (fun v ->
+            if u = v then 0. else Digraph.total_cap t.graph ~src:u ~dst:v))
+  in
+  let autos =
+    Automorphism.automorphisms ~n ~weight:(fun u v -> cap.(u).(v))
+  in
+  let packs = Array.make n None in
+  let count source =
+    Telemetry.incr t.telemetry ~labels:[ ("source", source) ]
+      "plan.root_packings"
+  in
+  packs.(t.root) <- Some p;
+  count "handle";
+  for r = 0 to n - 1 do
+    if Option.is_none packs.(r) then begin
+      let mapped =
+        List.find_map
+          (fun sigma ->
+            let u = ref (-1) in
+            Array.iteri (fun v img -> if img = r then u := v) sigma;
+            Option.bind packs.(!u) (map_packing t.graph sigma))
+          autos
+      in
+      let packing =
+        match mapped with
+        | Some q ->
+            count "mapped";
+            q
+        | None ->
+            count "planned";
+            Planner.plan t.planner ~epsilon:root_epsilon ?threshold:t.threshold
+              ~telemetry:t.telemetry t.graph ~root:r ~undirected:false
+      in
+      packs.(r) <- Some packing
+    end
+  done;
+  Array.map Option.get packs
+
+let per_root t =
+  check_usable t;
+  match t.root_trees with
+  | Some memo -> memo
+  | None ->
+      let memo =
+        match t.kind with
+        | Packed p ->
+            let packs = per_root_packings t p.directed in
+            (Some packs, Array.map (trees_of_packing t.graph) packs)
+        | One_hop _ ->
+            let n_ranks = n_ranks t in
+            ( None,
+              Array.init n_ranks (fun root ->
+                  [ { Tree.tree = one_hop_tree ~n_ranks ~root; share = 1. } ])
+            )
+      in
+      t.root_trees <- Some memo;
+      memo
+
+let root_packings t = fst (per_root t)
+let root_trees t = snd (per_root t)
+
+let trees_for t (c : Plan.collective) =
+  match c with
+  | Plan.All_reduce -> all_reduce_trees t
+  | Plan.All_gather | Plan.Reduce_scatter ->
+      List.concat (Array.to_list (root_trees t))
+  | Plan.Broadcast | Plan.Reduce | Plan.Gather -> broadcast_trees t
+
 let spec ?chunk_elems ?stream_reuse t =
   Codegen.spec ?chunk_elems ?stream_reuse ~telemetry:t.telemetry t.fabric
 
@@ -438,12 +595,12 @@ let gather ?chunk_elems ?stream_reuse t ~elems =
     ~trees:(broadcast_trees t)
 
 let all_gather ?chunk_elems ?stream_reuse t ~elems =
-  Codegen.all_gather (spec ?chunk_elems ?stream_reuse t) ~root:t.root ~elems
-    ~trees:(broadcast_trees t)
+  Codegen.all_gather (spec ?chunk_elems ?stream_reuse t) ~elems
+    ~trees:(trees_for t Plan.All_gather)
 
 let reduce_scatter ?chunk_elems ?stream_reuse t ~elems =
-  Blink_collectives.Scatter.reduce_scatter (spec ?chunk_elems ?stream_reuse t)
-    ~elems ~trees:(all_reduce_trees t)
+  Codegen.reduce_scatter (spec ?chunk_elems ?stream_reuse t) ~elems
+    ~trees:(trees_for t Plan.Reduce_scatter)
 
 let time ?policy t prog =
   Engine.run ?policy ~telemetry:t.telemetry
@@ -537,12 +694,6 @@ let tuned_chunk t ~elems =
 
 (* ------------------------------------------------------------------ *)
 (* Compiled-plan cache *)
-
-let trees_for t (c : Plan.collective) =
-  match c with
-  | Plan.All_reduce | Plan.Reduce_scatter -> all_reduce_trees t
-  | Plan.Broadcast | Plan.Reduce | Plan.Gather | Plan.All_gather ->
-      broadcast_trees t
 
 (* Pure given the handle's fabric, root and forced tree memos. *)
 let build_plan t ((collective, elems, chunk) : plan_key) =
@@ -672,6 +823,7 @@ let apply_mutation ?(replan = `Warm) t ~affected =
      and must match a fresh handle on the degraded graph bit for bit. *)
   t.bcast_trees <- None;
   t.ar_trees <- None;
+  t.root_trees <- None;
   (* Chunk knowledge the handle accumulated since the last mutation
      (warm re-tunes live only in [chunk_hints], never in a store bucket)
      must survive into this mutation's hint classification, or a second
@@ -888,9 +1040,16 @@ type prewarm_start = {
 let prewarm_start t keys =
   check_usable t;
   (* Force the tree memos here: the pure stage then only reads
-     [t.bcast_trees]/[t.ar_trees] and never races on filling them. *)
+     [t.bcast_trees]/[t.ar_trees]/[t.root_trees] and never races on
+     filling them. The per-root packings are only paid for when a key
+     needs them. *)
   ignore (broadcast_trees t);
   ignore (all_reduce_trees t);
+  if
+    List.exists
+      (fun (c, _) -> c = Plan.All_gather || c = Plan.Reduce_scatter)
+      keys
+  then ignore (root_trees t);
   let keys = dedup Option.some keys in
   let s_known, s_tune =
     List.partition_map

@@ -151,13 +151,20 @@ val edge_cut_bound : t -> Plan.collective -> float
     bounded by the Edmonds arborescence-packing value ([min] over
     vertices of maxflow from {!root}); reduce de-rates that by
     {!Blink_topology.Link.reduce_scale} (inline reduction slows the
-    receiving link); all_reduce and reduce_scatter are bounded by the
-    de-rated undirected spanning-tree-packing weight (each tree carries
-    the buffer both ways across every tree edge); gather and all_gather
-    funnel [n-1] per-rank buffers through the root's cut, dividing the
-    bound by [n-1]. On NVSwitch machines the packing values are the
-    one-hop aggregate attach bandwidth. [infinity] on single-GPU
-    allocations (nothing to bound). *)
+    receiving link); all_reduce is bounded by the de-rated undirected
+    spanning-tree-packing weight (each tree carries the buffer both ways
+    across every tree edge); gather funnels [n-1] per-rank buffers
+    through the root's cut, dividing the bound by [n-1]. All_gather and
+    reduce_scatter take their cut bounds over the rank subsets [S] of
+    {!graph} (ForestColl, arXiv 2402.06787), with [cap_in(S)] the
+    capacity entering [S]: [min cap_in(S) / |V\S|] for all_gather, and
+    [reduce_scale * n * min cap_in(S) / |S|] for reduce_scatter. The
+    subsets are enumerated exactly up to 16 ranks; above that only the
+    single ranks and their complements are tried, which still bounds.
+    On NVSwitch machines the packing values are the one-hop aggregate
+    attach bandwidth, and all_gather and reduce_scatter keep the
+    gather and all_reduce forms. [infinity] on single-GPU allocations
+    (nothing to bound). *)
 
 val broadcast_trees : t -> Blink_collectives.Tree.weighted list
 (** Trees rooted at {!root}, shares proportional to packed weights. *)
@@ -166,6 +173,25 @@ val all_reduce_trees : t -> Blink_collectives.Tree.weighted list
 (** Trees for many-to-many primitives: the undirected packing's trees on
     DGX-1-like machines; [n] one-hop trees with rotating roots on NVSwitch
     machines. *)
+
+val root_trees : t -> Blink_collectives.Tree.weighted list array
+(** The per-root packing the root-less all_gather and reduce_scatter run
+    over: element [r] holds the trees rooted at rank [r], with shares
+    summing to 1. Built on first use and kept until the next topology
+    mutation. {!root} keeps {!broadcast_trees}. A rank onto which an
+    automorphism of {!graph} (over per-pair capacities) maps an already
+    packed rank takes that packing through the automorphism; every other
+    rank is packed by the handle's planner with MWU epsilon [0.3],
+    followed by its usual ILP minimization. That fixed epsilon is
+    internal: on the DGX-1 fabrics it yields the same integral trees as
+    the default at a fifth of the cost. NVSwitch machines use one
+    one-hop star per rank. Telemetry counts the packings by source
+    (["plan.root_packings"], labelled [handle], [mapped] or
+    [planned]). *)
+
+val root_packings : t -> Treegen.packing array option
+(** The directed packings behind {!root_trees}, indexed by root rank
+    ([None] on NVSwitch machines). *)
 
 val spec :
   ?chunk_elems:int -> ?stream_reuse:bool -> t -> Blink_collectives.Codegen.spec
@@ -192,12 +218,14 @@ val gather :
 val all_gather :
   ?chunk_elems:int -> ?stream_reuse:bool -> t -> elems:int ->
   Blink_sim.Program.t * Blink_collectives.Codegen.layout
+(** Every rank broadcasts its buffer over its own {!root_trees}. *)
 
 val reduce_scatter :
   ?chunk_elems:int -> ?stream_reuse:bool -> t -> elems:int ->
   Blink_sim.Program.t * Blink_collectives.Codegen.layout
 (** Segment [r] of every buffer reduced into rank [r]'s buffer (NCCL
-    in-place convention over a [n_ranks]-segment buffer). *)
+    in-place convention over a [n_ranks]-segment buffer), over rank
+    [r]'s {!root_trees}. *)
 
 (** {2 Compiled plans}
 

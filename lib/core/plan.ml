@@ -1,5 +1,4 @@
 module Codegen = Blink_collectives.Codegen
-module Scatter = Blink_collectives.Scatter
 module Fabric = Blink_topology.Fabric
 module Engine = Blink_sim.Engine
 module Sem = Blink_sim.Semantics
@@ -64,8 +63,8 @@ let build collective ~spec ~root ~elems ~trees =
     | Broadcast -> Codegen.broadcast spec ~root ~elems ~trees
     | Reduce -> Codegen.reduce spec ~root ~elems ~trees
     | Gather -> Codegen.gather spec ~root ~elems ~trees
-    | All_gather -> Codegen.all_gather spec ~root ~elems ~trees
-    | Reduce_scatter -> Scatter.reduce_scatter spec ~elems ~trees
+    | All_gather -> Codegen.all_gather spec ~elems ~trees
+    | Reduce_scatter -> Codegen.reduce_scatter spec ~elems ~trees
   in
   let resources = Fabric.resources spec.Codegen.fabric in
   (* Lower the program into the engine's immutable schedule here, once:

@@ -68,8 +68,9 @@ val build :
   t
 (** Run CodeGen once for the collective over the given weighted trees.
     [spec] carries the chunk size and fabric; [root] is ignored by
-    root-less collectives ([All_reduce], [Reduce_scatter]) but still
-    recorded. *)
+    root-less collectives ([All_reduce], [All_gather], [Reduce_scatter])
+    but still recorded. [All_gather] and [Reduce_scatter] take a per-root
+    packing: every rank's own trees, rooted at it ({!Blink.root_trees}). *)
 
 type execution = {
   timing : Blink_sim.Engine.result;

@@ -10,7 +10,6 @@ module Hierarchical = Blink_baselines.Hierarchical
 module Multiserver = Blink_core.Multiserver
 module Hybrid = Blink_core.Hybrid
 module Codegen = Blink_collectives.Codegen
-module Scatter = Blink_collectives.Scatter
 module P = Blink_sim.Program
 module E = Blink_sim.Engine
 module Critical_path = Blink_sim.Critical_path

@@ -192,10 +192,11 @@ let test_gather_semantics () =
 
 let test_all_gather_semantics () =
   let gpus = [| 1; 4; 5; 6 |] in
-  let fabric, btrees, _, root = trees_for gpus in
+  let h = dgx1v_handle gpus in
   let elems = 777 in
-  let spec = Codegen.spec ~chunk_elems:100 fabric in
-  let prog, layout = Codegen.all_gather spec ~root ~elems ~trees:btrees in
+  let spec = Codegen.spec ~chunk_elems:100 (Blink_core.Blink.fabric h) in
+  let trees = List.concat (Array.to_list (Blink_core.Blink.root_trees h)) in
+  let prog, layout = Codegen.all_gather spec ~elems ~trees in
   let mem = Sem.memory_of_program prog in
   load_inputs mem layout 4 elems;
   Sem.run prog mem;
@@ -432,7 +433,7 @@ let pinned_programs =
       (960, "0x1.72cb3816a63f4p-15", "813872aa459ab1abd73a73442c532825") );
     ( "reduce_scatter dgx-1v-8",
       (fun () -> reduce_scatter Server.dgx1v (Array.init 8 Fun.id)),
-      (224, "0x1.37b3526b28a7dp-14", "e5ec81ae38efdce61cfb100008788f3e") );
+      (336, "0x1.494d19de1071fp-14", "9f43d7ce4d645f0ae00ec9cc0223abb7") );
   ]
 
 (* Micro.mimo reduces two flows over trees covering a subset of its

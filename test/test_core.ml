@@ -120,6 +120,190 @@ let prop_packing_sound_on_allocations =
       && p.Treegen.rate <= p.Treegen.optimal +. 1e-6)
 
 (* ------------------------------------------------------------------ *)
+(* Per-root packings: all_gather and reduce_scatter *)
+
+module Plan = Blink_core.Plan
+module Tree = Blink_collectives.Tree
+module Codegen = Blink_collectives.Codegen
+module Sem = Blink_sim.Semantics
+module Telemetry = Blink_telemetry.Telemetry
+
+let per_root_fabrics =
+  [
+    ("dgx-1v-8", fun () -> Blink.create Server.dgx1v ~gpus:full8);
+    ("dgx-1p-8", fun () -> Blink.create Server.dgx1p ~gpus:full8);
+    ("1,4,5,6", fun () -> Blink.create Server.dgx1v ~gpus:[| 1; 4; 5; 6 |]);
+    ( "2-3 down",
+      fun () ->
+        Blink.create ~link_faults:[ ((2, 3), Server.Down) ] Server.dgx1v
+          ~gpus:full8 );
+    ("dgx-2-16", fun () -> Blink.create Server.dgx2 ~gpus:(Array.init 16 Fun.id));
+    ("0,1,2", fun () -> Blink.create Server.dgx1v ~gpus:[| 0; 1; 2 |]);
+  ]
+
+let root_input r elems =
+  Array.init elems (fun i -> Float.of_int (((i * 3) + (r * 7)) mod 11))
+
+(* Both collectives on every fabric: the compiled kernels agree with the
+   reference interpreter on every buffer, and the buffers hold what the
+   collective promises. *)
+let test_per_root_data () =
+  let elems = 3_001 in
+  List.iter
+    (fun (label, make) ->
+      let h = make () in
+      let k = Blink.n_ranks h in
+      List.iter
+        (fun collective ->
+          let name = label ^ " " ^ Plan.collective_name collective in
+          let plan = Blink.plan ~chunk_elems:256 h collective ~elems in
+          let prog = plan.Plan.program in
+          let data = plan.Plan.layout.Codegen.data in
+          let mem = Sem.memory_of_program prog in
+          let rmem = Sem.Ref.memory_of_program prog in
+          for r = 0 to k - 1 do
+            Sem.write mem ~node:r ~buf:data.(r) (root_input r elems);
+            Sem.Ref.write rmem ~node:r ~buf:data.(r) (root_input r elems)
+          done;
+          Sem.run prog mem;
+          Sem.Ref.run prog rmem;
+          List.iter
+            (fun (node, buf, _) ->
+              Alcotest.(check (array (float 0.)))
+                (Printf.sprintf "%s node=%d buf=%d" name node buf)
+                (Sem.Ref.read rmem ~node ~buf)
+                (Sem.read mem ~node ~buf))
+            (Blink_sim.Program.buffers prog);
+          match collective with
+          | Plan.All_gather ->
+              let out = Option.get plan.Plan.layout.Codegen.output in
+              for q = 0 to k - 1 do
+                let got = Sem.read mem ~node:q ~buf:out.(q) in
+                for r = 0 to k - 1 do
+                  Alcotest.(check (array (float 0.)))
+                    (Printf.sprintf "%s rank %d segment %d" name q r)
+                    (root_input r elems)
+                    (Array.sub got (r * elems) elems)
+                done
+              done
+          | _ ->
+              let inputs = Array.init k (fun q -> root_input q elems) in
+              for r = 0 to k - 1 do
+                let lo = r * elems / k and hi = (r + 1) * elems / k in
+                let want =
+                  Array.init (hi - lo) (fun i ->
+                      Array.fold_left (fun acc a -> acc +. a.(lo + i)) 0. inputs)
+                in
+                Alcotest.(check (array (float 0.)))
+                  (Printf.sprintf "%s segment %d" name r)
+                  want
+                  (Array.sub (Sem.read mem ~node:r ~buf:data.(r)) lo (hi - lo))
+              done)
+        Plan.[ All_gather; Reduce_scatter ])
+    per_root_fabrics
+
+let root_packing_count h source =
+  Telemetry.counter_value (Blink.telemetry h)
+    ~labels:[ ("source", source) ] "plan.root_packings"
+
+(* Every per-root packing — the handle's own, orbit-mapped or planned —
+   is a feasible packing rooted at its rank; its trees' shares sum to
+   1. On the DGX-1V the automorphisms leave two root orbits, so one rank
+   outside the handle root's orbit is packed and the other six are
+   mapped. *)
+let test_root_packings_feasible () =
+  List.iter
+    (fun (label, make) ->
+      let h = make () in
+      let trees = Blink.root_trees h in
+      Array.iteri
+        (fun r ts ->
+          List.iter
+            (fun w ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s tree root %d" label r)
+                r w.Tree.tree.Tree.root)
+            ts;
+          check_float
+            (Printf.sprintf "%s shares of %d" label r)
+            1.
+            (List.fold_left (fun acc w -> acc +. w.Tree.share) 0. ts))
+        trees;
+      match Blink.root_packings h with
+      | None -> Alcotest.(check bool) (label ^ " one-hop") true (Blink.packing h = None)
+      | Some packs ->
+          Array.iteri
+            (fun r p ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s root %d" label r)
+                r p.Treegen.root;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s feasible from %d" label r)
+                true
+                (Treegen.feasible (Blink.graph h) p))
+            packs)
+    per_root_fabrics;
+  let h = Blink.create Server.dgx1v ~gpus:full8 in
+  ignore (Blink.root_trees h);
+  Alcotest.(check (list int)) "dgx-1v-8 handle/mapped/planned" [ 1; 6; 1 ]
+    (List.map (root_packing_count h) [ "handle"; "mapped"; "planned" ])
+
+(* A failed link drops the per-root memo with the other trees: the
+   next all_gather/reduce_scatter plans are rebuilt over the degraded
+   graph's per-root trees, identical to a fresh handle's on that graph,
+   and none of them crosses the dead pair. *)
+let test_per_root_after_fail_link () =
+  let elems = 65_536 and chunk_elems = 4_096 in
+  List.iter
+    (fun replan ->
+      let h = Blink.create Server.dgx1v ~gpus:full8 in
+      let before =
+        List.map
+          (fun c -> Blink.plan ~chunk_elems h c ~elems)
+          Plan.[ All_gather; Reduce_scatter ]
+      in
+      Blink.fail_link ~replan h ~u:2 ~v:3;
+      let fresh =
+        Blink.create ~link_faults:[ ((2, 3), Server.Down) ] Server.dgx1v ~gpus:full8
+      in
+      let flat h = List.concat (Array.to_list (Blink.root_trees h)) in
+      (* A warm replan keeps the root's surviving trees, so only the cold
+         path is bound to a fresh handle's packings. *)
+      if replan = `Cold then
+        Alcotest.(check bool) "per-root trees as on a fresh handle" true
+          (flat h = flat fresh);
+      Array.iter
+        (fun p ->
+          Alcotest.(check bool) "feasible on the new graph" true
+            (Treegen.feasible (Blink.graph h) p))
+        (Option.get (Blink.root_packings h));
+      List.iter2
+        (fun c old ->
+          let plan = Blink.plan ~chunk_elems h c ~elems in
+          Alcotest.(check bool) "rebuilt" true (plan != old);
+          Alcotest.(check bool) "over the new per-root trees" true
+            (plan.Plan.trees = flat h);
+          List.iter
+            (fun w ->
+              let p = w.Tree.tree.Tree.parent in
+              Alcotest.(check bool) "avoids 2-3" false (p.(2) = 3 || p.(3) = 2))
+            plan.Plan.trees)
+        Plan.[ All_gather; Reduce_scatter ]
+        before)
+    [ `Cold; `Warm ]
+
+(* The per-root schedule reaches the all_gather cut bound on the full
+   DGX-1V in the bandwidth regime. *)
+let test_all_gather_near_bound () =
+  let h = Blink.create Server.dgx1v ~gpus:full8 in
+  let elems = 33_554_432 in
+  let plan = Blink.plan ~chunk_elems:131_072 h Plan.All_gather ~elems in
+  let gbps = Blink.algbw_gbps ~elems (Plan.execute ~data:false plan).Plan.timing in
+  let bound = Blink.edge_cut_bound h Plan.All_gather in
+  if gbps < 0.95 *. bound then
+    Alcotest.failf "all_gather %.2f GB/s below 95%% of the %.2f GB/s bound" gbps bound
+
+(* ------------------------------------------------------------------ *)
 (* Blink facade *)
 
 let test_facade_rates () =
@@ -392,6 +576,13 @@ let () =
           Alcotest.test_case "rejects a single gpu" `Quick test_facade_rejects_single_gpu;
           Alcotest.test_case "beats pcie fallback" `Quick test_facade_beats_pcie_fallback;
           Alcotest.test_case "one-hop trees" `Quick test_one_hop_trees_shape;
+        ] );
+      ( "per-root",
+        [
+          Alcotest.test_case "data" `Quick test_per_root_data;
+          Alcotest.test_case "feasible packings" `Quick test_root_packings_feasible;
+          Alcotest.test_case "after fail_link" `Quick test_per_root_after_fail_link;
+          Alcotest.test_case "all_gather bound" `Quick test_all_gather_near_bound;
         ] );
       ( "chunking",
         [

@@ -53,7 +53,7 @@ let dgx2_kernels = function
   | Plan.Broadcast -> (180, 30)
   | Plan.Reduce -> (180, 30)
   | Plan.Gather -> (181, 31)
-  | Plan.All_gather -> (3061, 511)
+  | Plan.All_gather -> (2896, 496)
   | Plan.Reduce_scatter -> (480, 480)
 
 let inputs k =
