@@ -45,15 +45,22 @@ let canonical_key server subset =
   let k = Array.length verts in
   if k > 8 then invalid_arg "Alloc.canonical_key: allocation larger than 8";
   let perms = permutations (List.init k Fun.id) in
+  (* Format each pair weight once, not once per permutation. *)
+  let cell =
+    Array.map
+      (fun u ->
+        Array.map
+          (fun v -> Printf.sprintf "%.1f;" (Server.pair_weight server u v))
+          verts)
+      verts
+  in
+  let buf = Buffer.create 64 in
   let key perm =
     let p = Array.of_list perm in
-    let buf = Buffer.create 64 in
+    Buffer.clear buf;
     for i = 0 to k - 1 do
       for j = 0 to k - 1 do
-        if i <> j then
-          Buffer.add_string buf
-            (Printf.sprintf "%.1f;"
-               (Server.pair_weight server verts.(p.(i)) verts.(p.(j))))
+        if i <> j then Buffer.add_string buf cell.(p.(i)).(p.(j))
       done
     done;
     Buffer.contents buf

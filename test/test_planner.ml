@@ -240,6 +240,67 @@ let shared_store_separation () =
       | None -> Alcotest.fail "expected packed topology")
     handles
 
+(* Packing pins: one MD5 over every packing a planner returns, so a
+   refactor of the planners shows any change in a tree, a weight bit, a
+   rate or an optimum. Cold: both capacity models on every unique
+   connected 3-8 GPU allocation of the DGX-1V and DGX-1P. Warm: both
+   models of the full DGX-1V replanned after each single link failure
+   and each halving of one link pair. *)
+let digest_packings packings =
+  let b = Buffer.create 65_536 in
+  List.iter
+    (fun (p : Treegen.packing) ->
+      Printf.bprintf b "root %d undirected %b rate %h optimal %h\n"
+        p.Treegen.root p.Treegen.undirected p.Treegen.rate p.Treegen.optimal;
+      List.iter
+        (fun (t : Treegen.tree) ->
+          Printf.bprintf b "  %h [%s]\n" t.Treegen.weight
+            (String.concat ";" (List.map string_of_int t.Treegen.edges)))
+        p.Treegen.trees)
+    packings;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let cold_packings b =
+  List.concat_map
+    (fun server ->
+      List.concat_map
+        (fun gpus ->
+          let g = Server.nvlink_digraph server ~gpus:(Array.of_list gpus) in
+          let root = Treegen.best_root g in
+          List.map
+            (fun undirected -> Planner.plan b g ~root ~undirected)
+            [ false; true ])
+        (Blink_topology.Alloc.unique_configs server ~sizes:[ 3; 4; 5; 6; 7; 8 ]))
+    [ Server.dgx1v; Server.dgx1p ]
+
+let warm_packings () =
+  let server = Server.dgx1v and gpus = Array.init 8 Fun.id in
+  let prev_graph = Server.nvlink_digraph server ~gpus in
+  let root = Treegen.best_root prev_graph in
+  let prevs =
+    List.map
+      (fun undirected -> Planner.plan Planner.treegen prev_graph ~root ~undirected)
+      [ false; true ]
+  in
+  let pairs =
+    List.sort_uniq compare
+      (List.map (fun (u, v, _) -> (u, v)) server.Server.nvlinks)
+  in
+  List.concat_map
+    (fun pair ->
+      List.concat_map
+        (fun state ->
+          let g = Server.nvlink_digraph ~faults:[ (pair, state) ] server ~gpus in
+          let root = Treegen.best_root g in
+          List.map
+            (fun prev -> fst (Treegen.replan ~prev ~prev_graph g ~root))
+            prevs)
+        [ Server.Down; Server.Degraded 0.5 ])
+    pairs
+
+let pin expected packings () =
+  Alcotest.(check string) "packing digest" expected (digest_packings (packings ()))
+
 let register_duplicate () =
   Alcotest.check_raises "duplicate name rejected"
     (Invalid_argument "Planner.register: duplicate backend \"treegen\"")
@@ -268,6 +329,17 @@ let () =
       ( "data correctness",
         backend_cases (fun b ->
             Alcotest.test_case (Planner.name b) `Quick (data_correct b)) );
+      ( "packing pins",
+        [
+          Alcotest.test_case "treegen cold" `Quick
+            (pin "4d5f9edc5c3b04e278b77549651763c3" (fun () ->
+                 cold_packings Planner.treegen));
+          Alcotest.test_case "lp-flow cold" `Quick
+            (pin "37b13865903014a2735c6fe4cb7a430b" (fun () ->
+                 cold_packings Planner.lp_flow));
+          Alcotest.test_case "treegen warm replan" `Quick
+            (pin "bed3992ff6fc1c69d44a308fdc7cadbc" warm_packings);
+        ] );
       ( "store identity",
         [
           Alcotest.test_case "fingerprints" `Quick fingerprint_separation;
