@@ -238,7 +238,9 @@ let theory_speedup server gpus =
   let connected = Alloc.nvlink_connected server (Array.to_list gpus) in
   let unit = Server.nvlink_bandwidth server in
   let blink_units =
-    if connected then (Treegen.plan g ~root:0).Treegen.rate /. unit else 0.5
+    if connected then
+      (Treegen.plan g ~root:0 ~undirected:false).Treegen.rate /. unit
+    else 0.5
   in
   let channels = Ring.nccl_channels server ~gpus in
   let nccl_units =
@@ -469,7 +471,7 @@ let treegen_stats () =
   let g = Server.nvlink_digraph Server.dgx1v ~gpus:(Array.init 8 Fun.id) in
   List.iter
     (fun epsilon ->
-      let raw = Treegen.pack ~epsilon g ~root:0 in
+      let raw = Treegen.pack ~epsilon g ~root:0 ~undirected:false in
       let mini = Treegen.minimize g raw in
       let unit = Server.nvlink_bandwidth Server.dgx1v in
       let weights = List.map (fun t -> t.Treegen.weight /. unit) raw.Treegen.trees in
@@ -499,7 +501,7 @@ let ablation_ilp () =
     let prog, _ = Codegen.all_reduce spec ~elems ~trees in
     gbps ~elems (time_fabric fabric prog)
   in
-  let raw = Treegen.pack_undirected ~epsilon:0.05 g ~root:0 in
+  let raw = Treegen.pack ~epsilon:0.05 g ~root:0 ~undirected:true in
   let mini = Treegen.minimize g raw in
   row "  MWU only: %d trees -> %.1f GB/s\n" (List.length raw.Treegen.trees) (measure raw);
   row "  with ILP: %d trees -> %.1f GB/s\n" (List.length mini.Treegen.trees) (measure mini)

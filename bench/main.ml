@@ -28,12 +28,14 @@ let bechamel_suite () =
       Test.make ~name:"maxflow-rate"
         (Staged.stage (fun () -> ignore (Treegen.best_root graph)));
       Test.make ~name:"mwu-pack"
-        (Staged.stage (fun () -> ignore (Treegen.pack ~epsilon:0.1 graph ~root:0)));
+        (Staged.stage (fun () ->
+             ignore (Treegen.pack ~epsilon:0.1 graph ~root:0 ~undirected:false)));
       Test.make ~name:"plan-with-ilp"
-        (Staged.stage (fun () -> ignore (Treegen.plan ~epsilon:0.1 graph ~root:0)));
+        (Staged.stage (fun () ->
+             ignore (Treegen.plan ~epsilon:0.1 graph ~root:0 ~undirected:false)));
       Test.make ~name:"plan-undirected"
         (Staged.stage (fun () ->
-             ignore (Treegen.plan_undirected ~epsilon:0.1 graph ~root:0)));
+             ignore (Treegen.plan ~epsilon:0.1 graph ~root:0 ~undirected:true)));
       Test.make ~name:"codegen-allreduce-100MB"
         (Staged.stage (fun () ->
              ignore (Blink.all_reduce ~chunk_elems:1_048_576 handle ~elems)));
@@ -967,9 +969,9 @@ let analyze_suite () =
     (List.length phases)
 
 (* ------------------------------------------------------------------ *)
-(* Planner-backend tournament: every registered backend plans the same
-   fabrics; the DES times the resulting AllReduce/Broadcast schedules and
-   a differential check holds each backend to Treegen.feasible plus
+(* Planner-backend tournament: both backends plan the same fabrics; the
+   DES times the resulting AllReduce/Broadcast schedules and a
+   differential check holds each backend to Treegen.feasible plus
    bit-equality against the reference semantics. Two gates (after the
    artifact is written): every backend must pass the differential check,
    and TreeGen must stay within 5% of the best backend's achieved
@@ -1000,7 +1002,7 @@ let tournament_suite () =
   let open Scenario in
   let mbytes = 100. in
   Util.heading "Tournament: %d planner backends x %d topologies, %.0f MB"
-    (List.length (Planner.all ())) (List.length tournament_topologies) mbytes;
+    (List.length Planner.all) (List.length tournament_topologies) mbytes;
   let packing_fields prefix g = function
     | None -> [ (prefix ^ "_trees", Json.Null); (prefix ^ "_rate", Json.Null) ]
     | Some (p : Treegen.packing) ->

@@ -137,9 +137,7 @@ let topo_cmd =
 let plan server gpus undirected =
   let g = Server.nvlink_digraph server ~gpus in
   let root = Treegen.best_root g in
-  let packing =
-    if undirected then Treegen.plan_undirected g ~root else Treegen.plan g ~root
-  in
+  let packing = Treegen.plan g ~root ~undirected in
   Format.printf "%a@." Treegen.pp packing;
   List.iteri
     (fun i t ->
@@ -681,7 +679,7 @@ let cluster_cmd =
 (* ----------------------------- tournament ----------------------------- *)
 
 
-(* Every registered planner backend on one allocation: packing rates and
+(* Both planner backends on one allocation: packing rates and
    tree counts, DES-achieved Broadcast/AllReduce, planning wall-clock,
    and the differential check (Treegen.feasible + bit-equality against
    the reference semantics). Non-zero exit when any backend fails the
@@ -703,7 +701,7 @@ let tournament_cmd =
   Cmd.v
     (Cmd.info "tournament"
        ~doc:
-         "Race every planner backend on one allocation: achieved rates, \
+         "Race both planner backends on one allocation: achieved rates, \
           tree counts, planning time, and a feasibility + data-correctness \
           differential check")
     Term.(const (with_alloc tournament) $ alloc_arg $ mbytes_arg)

@@ -184,34 +184,47 @@ let raise_disconnected ~on_disconnected graph ~gpus ~root =
       done;
       raise (Partitioned { alive = !alive; unreachable = !unreachable })
 
-(* Plan the NVLink topology restricted to the surviving [gpus] under the
-   accumulated link [faults]. [on_disconnected] picks the error shape:
+(* The rank of the gpu pinned by [create ?root], if any. *)
+let pinned_rank ~gpus =
+  Option.map (fun g ->
+      match rank_of_gpu gpus g with
+      | -1 ->
+          invalid_arg
+            (Printf.sprintf "Blink: pinned root gpu %d left the allocation" g)
+      | r -> r)
+
+(* The fabric view of the surviving [gpus] under the accumulated link
+   [faults]: fabric, NVLink graph and root rank (the pinned one, else
+   rank 0 on one-hop fabrics, else the max-rate root). A packed graph
+   that does not span from the root raises per [on_disconnected]:
    [create] keeps its historical [Invalid_argument] for a born-broken
    allocation, while the mutation path raises the typed {!Partitioned}
    with the reachable/unreachable GPU sets. *)
-let plan_topology ?epsilon ?threshold ~telemetry ~planner ~on_disconnected
-    server ~gpus ~faults ~root_gpu =
+let topology_view ~on_disconnected server ~gpus ~faults ~root_gpu =
   let fabric = Fabric.of_server ~faults server ~gpus in
   let graph = Server.nvlink_digraph ~faults server ~gpus in
-  let k = Array.length gpus in
-  let rank_of g =
-    match rank_of_gpu gpus g with
-    | -1 ->
-        invalid_arg
-          (Printf.sprintf "Blink: root gpu %d is not in the allocation" g)
-    | r -> r
+  let one_hop = Option.is_some server.Server.nvswitch in
+  let root =
+    match pinned_rank ~gpus root_gpu with
+    | Some r -> r
+    | None -> if one_hop then 0 else Treegen.best_root graph
+  in
+  if (not one_hop) && Array.length gpus > 1
+     && not (Digraph.is_connected_from graph ~root)
+  then raise_disconnected ~on_disconnected graph ~gpus ~root;
+  (fabric, graph, root)
+
+(* Plan the NVLink topology of {!topology_view}. *)
+let plan_topology ?epsilon ?threshold ~telemetry ~planner ~on_disconnected
+    server ~gpus ~faults ~root_gpu =
+  let fabric, graph, root =
+    topology_view ~on_disconnected server ~gpus ~faults ~root_gpu
   in
   match server.Server.nvswitch with
   | Some kind ->
       let rate = 6. *. Blink_topology.Link.bandwidth kind in
-      let root = match root_gpu with Some g -> rank_of g | None -> 0 in
       (fabric, graph, One_hop rate, root)
   | None ->
-      let root =
-        match root_gpu with Some g -> rank_of g | None -> Treegen.best_root graph
-      in
-      if k > 1 && not (Digraph.is_connected_from graph ~root) then
-        raise_disconnected ~on_disconnected graph ~gpus ~root;
       let directed =
         Planner.plan planner ?epsilon ?threshold ~telemetry graph ~root
           ~undirected:false
@@ -411,7 +424,9 @@ let min_cut_ratio g ratio =
    cut bounds (ForestColl, arXiv 2402.06787): every subset S must
    receive the |V\S| buffers held outside it, or, reduced, the |S|/n of
    the buffer it owns. One-hop fabrics (NVSwitch) replace every cut by
-   the attach bandwidth the kind already carries. *)
+   the attach bandwidth the kind already carries; there the tightest
+   reduce-scatter cut is all ranks but one, which must receive
+   [(n-1)/n] of the buffer through a single attach. *)
 let edge_cut_bound t (collective : Plan.collective) =
   let n = Digraph.n_vertices t.graph in
   if n <= 1 then infinity
@@ -428,7 +443,8 @@ let edge_cut_bound t (collective : Plan.collective) =
     match (collective, t.kind) with
     | Plan.Broadcast, _ -> directed
     | Plan.Reduce, _ -> s *. directed
-    | Plan.All_reduce, _ | Plan.Reduce_scatter, One_hop _ -> s *. undirected
+    | Plan.All_reduce, _ -> s *. undirected
+    | Plan.Reduce_scatter, One_hop _ -> s *. undirected *. nf /. (nf -. 1.)
     | Plan.Gather, _ | Plan.All_gather, One_hop _ -> directed /. (nf -. 1.)
     | Plan.All_gather, Packed _ ->
         min_cut_ratio t.graph (fun cap size -> cap /. (nf -. Float.of_int size))
@@ -776,19 +792,10 @@ let plan_touches_pair (plan : Plan.t) (ru, rv) =
    tenants — and the fresh-handle bit-identity verification — are never
    served a warm-derived packing. *)
 let warm_replan t ~prev_directed ~prev_undirected ~prev_graph ~faults =
-  let fabric = Fabric.of_server ~faults t.server ~gpus:t.gpus in
-  let graph = Server.nvlink_digraph ~faults t.server ~gpus:t.gpus in
-  let root =
-    match t.explicit_root with
-    | Some g -> (
-        match rank_of_gpu t.gpus g with
-        | -1 -> invalid_arg "Blink: pinned root left the allocation"
-        | r -> r)
-    | None -> Treegen.best_root graph
+  let fabric, graph, root =
+    topology_view ~on_disconnected:`Partitioned t.server ~gpus:t.gpus ~faults
+      ~root_gpu:t.explicit_root
   in
-  if Array.length t.gpus > 1 && not (Digraph.is_connected_from graph ~root)
-  then
-    raise_disconnected ~on_disconnected:`Partitioned graph ~gpus:t.gpus ~root;
   let directed, dstats =
     Treegen.replan ?epsilon:t.epsilon ?threshold:t.threshold
       ~telemetry:t.telemetry ~prev:prev_directed ~prev_graph graph ~root
@@ -838,13 +845,7 @@ let apply_mutation ?(replan = `Warm) t ~affected =
   let faults = link_faults t in
   let fingerprint =
     Fingerprint.make ?epsilon:t.epsilon ?threshold:t.threshold
-      ?root:
-        (Option.map
-           (fun g ->
-             match rank_of_gpu t.gpus g with
-             | -1 -> invalid_arg "Blink: pinned root left the allocation"
-             | r -> r)
-           t.explicit_root)
+      ?root:(pinned_rank ~gpus:t.gpus t.explicit_root)
       t.server ~gpus:t.gpus ~faults ~planner:(Planner.name t.planner)
   in
   let fp = Fingerprint.id fingerprint in
@@ -872,9 +873,7 @@ let apply_mutation ?(replan = `Warm) t ~affected =
           (* The incremental warm path is TreeGen machinery (tree remap +
              residual MWU + warm-started ILP): other backends take the
              cold path below, rebuilding with their own [plan]. *)
-          | `Warm, Packed prev
-            when String.equal (Planner.name t.planner)
-                   (Planner.name Planner.treegen) ->
+          | `Warm, Packed prev when t.planner = Planner.Treegen ->
               path := "warm";
               warm_replan t ~prev_directed:prev.directed
                 ~prev_undirected:prev.undirected ~prev_graph ~faults
@@ -1149,14 +1148,7 @@ and prewarm_contingencies ?pool ~contingencies t keys =
   else begin
     let live g = rank_of_gpu t.gpus g >= 0 in
     let current = link_faults t in
-    let root_rank =
-      Option.map
-        (fun g ->
-          match rank_of_gpu t.gpus g with
-          | -1 -> invalid_arg "Blink: pinned root left the allocation"
-          | r -> r)
-        t.explicit_root
-    in
+    let root_rank = pinned_rank ~gpus:t.gpus t.explicit_root in
     (* One candidate per distinct post-fault fingerprint class whose
        surviving graph still spans the allocation. *)
     let seen = Hashtbl.create 8 in

@@ -93,7 +93,7 @@ val create :
     that packs trees on NVLink machines. The backend name is part of the
     handle's fingerprint, so tenants on different backends never share
     store entries; only the TreeGen backend takes the incremental warm
-    path on fault replans — the rest replan cold. *)
+    path on fault replans — lp-flow replans cold. *)
 
 val planner : t -> Planner.backend
 (** The planner backend this handle packs with. *)
@@ -162,8 +162,9 @@ val edge_cut_bound : t -> Plan.collective -> float
     subsets are enumerated exactly up to 16 ranks; above that only the
     single ranks and their complements are tried, which still bounds.
     On NVSwitch machines the packing values are the one-hop aggregate
-    attach bandwidth, and all_gather and reduce_scatter keep the
-    gather and all_reduce forms. [infinity] on single-GPU allocations
+    attach bandwidth [a]: all_gather keeps the gather form, and
+    reduce_scatter is bounded by [reduce_scale * a * n / (n-1)], the cut
+    around all ranks but one. [infinity] on single-GPU allocations
     (nothing to bound). *)
 
 val broadcast_trees : t -> Blink_collectives.Tree.weighted list

@@ -31,7 +31,7 @@ let plan_server ?epsilon ?threshold ~n_ranks server ~gpus ~rank_offset =
     let root = Treegen.best_root g in
     (* Local trees run reduce and broadcast phases over the same edges, so
        the undirected (duplex-link) packing is the right model. *)
-    let packing = Treegen.plan_undirected ?epsilon ?threshold g ~root in
+    let packing = Treegen.plan ?epsilon ?threshold g ~root ~undirected:true in
     if packing.Treegen.trees = [] then
       invalid_arg
         "Multiserver: a server's local NVLink graph is disconnected; \

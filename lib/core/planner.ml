@@ -1,6 +1,5 @@
 module Digraph = Blink_graph.Digraph
 module Maxflow = Blink_graph.Maxflow
-module Telemetry = Blink_telemetry.Telemetry
 
 let log_src = Logs.Src.create "blink.planner" ~doc:"Blink planner backends"
 
@@ -8,61 +7,23 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let tol = 1e-9
 
-module type BACKEND = sig
-  val name : string
+type backend = Treegen | Lp_flow
 
-  val plan :
-    ?epsilon:float ->
-    ?threshold:float ->
-    ?telemetry:Telemetry.t ->
-    Digraph.t ->
-    root:int ->
-    undirected:bool ->
-    Treegen.packing
-end
+let name = function Treegen -> "treegen" | Lp_flow -> "lp-flow"
+let all = [ Treegen; Lp_flow ]
+let default = Treegen
 
-type backend = (module BACKEND)
-
-let name (b : backend) =
-  let module B = (val b) in
-  B.name
-
-let plan (b : backend) ?epsilon ?threshold ?telemetry g ~root ~undirected =
-  let module B = (val b) in
-  B.plan ?epsilon ?threshold ?telemetry g ~root ~undirected
-
-let empty ~root ~undirected =
-  { Treegen.root; trees = []; rate = 0.; optimal = 0.; undirected }
-
-(* Single-vertex or cut-off-from-root fabrics: every backend returns the
-   same empty packing TreeGen does, so Blink's disconnection handling is
-   backend-independent. *)
-let trivial g ~root ~undirected =
-  if Digraph.n_vertices g <= 1 || not (Digraph.is_connected_from g ~root) then
-    Some (empty ~root ~undirected)
-  else None
-
-module Treegen_backend = struct
-  let name = "treegen"
-
-  let plan ?epsilon ?threshold ?telemetry g ~root ~undirected =
-    if undirected then
-      Treegen.plan_undirected ?epsilon ?threshold ?telemetry g ~root
-    else Treegen.plan ?epsilon ?threshold ?telemetry g ~root
-end
-
-(* Candidate pool shared by the non-MWU backends: trees deduplicated by
-   the item set they consume (orientation differences that use the same
-   duplex links are one column). *)
+(* lp-flow's candidate pool: trees deduplicated by the item set they
+   consume (orientation differences that use the same duplex links are
+   one column). *)
 module Pool = struct
   type t = {
     model : Treegen.model;
     seen : (int list, unit) Hashtbl.t;
     mutable trees : int list list;  (* reverse registration order *)
-    mutable size : int;
   }
 
-  let create model = { model; seen = Hashtbl.create 64; trees = []; size = 0 }
+  let create model = { model; seen = Hashtbl.create 64; trees = [] }
 
   let add p edges =
     let key = List.sort compare (Treegen.model_items p.model edges) in
@@ -70,198 +31,112 @@ module Pool = struct
     else begin
       Hashtbl.add p.seen key ();
       p.trees <- edges :: p.trees;
-      p.size <- p.size + 1;
       true
     end
 
   let candidates p = Array.of_list (List.rev p.trees)
 end
 
-module Lp_flow = struct
-  let name = "lp-flow"
+(* Column generation converges long before these caps on every fabric
+   we plan (DGX class: < 20 rounds); they bound degenerate inputs. *)
+let max_rounds = 64
+let price_retries = 6
 
-  (* Column generation converges long before these caps on every fabric
-     we plan (DGX class: < 20 rounds); they bound degenerate inputs. *)
-  let max_rounds = 64
-  let price_retries = 6
-
-  let plan ?epsilon:_ ?threshold ?telemetry:_ g ~root ~undirected =
-    match trivial g ~root ~undirected with
-    | Some p -> p
-    | None ->
-        let m = Treegen.model g ~undirected in
-        let caps = Treegen.model_caps m in
-        let n_items = Array.length caps in
-        (* Edmonds' bound certifies directed optimality, so the loop can
-           stop as soon as the master LP reaches it. No such closed-form
-           bound undirected: run until columns stop improving. *)
-        let target =
-          if undirected then infinity else Maxflow.broadcast_rate g ~root
-        in
-        let pool = Pool.create m in
-        (match
-           Treegen.model_tree m ~root
-             ~price:(Array.map (fun c -> 1. /. c) caps)
-         with
-        | Some t -> ignore (Pool.add pool t)
-        | None -> ());
-        List.iter
-          (fun t -> ignore (Pool.add pool t))
-          (Treegen.integral_trees g ~root ~undirected);
-        let solve () =
-          let candidates = Pool.candidates pool in
-          let items = Array.map (Treegen.model_items m) candidates in
-          let obj, sol = Treegen.candidate_lp ~caps ~candidates:items in
-          (candidates, items, obj, sol)
-        in
-        let rec generate round ((_, items, obj, sol) as state) =
-          if round >= max_rounds || obj +. tol >= target then state
-          else begin
-            let load = Array.make n_items 0. in
-            Array.iteri
-              (fun ci its ->
-                List.iter (fun i -> load.(i) <- load.(i) +. sol.(ci)) its)
-              items;
-            (* Price items by their congestion in the fractional optimum,
-               normalized by capacity so the oracle prefers uncongested
-               fat links. A growing deterministic perturbation breaks
-               ties toward unexplored trees when the plain congestion
-               price keeps proposing known columns. *)
-            let fresh = ref false in
-            let tries = ref 0 in
-            while (not !fresh) && !tries < price_retries do
-              let jitter = 1e-3 *. Float.of_int (!tries + 1) in
-              let price =
-                Array.init n_items (fun i ->
-                    (1e-6
-                    +. (load.(i) /. caps.(i))
-                    +. jitter
-                       *. Float.of_int (((i + !tries + round) * 7919) mod 97)
-                       /. 97.)
-                    /. caps.(i))
-              in
-              (match Treegen.model_tree m ~root ~price with
-              | Some t when Pool.add pool t -> fresh := true
-              | Some _ | None -> ());
-              incr tries
-            done;
-            if !fresh then generate (round + 1) (solve ()) else state
-          end
-        in
-        let candidates, _, obj, sol = generate 0 (solve ()) in
-        let trees =
-          Array.to_list
-            (Array.mapi
-               (fun i edges -> { Treegen.edges; weight = sol.(i) })
-               candidates)
-          |> List.filter (fun t -> t.Treegen.weight > tol)
-        in
-        let rate =
-          List.fold_left (fun a t -> a +. t.Treegen.weight) 0. trees
-        in
-        Log.debug (fun f ->
-            f "lp-flow root=%d undirected=%b columns=%d rate=%.3f" root
-              undirected (Array.length candidates) rate);
-        let fractional =
-          {
-            Treegen.root;
-            trees;
-            rate;
-            (* Directed: Edmonds' bound (matches TreeGen's [optimal]
-               semantics). Undirected: the master-LP optimum over the
-               generated columns, a certified achievable rate. *)
-            optimal = (if undirected then obj else target);
-            undirected;
-          }
-        in
-        Treegen.minimize ?threshold g fractional
-end
-
-module Greedy_cut = struct
-  let name = "greedy-cut"
-
-  let plan ?epsilon:_ ?threshold:_ ?telemetry:_ g ~root ~undirected =
-    match trivial g ~root ~undirected with
-    | Some p -> p
-    | None ->
-        let m = Treegen.model g ~undirected in
-        let caps = Treegen.model_caps m in
-        let residual = Array.copy caps in
-        (* Each round extracts the spanning structure of maximum
-           bottleneck residual (min-price tree under price 1/residual
-           approximates it) and saturates its bottleneck, zeroing at
-           least one item — so the loop cuts the fabric within
-           [Array.length caps] rounds. *)
-        let merged : (int list, int list * float ref) Hashtbl.t =
-          Hashtbl.create 16
-        in
-        let order = ref [] in
-        let continue = ref true in
-        while !continue do
+let lp_flow ?threshold g ~root ~undirected =
+  (* Single-vertex or cut-off-from-root fabrics: the empty packing
+     TreeGen returns, so Blink's disconnection handling is
+     backend-independent. *)
+  if Digraph.n_vertices g <= 1 || not (Digraph.is_connected_from g ~root) then
+    { Treegen.root; trees = []; rate = 0.; optimal = 0.; undirected }
+  else
+    let m = Treegen.model g ~undirected in
+    let caps = Treegen.model_caps m in
+    let n_items = Array.length caps in
+    (* Edmonds' bound certifies directed optimality, so the loop can
+       stop as soon as the master LP reaches it. No such closed-form
+       bound undirected: run until columns stop improving. *)
+    let target =
+      if undirected then infinity else Maxflow.broadcast_rate g ~root
+    in
+    let pool = Pool.create m in
+    (match
+       Treegen.model_tree m ~root
+         ~price:(Array.map (fun c -> 1. /. c) caps)
+     with
+    | Some t -> ignore (Pool.add pool t)
+    | None -> ());
+    List.iter
+      (fun t -> ignore (Pool.add pool t))
+      (Treegen.integral_trees m ~root);
+    let solve () =
+      let candidates = Pool.candidates pool in
+      let items = Array.map (Treegen.model_items m) candidates in
+      let obj, sol = Treegen.candidate_lp ~caps ~candidates:items in
+      (candidates, items, obj, sol)
+    in
+    let rec generate round ((_, items, obj, sol) as state) =
+      if round >= max_rounds || obj +. tol >= target then state
+      else begin
+        let load = Array.make n_items 0. in
+        Array.iteri
+          (fun ci its ->
+            List.iter (fun i -> load.(i) <- load.(i) +. sol.(ci)) its)
+          items;
+        (* Price items by their congestion in the fractional optimum,
+           normalized by capacity so the oracle prefers uncongested
+           fat links. A growing deterministic perturbation breaks
+           ties toward unexplored trees when the plain congestion
+           price keeps proposing known columns. *)
+        let fresh = ref false in
+        let tries = ref 0 in
+        while (not !fresh) && !tries < price_retries do
+          let jitter = 1e-3 *. Float.of_int (!tries + 1) in
           let price =
-            Array.map
-              (fun r -> if r <= tol then 1e18 else 1. /. r)
-              residual
+            Array.init n_items (fun i ->
+                (1e-6
+                +. (load.(i) /. caps.(i))
+                +. jitter
+                   *. Float.of_int (((i + !tries + round) * 7919) mod 97)
+                   /. 97.)
+                /. caps.(i))
           in
-          match Treegen.model_tree m ~root ~price with
-          | None -> continue := false
-          | Some edges ->
-              let items = Treegen.model_items m edges in
-              let w =
-                List.fold_left
-                  (fun a i -> Float.min a residual.(i))
-                  infinity items
-              in
-              if w <= tol then continue := false
-              else begin
-                List.iter (fun i -> residual.(i) <- residual.(i) -. w) items;
-                let key = List.sort compare items in
-                match Hashtbl.find_opt merged key with
-                | Some (_, weight) -> weight := !weight +. w
-                | None ->
-                    Hashtbl.add merged key (edges, ref w);
-                    order := key :: !order
-              end
+          (match Treegen.model_tree m ~root ~price with
+          | Some t when Pool.add pool t -> fresh := true
+          | Some _ | None -> ());
+          incr tries
         done;
-        let trees =
-          List.rev_map
-            (fun key ->
-              let edges, weight = Hashtbl.find merged key in
-              { Treegen.edges; weight = !weight })
-            !order
-        in
-        let rate =
-          List.fold_left (fun a t -> a +. t.Treegen.weight) 0. trees
-        in
-        let optimal =
-          if not undirected then Maxflow.broadcast_rate g ~root
-          else if trees = [] then 0.
-          else
-            (* Best reweighting of the extracted trees: how much of the
-               greedy gap is weights vs. missing tree shapes. *)
-            fst
-              (Treegen.candidate_lp ~caps
-                 ~candidates:
-                   (Array.of_list
-                      (List.map
-                         (fun t -> Treegen.model_items m t.Treegen.edges)
-                         trees)))
-        in
-        Log.debug (fun f ->
-            f "greedy-cut root=%d undirected=%b trees=%d rate=%.3f" root
-              undirected (List.length trees) rate);
-        { Treegen.root; trees; rate; optimal; undirected }
-end
+        if !fresh then generate (round + 1) (solve ()) else state
+      end
+    in
+    let candidates, _, obj, sol = generate 0 (solve ()) in
+    let trees =
+      Array.to_list
+        (Array.mapi
+           (fun i edges -> { Treegen.edges; weight = sol.(i) })
+           candidates)
+      |> List.filter (fun t -> t.Treegen.weight > tol)
+    in
+    let rate =
+      List.fold_left (fun a t -> a +. t.Treegen.weight) 0. trees
+    in
+    Log.debug (fun f ->
+        f "lp-flow root=%d undirected=%b columns=%d rate=%.3f" root
+          undirected (Array.length candidates) rate);
+    let fractional =
+      {
+        Treegen.root;
+        trees;
+        rate;
+        (* Directed: Edmonds' bound (matches TreeGen's [optimal]
+           semantics). Undirected: the master-LP optimum over the
+           generated columns, a certified achievable rate. *)
+        optimal = (if undirected then obj else target);
+        undirected;
+      }
+    in
+    Treegen.minimize ?threshold g fractional
 
-let treegen : backend = (module Treegen_backend)
-let lp_flow : backend = (module Lp_flow)
-let greedy_cut : backend = (module Greedy_cut)
-let default = treegen
-let registry : backend list ref = ref [ treegen; lp_flow; greedy_cut ]
-let all () = !registry
-let find n = List.find_opt (fun b -> String.equal (name b) n) !registry
-
-let register b =
-  if List.exists (fun b' -> String.equal (name b') (name b)) !registry then
-    invalid_arg (Printf.sprintf "Planner.register: duplicate backend %S" (name b));
-  registry := !registry @ [ b ]
+let plan b ?epsilon ?threshold ?telemetry g ~root ~undirected =
+  match b with
+  | Treegen -> Treegen.plan ?epsilon ?threshold ?telemetry g ~root ~undirected
+  | Lp_flow -> lp_flow ?threshold g ~root ~undirected

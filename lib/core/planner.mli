@@ -1,56 +1,32 @@
-(** Pluggable planner backends (paper section 3; ROADMAP "pluggable
-    planner backends + plan tournament").
+(** Planner backends (paper section 3): two ways to pack spanning trees
+    for a fabric, a root and a {!Treegen.model} capacity model. The rest
+    of the stack (codegen, chunking, the DES, the plan store) consumes
+    {!Treegen.packing}s and does not care which backend built them.
 
-    TreeGen's MWU + ILP pipeline is one point in the planner design
-    space. A {!BACKEND} is anything that maps a fabric, a root, and a
-    capacity model to a {!Treegen.packing}: the rest of the stack
-    (codegen, chunking, the DES, the plan store) consumes packings and is
-    backend-agnostic. Three backends ship built in:
-
-    - ["treegen"] — the paper's planner ({!Treegen.plan} /
-      {!Treegen.plan_undirected}); the default, and the only backend with
-      an incremental warm-replan path.
-    - ["lp-flow"] — column-generation LP packing in the style of the
+    - [Treegen] — the paper's planner ({!Treegen.plan}); the default,
+      and the only backend with an incremental warm-replan path.
+    - [Lp_flow] — column-generation LP packing in the style of the
       multi-commodity-flow formulation (arXiv 2305.13479): a restricted
       master LP over candidate trees ({!Treegen.candidate_lp} on
       {!Blink_lp.Simplex}) alternates with a congestion-priced
       spanning-structure oracle that proposes new columns; the fractional
       optimum is rounded with {!Treegen.minimize}.
-    - ["greedy-cut"] — a ForestColl-style greedy baseline (arXiv
-      2402.06787): repeatedly extract the spanning structure maximizing
-      its bottleneck residual capacity and saturate it, until the fabric
-      is cut. No LP in the packing loop; fast, and a lower bound the
-      tournament measures the others against.
 
-    The backend choice is part of a plan's identity: {!Blink.create}
-    threads the backend name into {!Blink_store.Fingerprint.make}, so
-    tenants on different backends never share store entries.
+    The backend is part of a plan's identity: {!Blink.create} threads
+    its {!name} into {!Blink_store.Fingerprint.make}, so tenants on
+    different backends never share store entries. *)
 
-    The registry is process-global. Register custom backends from a
-    single domain at startup, before plans are built. *)
-
-module type BACKEND = sig
-  val name : string
-  (** Stable identifier: registry key and fingerprint component. *)
-
-  val plan :
-    ?epsilon:float ->
-    ?threshold:float ->
-    ?telemetry:Blink_telemetry.Telemetry.t ->
-    Blink_graph.Digraph.t ->
-    root:int ->
-    undirected:bool ->
-    Treegen.packing
-  (** Pack spanning structures from [root] under the directed or duplex
-      capacity model. Must return a packing that satisfies
-      {!Treegen.feasible} (an empty rate-0 packing when the graph does
-      not span from [root]). [epsilon] and [threshold] carry the TreeGen
-      approximation knobs; backends ignore what does not apply. *)
-end
-
-type backend = (module BACKEND)
+type backend = Treegen | Lp_flow
 
 val name : backend -> string
+(** Stable identifier (["treegen"], ["lp-flow"]): a fingerprint
+    component and the tournament's row label. *)
+
+val all : backend list
+(** Both backends, [Treegen] first. *)
+
+val default : backend
+(** [Treegen] — keeps every existing entry point byte-compatible. *)
 
 val plan :
   backend ->
@@ -61,21 +37,8 @@ val plan :
   root:int ->
   undirected:bool ->
   Treegen.packing
-(** [plan b] dispatches to [b]'s [plan]. *)
-
-val treegen : backend
-val lp_flow : backend
-val greedy_cut : backend
-
-val default : backend
-(** [treegen] — keeps every existing entry point byte-compatible. *)
-
-val all : unit -> backend list
-(** Registered backends, registration order (built-ins first). *)
-
-val find : string -> backend option
-(** Look a backend up by {!name}. *)
-
-val register : backend -> unit
-(** Append a backend to the registry. Raises [Invalid_argument] on a
-    duplicate name. *)
+(** Pack spanning structures from [root] under the directed or duplex
+    capacity model. The packing satisfies {!Treegen.feasible}; it is
+    empty (rate 0) when the graph does not span from [root]. [epsilon]
+    and [telemetry] apply to [Treegen] only; [threshold] is the ILP
+    rounding tolerance of both. *)

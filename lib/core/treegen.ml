@@ -26,179 +26,11 @@ let tol = 1e-9
 let optimal_rate g ~root =
   if Digraph.n_vertices g <= 1 then 0. else Maxflow.broadcast_rate g ~root
 
-(* ------------------------------------------------------------------ *)
-(* Garg-Konemann core over abstract "items" (directed edges or duplex
-   links). The oracle returns a minimum-price spanning structure as an
-   item list, or None when none exists. *)
-
-let garg_konemann ?(round = fun () -> ()) ~epsilon ~caps ~oracle () =
-  let m = Array.length caps in
-  let delta =
-    (1. +. epsilon) *. (((1. +. epsilon) *. Float.of_int m) ** (-1. /. epsilon))
-  in
-  let price = Array.map (fun c -> delta /. c) caps in
-  let purchases : (int list, float) Hashtbl.t = Hashtbl.create 64 in
-  (* The oracle returns the same item list (in the same order) for most
-     consecutive iterations — prices move slowly — so memoize its sorted
-     canonical form instead of re-sorting on every purchase. *)
-  let canon : (int list, int list) Hashtbl.t = Hashtbl.create 64 in
-  let canonical items =
-    match Hashtbl.find_opt canon items with
-    | Some key -> key
-    | None ->
-        let key = List.sort compare items in
-        Hashtbl.add canon items key;
-        key
-  in
-  let continue = ref true in
-  (* Terminates in O(m ln m / eps^2) purchases; the guard is a safety net. *)
-  let max_iters = 1_000_000 in
-  let iters = ref 0 in
-  while !continue && !iters < max_iters do
-    incr iters;
-    round ();
-    match oracle price with
-    | None -> continue := false
-    | Some items ->
-        let total_price =
-          List.fold_left (fun acc i -> acc +. price.(i)) 0. items
-        in
-        if total_price >= 1. then continue := false
-        else begin
-          let cmin =
-            List.fold_left (fun acc i -> Float.min acc caps.(i)) infinity items
-          in
-          let key = canonical items in
-          let prev = Option.value (Hashtbl.find_opt purchases key) ~default:0. in
-          Hashtbl.replace purchases key (prev +. cmin);
-          List.iter
-            (fun i ->
-              price.(i) <- price.(i) *. (1. +. (epsilon *. cmin /. caps.(i))))
-            items
-        end
-  done;
-  let scale = Float.log (1. /. delta) /. Float.log (1. +. epsilon) in
-  (* The textbook scale can leave a few percent of overload on some item;
-     rescaling by the worst measured overload restores feasibility while
-     keeping the (1 - O(eps)) guarantee. *)
-  let load = Array.make m 0. in
-  (* Accumulate in canonical key order, not hash-bucket order: float
-     addition is not associative, so the measured overload — and with it
-     every emitted weight — must not depend on the table's internal
-     layout. *)
-  Hashtbl.fold (fun items bought acc -> (items, bought) :: acc) purchases []
-  |> List.sort compare
-  |> List.iter (fun (items, bought) ->
-         List.iter (fun i -> load.(i) <- load.(i) +. (bought /. scale)) items);
-  let overload = ref 1. in
-  for i = 0 to m - 1 do
-    let ratio = load.(i) /. caps.(i) in
-    if ratio > !overload then overload := ratio
-  done;
-  Hashtbl.fold
-    (fun items bought acc ->
-      let weight = bought /. scale /. !overload in
-      if weight > tol then (items, weight) :: acc else acc)
-    purchases []
-  |> List.sort compare
-
-(* Capacity-constraint rows (one per item used by any candidate), built
-   from an inverted item -> candidate-indices table: near-linear in the
-   total item count, instead of the O(rows * k * |items|) List.mem scan a
-   per-cell membership test would cost. Rows come back sorted by item id:
-   both LP solvers downstream pivot in row order, so hash-bucket order
-   here would leak into which optimal vertex they land on. *)
-let capacity_rows ~cap_of ~cand_items =
-  let k = Array.length cand_items in
-  let users : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun ci items ->
-      List.iter
-        (fun item ->
-          let prev = Option.value (Hashtbl.find_opt users item) ~default:[] in
-          Hashtbl.replace users item (ci :: prev))
-        items)
-    cand_items;
-  Hashtbl.fold (fun item cis acc -> (item, cis) :: acc) users []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map (fun (item, cis) ->
-         let row = Array.make k 0. in
-         List.iter (fun ci -> row.(ci) <- 1.) cis;
-         (row, cap_of item))
-
-(* LP re-optimization over a candidate set: maximize total weight subject
-   to per-item capacities. Returns (lp_opt, weights). *)
-let candidate_lp ~caps ~candidates =
-  let k = Array.length candidates in
-  let rows = capacity_rows ~cap_of:(fun item -> caps.(item)) ~cand_items:candidates in
-  let a = Array.of_list (List.map fst rows) in
-  let b = Array.of_list (List.map snd rows) in
-  match Simplex.maximize ~c:(Array.make k 1.) ~a ~b with
-  | Simplex.Optimal { objective; solution } -> (objective, solution)
-  | Simplex.Infeasible | Simplex.Unbounded ->
-      (* 0 is always feasible and capacities bound the objective. *)
-      assert false
+let total trees = List.fold_left (fun acc t -> acc +. t.weight) 0. trees
 
 (* ------------------------------------------------------------------ *)
-(* Directed packing: items are directed edge ids, oracle Chu-Liu/Edmonds. *)
-
-(* MWU instrumentation shared by both packing modes: a round counter fed
-   from inside the Garg-Konemann loop, then a span + summary gauges. *)
-let mwu_telemetry telemetry ~mode =
-  let labels = [ ("mode", mode) ] in
-  (* Wall clock, not [now_s]: the phase timer must tick in metrics-only
-     mode so [plan.replan_s] decomposes without tracing enabled. *)
-  let w0 = Telemetry.wall_s telemetry in
-  let round () = Telemetry.incr telemetry ~labels "treegen.mwu.rounds" in
-  let finish ~start packing =
-    if Telemetry.enabled telemetry then begin
-      Telemetry.observe telemetry ~labels "plan.phase.mwu_s"
-        (Telemetry.wall_s telemetry -. w0);
-      Telemetry.set_gauge telemetry ~labels "treegen.mwu.trees"
-        (Float.of_int (List.length packing.trees));
-      Telemetry.span telemetry ~cat:"treegen" ~start
-        ~args:
-          [
-            ("mode", Json.str mode);
-            ("trees", Json.int (List.length packing.trees));
-            ("rate_gbps", Json.float packing.rate);
-            ("optimal_gbps", Json.float packing.optimal);
-          ]
-        "treegen.pack"
-    end;
-    packing
-  in
-  (round, finish)
-
-let pack ?(epsilon = 0.1) ?(telemetry = Telemetry.disabled) g ~root =
-  let round, finish = mwu_telemetry telemetry ~mode:"directed" in
-  let start = Telemetry.now_s telemetry in
-  let n = Digraph.n_vertices g in
-  if n <= 1 || not (Digraph.is_connected_from g ~root) then
-    finish ~start { root; trees = []; rate = 0.; optimal = 0.; undirected = false }
-  else begin
-    let optimal = optimal_rate g ~root in
-    let caps =
-      Array.init (Digraph.n_edges g) (fun i -> (Digraph.edge g i).Digraph.cap)
-    in
-    let oracle price =
-      Arborescence.min_arborescence g ~root ~cost:(fun e ->
-          price.(e.Digraph.id))
-    in
-    let trees =
-      garg_konemann ~round ~epsilon ~caps ~oracle ()
-      |> List.map (fun (edges, weight) -> { edges; weight })
-    in
-    let rate = List.fold_left (fun acc t -> acc +. t.weight) 0. trees in
-    Log.debug (fun m ->
-        m "MWU (directed): %d trees, rate %.2f of optimal %.2f"
-          (List.length trees) rate optimal);
-    finish ~start { root; trees; rate; optimal; undirected = false }
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Undirected packing: items are duplex links (pairs of opposite directed
-   edges of equal capacity); the tree oracle is Kruskal over links. *)
+(* Duplex links: pairs of opposite directed edges of equal capacity, the
+   items of the undirected model; the tree oracle is Kruskal over links. *)
 
 type link = { fwd : int; bwd : int; lcap : float }
 
@@ -289,29 +121,249 @@ let orient g links ~root link_ids =
   done;
   List.rev !edges
 
-let pack_undirected ?(epsilon = 0.1) ?(telemetry = Telemetry.disabled) g ~root =
-  let round, finish = mwu_telemetry telemetry ~mode:"undirected" in
-  let start = Telemetry.now_s telemetry in
-  let n = Digraph.n_vertices g in
-  if n <= 1 || not (Digraph.is_connected_from g ~root) then
-    finish ~start { root; trees = []; rate = 0.; optimal = 0.; undirected = true }
-  else begin
+(* Capacity-constraint rows (one per item used by any candidate), built
+   from an inverted item -> candidate-indices table: near-linear in the
+   total item count, instead of the O(rows * k * |items|) List.mem scan a
+   per-cell membership test would cost. Rows come back sorted by item id:
+   both LP solvers downstream pivot in row order, so hash-bucket order
+   here would leak into which optimal vertex they land on. *)
+let capacity_rows ~cap_of ~cand_items =
+  let k = Array.length cand_items in
+  let users : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+  Array.iteri
+    (fun ci items ->
+      List.iter
+        (fun item ->
+          let prev = Option.value (Hashtbl.find_opt users item) ~default:[] in
+          Hashtbl.replace users item (ci :: prev))
+        items)
+    cand_items;
+  Hashtbl.fold (fun item cis acc -> (item, cis) :: acc) users []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map (fun (item, cis) ->
+         let row = Array.make k 0. in
+         List.iter (fun ci -> row.(ci) <- 1.) cis;
+         (row, cap_of item))
+
+(* LP re-optimization over a candidate set: maximize total weight subject
+   to per-item capacities. Returns (lp_opt, weights). *)
+let candidate_lp ~caps ~candidates =
+  let k = Array.length candidates in
+  let rows = capacity_rows ~cap_of:(fun item -> caps.(item)) ~cand_items:candidates in
+  let a = Array.of_list (List.map fst rows) in
+  let b = Array.of_list (List.map snd rows) in
+  match Simplex.maximize ~c:(Array.make k 1.) ~a ~b with
+  | Simplex.Optimal { objective; solution } -> (objective, solution)
+  | Simplex.Infeasible | Simplex.Unbounded ->
+      (* 0 is always feasible and capacities bound the objective. *)
+      assert false
+
+(* ------------------------------------------------------------------ *)
+(* The capacity model: the one place that knows directed edges from
+   duplex links. An item is the unit of capacity a packing consumes: a
+   directed edge id, or a duplex-link id. Trees are always directed edge
+   ids oriented away from the root. *)
+
+type model =
+  | Mdirected of Digraph.t
+  | Mundirected of {
+      g : Digraph.t;
+      links : link array;
+      link_of_edge : int array;
+    }
+
+let model g ~undirected =
+  if undirected then begin
     let links = undirected_links g in
-    let caps = Array.map (fun l -> l.lcap) links in
-    let oracle price = kruskal ~n g links price in
-    let raw = garg_konemann ~round ~epsilon ~caps ~oracle () in
-    let optimal, _ =
-      if raw = [] then (0., [||])
-      else candidate_lp ~caps ~candidates:(Array.of_list (List.map fst raw))
-    in
-    let trees =
-      List.map
-        (fun (link_ids, weight) ->
-          { edges = orient g links ~root link_ids; weight })
-        raw
-    in
-    let rate = List.fold_left (fun acc t -> acc +. t.weight) 0. trees in
-    finish ~start { root; trees; rate; optimal; undirected = true }
+    let link_of_edge = Array.make (Digraph.n_edges g) (-1) in
+    Array.iteri
+      (fun li l ->
+        link_of_edge.(l.fwd) <- li;
+        link_of_edge.(l.bwd) <- li)
+      links;
+    Mundirected { g; links; link_of_edge }
+  end
+  else Mdirected g
+
+let model_caps = function
+  | Mdirected g ->
+      Array.init (Digraph.n_edges g) (fun i -> (Digraph.edge g i).Digraph.cap)
+  | Mundirected { links; _ } -> Array.map (fun l -> l.lcap) links
+
+let model_items m edges =
+  match m with
+  | Mdirected _ -> edges
+  | Mundirected { link_of_edge; _ } ->
+      List.map (fun e -> link_of_edge.(e)) edges
+
+(* Items of the cheapest spanning structure under per-item [price]:
+   Chu-Liu/Edmonds over edges, Kruskal over links. Depleted items may
+   price at [infinity]; Edmonds' subtractions get a large finite cost
+   instead so they stay NaN-free. *)
+let depleted_price = 1e18
+
+let model_oracle m ~root price =
+  match m with
+  | Mdirected g ->
+      Arborescence.min_arborescence g ~root ~cost:(fun e ->
+          let p = price.(e.Digraph.id) in
+          if Float.is_finite p then p else depleted_price)
+  | Mundirected { g; links; _ } ->
+      kruskal ~n:(Digraph.n_vertices g) g links price
+
+let model_edges m ~root items =
+  match m with
+  | Mdirected _ -> items
+  | Mundirected { g; links; _ } -> orient g links ~root items
+
+let model_tree m ~root ~price =
+  Option.map (model_edges m ~root) (model_oracle m ~root price)
+
+(* The packing's certified [optimal]: Edmonds' bound directed; the LP
+   optimum over the candidate item lists undirected. *)
+let model_optimal m ~root candidates =
+  match m with
+  | Mdirected g -> optimal_rate g ~root
+  | Mundirected _ when candidates = [] -> 0.
+  | Mundirected _ ->
+      let candidates = Array.of_list candidates in
+      fst (candidate_lp ~caps:(model_caps m) ~candidates)
+
+let mode_label undirected = if undirected then "undirected" else "directed"
+
+(* ------------------------------------------------------------------ *)
+(* Garg-Konemann core over abstract "items" (directed edges or duplex
+   links). The oracle returns a minimum-price spanning structure as an
+   item list, or None when none exists. *)
+
+let garg_konemann ?(round = fun () -> ()) ~epsilon ~caps ~oracle () =
+  let m = Array.length caps in
+  let delta =
+    (1. +. epsilon) *. (((1. +. epsilon) *. Float.of_int m) ** (-1. /. epsilon))
+  in
+  let price = Array.map (fun c -> delta /. c) caps in
+  let purchases : (int list, float) Hashtbl.t = Hashtbl.create 64 in
+  (* The oracle returns the same item list (in the same order) for most
+     consecutive iterations — prices move slowly — so memoize its sorted
+     canonical form instead of re-sorting on every purchase. *)
+  let canon : (int list, int list) Hashtbl.t = Hashtbl.create 64 in
+  let canonical items =
+    match Hashtbl.find_opt canon items with
+    | Some key -> key
+    | None ->
+        let key = List.sort compare items in
+        Hashtbl.add canon items key;
+        key
+  in
+  let continue = ref true in
+  (* Terminates in O(m ln m / eps^2) purchases; the guard is a safety net. *)
+  let max_iters = 1_000_000 in
+  let iters = ref 0 in
+  while !continue && !iters < max_iters do
+    incr iters;
+    round ();
+    match oracle price with
+    | None -> continue := false
+    | Some items ->
+        let total_price =
+          List.fold_left (fun acc i -> acc +. price.(i)) 0. items
+        in
+        if total_price >= 1. then continue := false
+        else begin
+          let cmin =
+            List.fold_left (fun acc i -> Float.min acc caps.(i)) infinity items
+          in
+          let key = canonical items in
+          let prev = Option.value (Hashtbl.find_opt purchases key) ~default:0. in
+          Hashtbl.replace purchases key (prev +. cmin);
+          List.iter
+            (fun i ->
+              price.(i) <- price.(i) *. (1. +. (epsilon *. cmin /. caps.(i))))
+            items
+        end
+  done;
+  let scale = Float.log (1. /. delta) /. Float.log (1. +. epsilon) in
+  (* The textbook scale can leave a few percent of overload on some item;
+     rescaling by the worst measured overload restores feasibility while
+     keeping the (1 - O(eps)) guarantee. *)
+  let load = Array.make m 0. in
+  (* Accumulate in canonical key order, not hash-bucket order: float
+     addition is not associative, so the measured overload — and with it
+     every emitted weight — must not depend on the table's internal
+     layout. *)
+  Hashtbl.fold (fun items bought acc -> (items, bought) :: acc) purchases []
+  |> List.sort compare
+  |> List.iter (fun (items, bought) ->
+         List.iter (fun i -> load.(i) <- load.(i) +. (bought /. scale)) items);
+  let overload = ref 1. in
+  for i = 0 to m - 1 do
+    let ratio = load.(i) /. caps.(i) in
+    if ratio > !overload then overload := ratio
+  done;
+  Hashtbl.fold
+    (fun items bought acc ->
+      let weight = bought /. scale /. !overload in
+      if weight > tol then (items, weight) :: acc else acc)
+    purchases []
+  |> List.sort compare
+
+(* ------------------------------------------------------------------ *)
+(* MWU packing *)
+
+(* MWU instrumentation: a round counter fed from inside the
+   Garg-Konemann loop, then a span + summary gauges. *)
+let mwu_telemetry telemetry ~undirected =
+  let mode = mode_label undirected in
+  let labels = [ ("mode", mode) ] in
+  (* Wall clock, not [now_s]: the phase timer must tick in metrics-only
+     mode so [plan.replan_s] decomposes without tracing enabled. *)
+  let w0 = Telemetry.wall_s telemetry in
+  let round () = Telemetry.incr telemetry ~labels "treegen.mwu.rounds" in
+  let finish ~start packing =
+    if Telemetry.enabled telemetry then begin
+      Telemetry.observe telemetry ~labels "plan.phase.mwu_s"
+        (Telemetry.wall_s telemetry -. w0);
+      Telemetry.set_gauge telemetry ~labels "treegen.mwu.trees"
+        (Float.of_int (List.length packing.trees));
+      Telemetry.span telemetry ~cat:"treegen" ~start
+        ~args:
+          [
+            ("mode", Json.str mode);
+            ("trees", Json.int (List.length packing.trees));
+            ("rate_gbps", Json.float packing.rate);
+            ("optimal_gbps", Json.float packing.optimal);
+          ]
+        "treegen.pack"
+    end;
+    packing
+  in
+  (round, finish)
+
+(* Garg-Konemann over [caps], trees oriented away from [root]. *)
+let mwu m ~round ~epsilon ~caps ~root =
+  garg_konemann ~round ~epsilon ~caps ~oracle:(model_oracle m ~root) ()
+
+let mwu_trees m ~root raw =
+  List.map
+    (fun (items, weight) -> { edges = model_edges m ~root items; weight })
+    raw
+
+let pack ?(epsilon = 0.1) ?(telemetry = Telemetry.disabled) g ~root
+    ~undirected =
+  let round, finish = mwu_telemetry telemetry ~undirected in
+  let start = Telemetry.now_s telemetry in
+  if Digraph.n_vertices g <= 1 || not (Digraph.is_connected_from g ~root) then
+    finish ~start { root; trees = []; rate = 0.; optimal = 0.; undirected }
+  else begin
+    let m = model g ~undirected in
+    let raw = mwu m ~round ~epsilon ~caps:(model_caps m) ~root in
+    let optimal = model_optimal m ~root (List.map fst raw) in
+    let trees = mwu_trees m ~root raw in
+    let rate = total trees in
+    Log.debug (fun f ->
+        f "MWU (%s): %d trees, rate %.2f of optimal %.2f"
+          (mode_label undirected) (List.length trees) rate optimal);
+    finish ~start { root; trees; rate; optimal; undirected }
   end
 
 (* ------------------------------------------------------------------ *)
@@ -321,117 +373,113 @@ let pack_undirected ?(epsilon = 0.1) ?(telemetry = Telemetry.disabled) g ~root =
    (its trees were shaped by prices, not integrality); these candidates
    give the ILP that option. *)
 
-let depleted_price = 1e18
-
-let greedy_integral g ~root ~undirected ~unit =
+let greedy_integral m ~root ~unit =
   let found = ref [] in
-  if undirected then begin
-    let links = undirected_links g in
-    let n = Digraph.n_vertices g in
-    let residual = Array.map (fun l -> l.lcap /. unit) links in
-    let continue = ref true in
-    while !continue do
-      let price =
-        Array.map
-          (fun r -> if r < 0.999 then depleted_price else 1. -. (1e-6 *. r))
-          residual
-      in
-      match kruskal ~n g links price with
-      | Some link_ids
-        when List.for_all (fun li -> residual.(li) >= 0.999) link_ids ->
-          List.iter (fun li -> residual.(li) <- residual.(li) -. 1.) link_ids;
-          found := orient g links ~root link_ids :: !found
-      | Some _ | None -> continue := false
-    done
-  end
-  else begin
-    (* Exact integral arborescence packing by Edmonds' constructive proof
-       (Schrijver's safe-edge formulation): while building tree t of k,
-       grow the covered set S one edge at a time, picking any frontier
-       edge whose removal keeps every uncovered vertex (k - t)-connected
-       from the root in the residual. Such an edge always exists while the
-       invariant holds, and k = the integral min cut, so this extracts the
-       full optimal packing. Capacities must be (near-)integer multiples
-       of [unit]; otherwise we return nothing and the ILP works from the
-       MWU candidates alone. *)
-    let m = Digraph.n_edges g in
-    let n = Digraph.n_vertices g in
-    let residual = Array.make m 0 in
-    let integral = ref true in
-    for i = 0 to m - 1 do
-      let units = (Digraph.edge g i).Digraph.cap /. unit in
-      if Float.abs (units -. Float.round units) > 1e-6 then integral := false;
-      residual.(i) <- int_of_float (Float.round units)
-    done;
-    if !integral then begin
-      let residual_graph () =
-        let rg = Digraph.create ~n in
-        for i = 0 to m - 1 do
-          if residual.(i) > 0 then begin
-            let e = Digraph.edge g i in
-            ignore
-              (Digraph.add_edge rg ~src:e.Digraph.src ~dst:e.Digraph.dst
-                 ~cap:(Float.of_int residual.(i)))
-          end
-        done;
-        rg
-      in
-      (* Lovász's invariant checks EVERY vertex, covered or not: removing a
-         frontier edge may drop connectivity to a vertex already inside S,
-         and the remaining trees still have to span it. *)
-      let connectivity_at_least need =
-        need <= 0
-        ||
-        let rg = residual_graph () in
-        let ok = ref true in
-        for w = 0 to n - 1 do
-          if w <> root && !ok then
-            if Maxflow.max_flow rg ~src:root ~dst:w < Float.of_int need -. 1e-6
-            then ok := false
-        done;
-        !ok
-      in
-      let k =
-        let rg = residual_graph () in
-        let rate = ref infinity in
-        for w = 0 to n - 1 do
-          if w <> root then rate := Float.min !rate (Maxflow.max_flow rg ~src:root ~dst:w)
-        done;
-        if !rate = infinity then 0 else int_of_float (Float.floor (!rate +. 1e-6))
-      in
-      let failed = ref false in
-      for t = k downto 1 do
-        if not !failed then begin
-          let in_s = Array.make n false in
-          in_s.(root) <- true;
-          let covered = ref 1 in
-          let tree = ref [] in
-          while !covered < n && not !failed do
-            (* Try every frontier edge until one is safe. *)
-            let accepted = ref false in
-            let i = ref 0 in
-            while (not !accepted) && !i < m do
-              let e = Digraph.edge g !i in
-              if residual.(!i) > 0 && in_s.(e.Digraph.src) && not in_s.(e.Digraph.dst)
-              then begin
-                residual.(!i) <- residual.(!i) - 1;
-                if connectivity_at_least (t - 1) then begin
-                  accepted := true;
-                  in_s.(e.Digraph.dst) <- true;
-                  incr covered;
-                  tree := !i :: !tree
-                end
-                else residual.(!i) <- residual.(!i) + 1
-              end;
-              incr i
-            done;
-            if not !accepted then failed := true
-          done;
-          if not !failed then found := List.rev !tree :: !found
-        end
+  (match m with
+  | Mundirected { g; links; _ } ->
+      let n = Digraph.n_vertices g in
+      let residual = Array.map (fun l -> l.lcap /. unit) links in
+      let continue = ref true in
+      while !continue do
+        let price =
+          Array.map
+            (fun r -> if r < 0.999 then depleted_price else 1. -. (1e-6 *. r))
+            residual
+        in
+        match kruskal ~n g links price with
+        | Some link_ids
+          when List.for_all (fun li -> residual.(li) >= 0.999) link_ids ->
+            List.iter (fun li -> residual.(li) <- residual.(li) -. 1.) link_ids;
+            found := orient g links ~root link_ids :: !found
+        | Some _ | None -> continue := false
       done
-    end
-  end;
+  | Mdirected g ->
+      (* Exact integral arborescence packing by Edmonds' constructive proof
+         (Schrijver's safe-edge formulation): while building tree t of k,
+         grow the covered set S one edge at a time, picking any frontier
+         edge whose removal keeps every uncovered vertex (k - t)-connected
+         from the root in the residual. Such an edge always exists while the
+         invariant holds, and k = the integral min cut, so this extracts the
+         full optimal packing. Capacities must be (near-)integer multiples
+         of [unit]; otherwise we return nothing and the ILP works from the
+         MWU candidates alone. *)
+      let m = Digraph.n_edges g in
+      let n = Digraph.n_vertices g in
+      let residual = Array.make m 0 in
+      let integral = ref true in
+      for i = 0 to m - 1 do
+        let units = (Digraph.edge g i).Digraph.cap /. unit in
+        if Float.abs (units -. Float.round units) > 1e-6 then integral := false;
+        residual.(i) <- int_of_float (Float.round units)
+      done;
+      if !integral then begin
+        let residual_graph () =
+          let rg = Digraph.create ~n in
+          for i = 0 to m - 1 do
+            if residual.(i) > 0 then begin
+              let e = Digraph.edge g i in
+              ignore
+                (Digraph.add_edge rg ~src:e.Digraph.src ~dst:e.Digraph.dst
+                   ~cap:(Float.of_int residual.(i)))
+            end
+          done;
+          rg
+        in
+        (* Lovász's invariant checks EVERY vertex, covered or not: removing a
+           frontier edge may drop connectivity to a vertex already inside S,
+           and the remaining trees still have to span it. *)
+        let connectivity_at_least need =
+          need <= 0
+          ||
+          let rg = residual_graph () in
+          let ok = ref true in
+          for w = 0 to n - 1 do
+            if w <> root && !ok then
+              if Maxflow.max_flow rg ~src:root ~dst:w < Float.of_int need -. 1e-6
+              then ok := false
+          done;
+          !ok
+        in
+        let k =
+          let rg = residual_graph () in
+          let rate = ref infinity in
+          for w = 0 to n - 1 do
+            if w <> root then rate := Float.min !rate (Maxflow.max_flow rg ~src:root ~dst:w)
+          done;
+          if !rate = infinity then 0 else int_of_float (Float.floor (!rate +. 1e-6))
+        in
+        let failed = ref false in
+        for t = k downto 1 do
+          if not !failed then begin
+            let in_s = Array.make n false in
+            in_s.(root) <- true;
+            let covered = ref 1 in
+            let tree = ref [] in
+            while !covered < n && not !failed do
+              (* Try every frontier edge until one is safe. *)
+              let accepted = ref false in
+              let i = ref 0 in
+              while (not !accepted) && !i < m do
+                let e = Digraph.edge g !i in
+                if residual.(!i) > 0 && in_s.(e.Digraph.src) && not in_s.(e.Digraph.dst)
+                then begin
+                  residual.(!i) <- residual.(!i) - 1;
+                  if connectivity_at_least (t - 1) then begin
+                    accepted := true;
+                    in_s.(e.Digraph.dst) <- true;
+                    incr covered;
+                    tree := !i :: !tree
+                  end
+                  else residual.(!i) <- residual.(!i) + 1
+                end;
+                incr i
+              done;
+              if not !accepted then failed := true
+            done;
+            if not !failed then found := List.rev !tree :: !found
+          end
+        done
+      end);
   !found
 
 (* ------------------------------------------------------------------ *)
@@ -440,28 +488,13 @@ let greedy_integral g ~root ~undirected ~unit =
 let minimize ?(threshold = 0.05) ?(warm_start = []) g packing =
   if packing.trees = [] then packing
   else begin
-    let item_caps, items_of_tree =
-      if packing.undirected then begin
-        let links = undirected_links g in
-        let link_of_edge = Array.make (Digraph.n_edges g) (-1) in
-        Array.iteri
-          (fun li l ->
-            link_of_edge.(l.fwd) <- li;
-            link_of_edge.(l.bwd) <- li)
-          links;
-        ( Array.map (fun l -> l.lcap) links,
-          fun t -> List.map (fun e -> link_of_edge.(e)) t.edges )
-      end
-      else
-        ( Array.init (Digraph.n_edges g) (fun i ->
-              (Digraph.edge g i).Digraph.cap),
-          fun t -> t.edges )
-    in
+    let m = model g ~undirected:packing.undirected in
+    let item_caps = model_caps m in
     let unit = Array.fold_left Float.min infinity item_caps in
     let n_mwu = List.length packing.trees in
     let candidates =
       let greedy =
-        greedy_integral g ~root:packing.root ~undirected:packing.undirected ~unit
+        greedy_integral m ~root:packing.root ~unit
         |> List.map (fun edges -> { edges; weight = 0. })
       in
       let seen = Hashtbl.create 32 in
@@ -477,7 +510,7 @@ let minimize ?(threshold = 0.05) ?(warm_start = []) g packing =
       |> Array.of_list
     in
     let is_greedy i = i >= n_mwu in
-    let cand_items = Array.map items_of_tree candidates in
+    let cand_items = Array.map (fun t -> model_items m t.edges) candidates in
     let k = Array.length candidates in
     (* Warm-start bookkeeping: match the surviving trees of a previous
        integral solution to candidate columns by edge set. Their columns
@@ -587,7 +620,7 @@ let minimize ?(threshold = 0.05) ?(warm_start = []) g packing =
                 support;
               List.rev !out
             in
-            let rate = List.fold_left (fun acc t -> acc +. t.weight) 0. trees in
+            let rate = total trees in
             Log.debug (fun m ->
                 m "ILP: %d -> %d trees, rate %.2f (candidate LP optimum %.2f)"
                   (List.length packing.trees) (List.length trees) rate
@@ -602,7 +635,7 @@ let minimize ?threshold ?warm_start ?(telemetry = Telemetry.disabled) g packing 
   let w0 = Telemetry.wall_s telemetry in
   let result = minimize ?threshold ?warm_start g packing in
   if Telemetry.enabled telemetry then begin
-    let mode = if packing.undirected then "undirected" else "directed" in
+    let mode = mode_label packing.undirected in
     let labels = [ ("mode", mode) ] in
     Telemetry.observe telemetry ~labels "plan.phase.ilp_s"
       (Telemetry.wall_s telemetry -. w0);
@@ -625,11 +658,9 @@ let minimize ?threshold ?warm_start ?(telemetry = Telemetry.disabled) g packing 
   end;
   result
 
-let plan ?epsilon ?threshold ?telemetry g ~root =
-  minimize ?threshold ?telemetry g (pack ?epsilon ?telemetry g ~root)
-
-let plan_undirected ?epsilon ?threshold ?telemetry g ~root =
-  minimize ?threshold ?telemetry g (pack_undirected ?epsilon ?telemetry g ~root)
+let plan ?epsilon ?threshold ?telemetry g ~root ~undirected =
+  pack ?epsilon ?telemetry g ~root ~undirected
+  |> minimize ?threshold ?telemetry g
 
 (* ------------------------------------------------------------------ *)
 (* Incremental replanning: keep the previous packing's surviving trees,
@@ -681,24 +712,11 @@ let edge_remap ~prev_graph g =
     prev_graph ();
   map
 
-let link_index_of_edge g links =
-  let link_of_edge = Array.make (Digraph.n_edges g) (-1) in
-  Array.iteri
-    (fun li l ->
-      link_of_edge.(l.fwd) <- li;
-      link_of_edge.(l.bwd) <- li)
-    links;
-  link_of_edge
-
 let replan ?(epsilon = 0.1) ?threshold ?(telemetry = Telemetry.disabled) ~prev
     ~prev_graph g ~root =
+  let undirected = prev.undirected in
   let cold () =
-    let packing =
-      if prev.undirected then
-        plan_undirected ~epsilon ?threshold ~telemetry g ~root
-      else plan ~epsilon ?threshold ~telemetry g ~root
-    in
-    ( packing,
+    ( plan ~epsilon ?threshold ~telemetry g ~root ~undirected,
       {
         kept_trees = 0;
         displaced_trees = List.length prev.trees;
@@ -726,109 +744,42 @@ let replan ?(epsilon = 0.1) ?threshold ?(telemetry = Telemetry.disabled) ~prev
          full capacities — exactly a cold pack, so run one (identical
          inputs, identical result). *)
       cold ()
-    else if displaced = [] then begin
-      (* No surviving tree routes over the affected link: the packing is
-         still feasible verbatim and MWU/ILP are skipped entirely. *)
-      let rate = List.fold_left (fun acc t -> acc +. t.weight) 0. kept in
-      let optimal =
-        if prev.undirected then begin
-          let links = undirected_links g in
-          let link_of_edge = link_index_of_edge g links in
-          let caps = Array.map (fun l -> l.lcap) links in
-          let candidates =
-            Array.of_list
-              (List.map
-                 (fun t -> List.map (fun e -> link_of_edge.(e)) t.edges)
-                 kept)
-          in
-          fst (candidate_lp ~caps ~candidates)
-        end
-        else optimal_rate g ~root
-      in
-      ( { root; trees = kept; rate; optimal; undirected = prev.undirected },
-        { kept_trees = List.length kept; displaced_trees = 0;
-          cold_fallback = false } )
-    end
     else begin
-      (* Residual repack: MWU over what the kept trees leave free. Depleted
-         items keep price [infinity] (directed: clamped to a large finite
-         cost so Edmonds' subtractions stay NaN-free); any oracle tree
-         forced onto one prices above 1 and terminates the loop, so zero
-         residual capacity is never purchased. *)
-      let mode = if prev.undirected then "undirected" else "directed" in
-      let round, finish = mwu_telemetry telemetry ~mode in
-      let start = Telemetry.now_s telemetry in
-      let fresh, optimal =
-        if prev.undirected then begin
-          let links = undirected_links g in
-          let link_of_edge = link_index_of_edge g links in
-          let full_caps = Array.map (fun l -> l.lcap) links in
-          let caps = Array.copy full_caps in
-          List.iter
-            (fun t ->
-              List.iter
-                (fun e ->
-                  let li = link_of_edge.(e) in
-                  caps.(li) <- caps.(li) -. t.weight)
-                t.edges)
-            kept;
-          Array.iteri (fun i c -> if c < tol then caps.(i) <- 0.) caps;
-          let n = Digraph.n_vertices g in
-          let oracle price = kruskal ~n g links price in
-          let raw = garg_konemann ~round ~epsilon ~caps ~oracle () in
-          let fresh =
-            List.map
-              (fun (link_ids, weight) ->
-                { edges = orient g links ~root link_ids; weight })
-              raw
-          in
-          let candidates =
-            List.map
-              (fun t -> List.map (fun e -> link_of_edge.(e)) t.edges)
-              kept
-            @ List.map fst raw
-          in
-          let optimal, _ =
-            candidate_lp ~caps:full_caps
-              ~candidates:(Array.of_list candidates)
-          in
-          (fresh, optimal)
-        end
-        else begin
-          let m = Digraph.n_edges g in
-          let caps =
-            Array.init m (fun i -> (Digraph.edge g i).Digraph.cap)
-          in
-          List.iter
-            (fun t ->
-              List.iter (fun e -> caps.(e) <- caps.(e) -. t.weight) t.edges)
-            kept;
-          Array.iteri (fun i c -> if c < tol then caps.(i) <- 0.) caps;
-          let oracle price =
-            Arborescence.min_arborescence g ~root ~cost:(fun e ->
-                let p = price.(e.Digraph.id) in
-                if Float.is_finite p then p else depleted_price)
-          in
-          let fresh =
-            garg_konemann ~round ~epsilon ~caps ~oracle ()
-            |> List.map (fun (edges, weight) -> { edges; weight })
-          in
-          (fresh, optimal_rate g ~root)
-        end
-      in
-      let trees = kept @ fresh in
-      let rate = List.fold_left (fun acc t -> acc +. t.weight) 0. trees in
-      let packing =
-        finish ~start
-          { root; trees; rate; optimal; undirected = prev.undirected }
-      in
-      let result = minimize ?threshold ~warm_start:kept ~telemetry g packing in
-      ( result,
+      let m = model g ~undirected in
+      let kept_items = List.map (fun t -> model_items m t.edges) kept in
+      let stats =
         {
           kept_trees = List.length kept;
           displaced_trees = List.length displaced;
           cold_fallback = false;
-        } )
+        }
+      in
+      if displaced = [] then
+        (* No surviving tree routes over the affected link: the packing
+           is still feasible verbatim and MWU/ILP are skipped entirely. *)
+        let optimal = model_optimal m ~root kept_items in
+        ({ root; trees = kept; rate = total kept; optimal; undirected }, stats)
+      else begin
+        (* Residual repack: MWU over what the kept trees leave free.
+           Depleted items price at [infinity]; any oracle tree forced
+           onto one prices above 1 and terminates the loop, so zero
+           residual capacity is never purchased. *)
+        let round, finish = mwu_telemetry telemetry ~undirected in
+        let start = Telemetry.now_s telemetry in
+        let caps = model_caps m in
+        List.iter2
+          (fun t items ->
+            List.iter (fun i -> caps.(i) <- caps.(i) -. t.weight) items)
+          kept kept_items;
+        Array.iteri (fun i c -> if c < tol then caps.(i) <- 0.) caps;
+        let raw = mwu m ~round ~epsilon ~caps ~root in
+        let optimal = model_optimal m ~root (kept_items @ List.map fst raw) in
+        let trees = kept @ mwu_trees m ~root raw in
+        let packing =
+          finish ~start { root; trees; rate = total trees; optimal; undirected }
+        in
+        (minimize ?threshold ~warm_start:kept ~telemetry g packing, stats)
+      end
     end
   end
 
@@ -845,96 +796,31 @@ let best_root g =
   !best
 
 let feasible g packing =
-  let trees_ok =
-    List.for_all
-      (fun t ->
-        t.weight > 0.
-        && Arborescence.is_arborescence g ~root:packing.root t.edges)
-      packing.trees
-  in
-  let caps_ok =
-    if packing.undirected then begin
-      let links = undirected_links g in
-      let link_of_edge = Array.make (Digraph.n_edges g) (-1) in
-      Array.iteri
-        (fun li l ->
-          link_of_edge.(l.fwd) <- li;
-          link_of_edge.(l.bwd) <- li)
-        links;
-      let load = Array.make (Array.length links) 0. in
+  let m = model g ~undirected:packing.undirected in
+  let caps = model_caps m in
+  let load = Array.make (Array.length caps) 0. in
+  List.iter
+    (fun t ->
       List.iter
-        (fun t ->
-          List.iter
-            (fun e -> load.(link_of_edge.(e)) <- load.(link_of_edge.(e)) +. t.weight)
-            t.edges)
-        packing.trees;
-      Array.for_all Fun.id
-        (Array.mapi (fun li l -> load.(li) <= l.lcap +. 1e-6) links)
-    end
-    else begin
-      let load = Array.make (Digraph.n_edges g) 0. in
-      List.iter
-        (fun t -> List.iter (fun e -> load.(e) <- load.(e) +. t.weight) t.edges)
-        packing.trees;
-      let ok = ref true in
-      Array.iteri
-        (fun e x -> if x > (Digraph.edge g e).Digraph.cap +. 1e-6 then ok := false)
-        load;
-      !ok
-    end
-  in
-  trees_ok && caps_ok
+        (fun i -> load.(i) <- load.(i) +. t.weight)
+        (model_items m t.edges))
+    packing.trees;
+  List.for_all
+    (fun t ->
+      t.weight > 0.
+      && Arborescence.is_arborescence g ~root:packing.root t.edges)
+    packing.trees
+  && Array.for_all2 (fun x c -> x <= c +. 1e-6) load caps
 
-(* ------------------------------------------------------------------ *)
-(* Backend toolkit: the capacity model behind both packing modes, exposed
-   so alternative planner backends ({!Planner}) reuse TreeGen's item
-   accounting and spanning-structure oracles instead of re-deriving link
-   pairing and orientation. *)
-
-type model =
-  | Mdirected of Digraph.t
-  | Mundirected of {
-      g : Digraph.t;
-      links : link array;
-      link_of_edge : int array;
-    }
-
-let model g ~undirected =
-  if undirected then
-    let links = undirected_links g in
-    Mundirected { g; links; link_of_edge = link_index_of_edge g links }
-  else Mdirected g
-
-let model_caps = function
-  | Mdirected g ->
-      Array.init (Digraph.n_edges g) (fun i -> (Digraph.edge g i).Digraph.cap)
-  | Mundirected { links; _ } -> Array.map (fun l -> l.lcap) links
-
-let model_items m edges =
-  match m with
-  | Mdirected _ -> edges
-  | Mundirected { link_of_edge; _ } ->
-      List.map (fun e -> link_of_edge.(e)) edges
-
-let model_tree m ~root ~price =
-  match m with
-  | Mdirected g ->
-      Arborescence.min_arborescence g ~root ~cost:(fun e ->
-          price.(e.Digraph.id))
-  | Mundirected { g; links; _ } ->
-      Option.map
-        (orient g links ~root)
-        (kruskal ~n:(Digraph.n_vertices g) g links price)
-
-let integral_trees g ~root ~undirected =
+let integral_trees m ~root =
+  let g = match m with Mdirected g | Mundirected { g; _ } -> g in
   (* [greedy_integral] assumes a non-trivial graph (its undirected loop
      would spin on a vertex-only graph where Kruskal keeps returning the
      empty spanning forest). *)
   if Digraph.n_vertices g <= 1 || Digraph.n_edges g = 0 then []
   else
-    let caps = model_caps (model g ~undirected) in
-    let unit = Array.fold_left Float.min infinity caps in
-    greedy_integral g ~root ~undirected ~unit
+    greedy_integral m ~root
+      ~unit:(Array.fold_left Float.min infinity (model_caps m))
 
 let pp ppf p =
   Format.fprintf ppf "@[<v>packing root=%d rate=%.3f optimal=%.3f (%d trees%s)"

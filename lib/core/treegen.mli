@@ -1,20 +1,22 @@
 (** TreeGen: maximal fractional packing of spanning trees
     (paper sections 3.1-3.3).
 
-    Two packing modes, both driven by the same multiplicative-weight-update
-    (Garg-Konemann) core and the same ILP minimization:
+    One multiplicative-weight-update (Garg-Konemann) core and one ILP
+    minimization, run over one of two capacity models ({!model}), picked
+    by [~undirected]:
 
-    - {b Directed} ({!pack}, {!plan}) — arborescences from a root under
-      per-directed-edge capacities: optimal for one-to-many primitives
-      (Broadcast, Gather). The optimum equals the min over non-root
-      vertices of the root-to-vertex max-flow (Edmonds' theorem), reported
-      in {!field-optimal} and used to validate the approximation.
-    - {b Undirected} ({!pack_undirected}, {!plan_undirected}) — spanning
-      trees under per-{e link} capacities, where a link is a full-duplex
-      channel consumed in both directions at once (reduce up, broadcast
-      down): the right object for many-to-many primitives (AllReduce,
-      AllGather), matching the 2(N-1)/N message lower bound the way rings
-      do. Trees are reported oriented away from the root.
+    - {b Directed} ([~undirected:false]) — arborescences from a root
+      under per-directed-edge capacities: optimal for one-to-many
+      primitives (Broadcast, Gather). The optimum equals the min over
+      non-root vertices of the root-to-vertex max-flow (Edmonds'
+      theorem), reported in {!field-optimal} and used to validate the
+      approximation.
+    - {b Undirected} ([~undirected:true]) — spanning trees under
+      per-{e link} capacities, where a link is a full-duplex channel
+      consumed in both directions at once (reduce up, broadcast down):
+      the right object for AllReduce, matching the 2(N-1)/N message lower
+      bound the way rings do. Trees are reported oriented away from the
+      root.
 
     The ILP step ({!minimize}) restricts weights to integer multiples of
     the capacity unit and re-allows fractional weights one variable at a
@@ -31,7 +33,7 @@ type packing = {
   root : int;
   trees : tree list;
   rate : float;  (** [sum weight]: achieved packing rate *)
-  optimal : float;  (** certified upper/achievable bound (see mode docs) *)
+  optimal : float;  (** certified upper/achievable bound (see {!pack}) *)
   undirected : bool;  (** which capacity model the packing satisfies *)
 }
 
@@ -40,27 +42,22 @@ val pack :
   ?telemetry:Blink_telemetry.Telemetry.t ->
   Blink_graph.Digraph.t ->
   root:int ->
+  undirected:bool ->
   packing
-(** Directed MWU packing; [epsilon] (default [0.1]) trades tree count and
-    run time for approximation quality: the returned rate is at least
-    [(1 - 2 * epsilon) * optimal] and always capacity-feasible. Trees with
-    identical edge sets are merged. Returns an empty packing (rate 0) when
-    some vertex is unreachable from the root.
-
-    [telemetry] counts MWU rounds (["treegen.mwu.rounds"], labelled by
-    packing mode) and, when tracing, records a ["treegen.pack"] span. *)
-
-val pack_undirected :
-  ?epsilon:float ->
-  ?telemetry:Blink_telemetry.Telemetry.t ->
-  Blink_graph.Digraph.t ->
-  root:int ->
-  packing
-(** Undirected MWU packing. The graph must be symmetric (every physical
+(** MWU packing under the [undirected] capacity model. [epsilon]
+    (default [0.1]) trades tree count and run time for approximation
+    quality: the returned rate is at least [(1 - 2 * epsilon) * optimal]
+    and always capacity-feasible. Trees with identical edge sets are
+    merged. Returns an empty packing (rate 0) when some vertex is
+    unreachable from the root. [optimal] is Edmonds' bound directed, and
+    the LP optimum over the candidate trees (a certified achievable rate)
+    undirected. Undirected, the graph must be symmetric (every physical
     link present as two opposite directed edges of equal capacity, as
     {!Blink_topology.Server.nvlink_digraph} builds); raises
-    [Invalid_argument] otherwise. [optimal] is the LP optimum over the
-    candidate trees (a certified achievable rate). *)
+    [Invalid_argument] otherwise.
+
+    [telemetry] counts MWU rounds (["treegen.mwu.rounds"], labelled by
+    capacity model) and, when tracing, records a ["treegen.pack"] span. *)
 
 val minimize :
   ?threshold:float ->
@@ -86,17 +83,9 @@ val plan :
   ?telemetry:Blink_telemetry.Telemetry.t ->
   Blink_graph.Digraph.t ->
   root:int ->
+  undirected:bool ->
   packing
 (** [pack] followed by [minimize]. *)
-
-val plan_undirected :
-  ?epsilon:float ->
-  ?threshold:float ->
-  ?telemetry:Blink_telemetry.Telemetry.t ->
-  Blink_graph.Digraph.t ->
-  root:int ->
-  packing
-(** [pack_undirected] followed by [minimize]. *)
 
 type replan_stats = {
   kept_trees : int;  (** previous trees reused verbatim *)
@@ -127,8 +116,8 @@ val replan :
     {!minimize} re-rounds with the kept trees as ILP warm start. When no
     tree was displaced the MWU/ILP stages are skipped entirely and the
     previous trees come back unchanged; when {e every} tree was displaced
-    (or the root moved) the call degenerates to a cold
-    {!plan}/{!plan_undirected} with identical inputs and results
+    (or the root moved) the call degenerates to a cold {!plan} with
+    identical inputs and results
     ([cold_fallback] reports this). The returned packing is always
     capacity-feasible on [g]. *)
 
@@ -143,46 +132,45 @@ val feasible : Blink_graph.Digraph.t -> packing -> bool
 
 val pp : Format.formatter -> packing -> unit
 
-(** {2 Backend toolkit}
+(** {2 Capacity model}
 
-    The capacity model behind both packing modes, exposed so alternative
-    planner backends ({!Planner}) reuse TreeGen's item accounting and
+    The model every function above runs over, exposed so the other
+    planner backend ({!Planner}) reuses TreeGen's item accounting and
     spanning-structure oracles. An {e item} is the unit of capacity a
-    packing consumes: a directed edge id in directed mode, a duplex-link
-    id in undirected mode. Trees are always exchanged as directed edge-id
-    lists oriented away from the root. *)
+    packing consumes: a directed edge id in the directed model, a
+    duplex-link id in the undirected one. Trees are always exchanged as
+    directed edge-id lists oriented away from the root. *)
 
 type model
 (** A graph plus its capacity model (directed edges or duplex links). *)
 
 val model : Blink_graph.Digraph.t -> undirected:bool -> model
-(** Build the model. In undirected mode the graph must be symmetric
-    (raises [Invalid_argument] otherwise, as {!pack_undirected}). *)
+(** Build the model. Undirected, the graph must be symmetric (raises
+    [Invalid_argument] otherwise, as {!pack}). *)
 
 val model_caps : model -> float array
 (** Per-item capacities (a fresh array, indexed by item id). *)
 
 val model_items : model -> int list -> int list
 (** Map a tree's directed edge ids to the item ids it consumes (the
-    identity in directed mode). *)
+    identity in the directed model). *)
 
 val model_tree : model -> root:int -> price:float array -> int list option
 (** Minimum-total-price spanning structure under per-item [price]:
-    Chu-Liu/Edmonds arborescence in directed mode, Kruskal over links
-    (oriented away from [root]) in undirected mode. [None] when the graph
-    does not span from [root]. *)
+    Chu-Liu/Edmonds arborescence in the directed model, Kruskal over
+    links (oriented away from [root]) in the undirected one. [None] when
+    the graph does not span from [root]. *)
 
-val integral_trees :
-  Blink_graph.Digraph.t -> root:int -> undirected:bool -> int list list
+val integral_trees : model -> root:int -> int list list
 (** The greedy/Edmonds integral extraction {!minimize} seeds its ILP
-    with, at the minimum-capacity unit: in undirected mode a maximal
-    unit-tree packing, in directed mode the {e exact} optimal integral
-    arborescence packing when every capacity is a (near-)integer multiple
-    of the unit, and [[]] otherwise. *)
+    with, at the minimum-capacity unit: undirected, a maximal unit-tree
+    packing; directed, the {e exact} optimal integral arborescence
+    packing when every capacity is a (near-)integer multiple of the
+    unit, and [[]] otherwise. *)
 
 val candidate_lp :
   caps:float array -> candidates:int list array -> float * float array
 (** Maximize total weight over the candidate item-lists subject to
     per-item [caps]: returns the LP optimum and one optimal weight per
-    candidate. The exact re-optimization {!pack_undirected} and the
-    backends use to certify a candidate set. *)
+    candidate. The exact re-optimization the undirected {!pack} and
+    {!Planner}'s lp-flow backend use to certify a candidate set. *)

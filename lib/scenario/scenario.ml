@@ -257,7 +257,7 @@ let tournament ?link_faults ~mbytes server ~gpus =
         broadcast_gbps = blink_gbps ~mbytes handle Plan.Broadcast;
         all_reduce_gbps = blink_gbps ~mbytes handle Plan.All_reduce;
       })
-    (Planner.all ())
+    Planner.all
 
 let trees = function None -> 0 | Some p -> List.length p.Treegen.trees
 

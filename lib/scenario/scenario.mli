@@ -128,7 +128,7 @@ type row = {
 val tournament :
   ?link_faults:Blink_topology.Server.faults -> mbytes:float ->
   Blink_topology.Server.t -> gpus:int array -> row list
-(** One row per registered planner backend, in registration order. *)
+(** One row per planner backend, in {!Blink_core.Planner.all} order. *)
 
 val pp_tournament : Format.formatter -> label:string -> row list -> unit
 (** A header with [label] in its first column, then one line per row. *)

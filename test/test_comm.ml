@@ -135,7 +135,7 @@ let test_custom_planning () =
      units (1+1+2-ish): min cut to 1 and 3 is 2 units each, to 2 is 4; so
      the rate is bounded by 2 units... verified against max-flow. *)
   let g = Server.nvlink_digraph square ~gpus:(Array.init 4 Fun.id) in
-  let p = Blink_core.Treegen.plan g ~root:0 in
+  let p = Blink_core.Treegen.plan g ~root:0 ~undirected:false in
   Alcotest.(check (float 1e-6)) "rate equals max-flow optimum"
     (Blink_graph.Maxflow.broadcast_rate g ~root:0)
     p.Blink_core.Treegen.rate;

@@ -21,7 +21,7 @@ let full8 = Array.init 8 Fun.id
 let test_dgx1v_directed_packing () =
   (* Paper section 3.2: the optimal DGX-1V packing is 6 unit-rate trees. *)
   let g = dgx1v_graph full8 in
-  let p = Treegen.plan g ~root:0 in
+  let p = Treegen.plan g ~root:0 ~undirected:false in
   Alcotest.(check int) "6 trees" 6 (List.length p.Treegen.trees);
   check_float "rate = 6 units" (6. *. gen2) p.Treegen.rate;
   check_float "optimal = 6 units" (6. *. gen2) p.Treegen.optimal;
@@ -32,7 +32,7 @@ let test_dgx1v_directed_packing () =
 
 let test_dgx1p_directed_packing () =
   let g = Server.nvlink_digraph Server.dgx1p ~gpus:full8 in
-  let p = Treegen.plan g ~root:0 in
+  let p = Treegen.plan g ~root:0 ~undirected:false in
   Alcotest.(check int) "4 trees" 4 (List.length p.Treegen.trees);
   check_float "rate = 4 units" (4. *. gen1) p.Treegen.rate;
   Alcotest.(check bool) "feasible" true (Treegen.feasible g p)
@@ -40,7 +40,7 @@ let test_dgx1p_directed_packing () =
 let test_mwu_within_guarantee () =
   let g = dgx1v_graph full8 in
   let epsilon = 0.1 in
-  let p = Treegen.pack ~epsilon g ~root:0 in
+  let p = Treegen.pack ~epsilon g ~root:0 ~undirected:false in
   Alcotest.(check bool) "rate within (1-2eps) of optimal" true
     (p.Treegen.rate >= (1. -. (2. *. epsilon)) *. p.Treegen.optimal);
   Alcotest.(check bool) "never exceeds optimal" true
@@ -49,7 +49,7 @@ let test_mwu_within_guarantee () =
 
 let test_ilp_reduces_tree_count () =
   let g = dgx1v_graph full8 in
-  let raw = Treegen.pack ~epsilon:0.05 g ~root:0 in
+  let raw = Treegen.pack ~epsilon:0.05 g ~root:0 ~undirected:false in
   let mini = Treegen.minimize g raw in
   Alcotest.(check bool) "fewer or equal trees" true
     (List.length mini.Treegen.trees <= List.length raw.Treegen.trees);
@@ -60,7 +60,7 @@ let test_ilp_reduces_tree_count () =
 let test_undirected_packing_dgx1v () =
   (* 24 duplex links / 7 tree edges = 24/7 units fractional optimum. *)
   let g = dgx1v_graph full8 in
-  let p = Treegen.plan_undirected g ~root:0 in
+  let p = Treegen.plan g ~root:0 ~undirected:true in
   Alcotest.(check bool) "undirected flag" true p.Treegen.undirected;
   check_float "optimal = 24/7 units" (24. /. 7. *. gen2) p.Treegen.optimal;
   Alcotest.(check bool) "within 5% of optimal" true
@@ -70,14 +70,14 @@ let test_undirected_packing_dgx1v () =
 let test_partial_allocation_packing () =
   (* Figure 1/2's fragmented allocation 1,4,5,6. *)
   let g = dgx1v_graph [| 1; 4; 5; 6 |] in
-  let p = Treegen.plan g ~root:0 in
+  let p = Treegen.plan g ~root:0 ~undirected:false in
   check_float "2 units" (2. *. gen2) p.Treegen.rate;
   Alcotest.(check bool) "feasible" true (Treegen.feasible g p)
 
 let test_disconnected_packing () =
   (* 0,5,6: gpu 0 has no NVLink to 5 or 6 *)
   let g = dgx1v_graph [| 0; 5; 6 |] in
-  let p = Treegen.pack g ~root:0 in
+  let p = Treegen.pack g ~root:0 ~undirected:false in
   Alcotest.(check (list int)) "no trees" []
     (List.map (fun t -> List.length t.Treegen.edges) p.Treegen.trees);
   check_float "zero rate" 0. p.Treegen.rate
@@ -114,7 +114,7 @@ let prop_packing_sound_on_allocations =
       in
       let gpus = pick () in
       let g = dgx1v_graph gpus in
-      let p = Treegen.plan ~epsilon:0.1 g ~root:0 in
+      let p = Treegen.plan ~epsilon:0.1 g ~root:0 ~undirected:false in
       Treegen.feasible g p
       && p.Treegen.rate >= 0.8 *. p.Treegen.optimal
       && p.Treegen.rate <= p.Treegen.optimal +. 1e-6)
@@ -302,6 +302,23 @@ let test_all_gather_near_bound () =
   let bound = Blink.edge_cut_bound h Plan.All_gather in
   if gbps < 0.95 *. bound then
     Alcotest.failf "all_gather %.2f GB/s below 95%% of the %.2f GB/s bound" gbps bound
+
+(* No schedule beats the edge-cut bound on the full DGX-2: the one-hop
+   reduce_scatter at 500 MB, where its stars come closest to the
+   single-attach cut, and all six collectives at 64 MB. *)
+let test_dgx2_within_bound () =
+  let h = Blink.create Server.dgx2 ~gpus:(Array.init 16 Fun.id) in
+  let check collective ~mbytes =
+    let elems = Blink_scenario.Scenario.elems_of_mb mbytes in
+    let r = Blink_core.Analysis.analyze h collective ~elems in
+    if r.achieved_gbps > r.bound_gbps then
+      Alcotest.failf "%s at %.0f MB: %.2f GB/s beats its %.2f GB/s bound"
+        (Plan.collective_name collective) mbytes r.achieved_gbps r.bound_gbps
+  in
+  check Plan.Reduce_scatter ~mbytes:500.;
+  List.iter
+    (fun c -> check c ~mbytes:64.)
+    Plan.[ All_reduce; Broadcast; Reduce; Gather; All_gather; Reduce_scatter ]
 
 (* ------------------------------------------------------------------ *)
 (* Blink facade *)
@@ -583,6 +600,7 @@ let () =
           Alcotest.test_case "feasible packings" `Quick test_root_packings_feasible;
           Alcotest.test_case "after fail_link" `Quick test_per_root_after_fail_link;
           Alcotest.test_case "all_gather bound" `Quick test_all_gather_near_bound;
+          Alcotest.test_case "dgx-2 within bound" `Quick test_dgx2_within_bound;
         ] );
       ( "chunking",
         [

@@ -393,7 +393,7 @@ let test_treegen_replan_short_circuit () =
      skipped and the previous trees come back verbatim. *)
   let g = Server.nvlink_digraph Server.dgx1v ~gpus:full in
   let root = Treegen.best_root g in
-  let prev = Treegen.plan_undirected g ~root in
+  let prev = Treegen.plan g ~root ~undirected:true in
   let packing, stats = Treegen.replan ~prev ~prev_graph:g g ~root in
   Alcotest.(check int) "all trees kept"
     (List.length prev.Treegen.trees)

@@ -1,5 +1,5 @@
-(* Planner backends: every registered backend must produce packings the
-   rest of the stack can trust.
+(* Planner backends: both backends must produce packings the rest of the
+   stack can trust.
 
    - Feasibility: on fixed DGX topologies and on randomized degraded
      sub-allocations, both packings (directed + undirected) satisfy
@@ -11,6 +11,7 @@
      tenants on different backends never share a plan-store bucket. *)
 
 module Server = Blink_topology.Server
+module Alloc = Blink_topology.Alloc
 module Digraph = Blink_graph.Digraph
 module Blink = Blink_core.Blink
 module Plan = Blink_core.Plan
@@ -21,24 +22,12 @@ module Codegen = Blink_collectives.Codegen
 module P = Blink_sim.Program
 module Sem = Blink_sim.Semantics
 
-let backends = Planner.all ()
+let backends = Planner.all
 
 let backend_names () =
   Alcotest.(check (list string))
-    "built-in backends registered, treegen first"
-    [ "treegen"; "lp-flow"; "greedy-cut" ]
+    "both backends, treegen first" [ "treegen"; "lp-flow" ]
     (List.map Planner.name backends)
-
-let find_registered () =
-  List.iter
-    (fun b ->
-      match Planner.find (Planner.name b) with
-      | Some b' ->
-          Alcotest.(check string) "find returns the registered module"
-            (Planner.name b) (Planner.name b')
-      | None -> Alcotest.failf "backend %s not found" (Planner.name b))
-    backends;
-  Alcotest.(check bool) "unknown name" true (Planner.find "nope" = None)
 
 (* A packing is acceptable iff feasible, spanning-positive, and within
    (a hair of) its own certified optimum. *)
@@ -83,21 +72,16 @@ let feasible_on_fixed b () =
     fixed_fabrics
 
 (* TreeGen hits the paper's numbers on the full DGX-1V and the LP-flow
-   backend must land in the same band; greedy-cut is a no-lookahead
-   baseline — it only owes a substantial fraction of the optimum (the
-   tournament reports its actual gap). *)
+   backend must land in the same band. *)
 let dgx1v_rates b () =
   let g = Server.nvlink_digraph Server.dgx1v ~gpus:[| 0; 1; 2; 3; 4; 5; 6; 7 |] in
   let root = Treegen.best_root g in
   let directed = Planner.plan b g ~root ~undirected:false in
-  let floor =
-    if String.equal (Planner.name b) "greedy-cut" then 0.5 else 0.9
-  in
   Alcotest.(check bool)
     (Printf.sprintf "%s: directed rate %.2f vs optimal %.2f" (Planner.name b)
        directed.Treegen.rate directed.Treegen.optimal)
     true
-    (directed.Treegen.rate >= floor *. directed.Treegen.optimal)
+    (directed.Treegen.rate >= 0.9 *. directed.Treegen.optimal)
 
 (* Randomized fabrics: random sub-allocations of the DGX-1V with random
    link degradations/failures. Skip the (rare) draws whose surviving
@@ -270,7 +254,7 @@ let cold_packings b =
           List.map
             (fun undirected -> Planner.plan b g ~root ~undirected)
             [ false; true ])
-        (Blink_topology.Alloc.unique_configs server ~sizes:[ 3; 4; 5; 6; 7; 8 ]))
+        (Alloc.unique_configs server ~sizes:[ 3; 4; 5; 6; 7; 8 ]))
     [ Server.dgx1v; Server.dgx1p ]
 
 let warm_packings () =
@@ -279,7 +263,8 @@ let warm_packings () =
   let root = Treegen.best_root prev_graph in
   let prevs =
     List.map
-      (fun undirected -> Planner.plan Planner.treegen prev_graph ~root ~undirected)
+      (fun undirected ->
+        Planner.plan Planner.Treegen prev_graph ~root ~undirected)
       [ false; true ]
   in
   let pairs =
@@ -290,7 +275,8 @@ let warm_packings () =
     (fun pair ->
       List.concat_map
         (fun state ->
-          let g = Server.nvlink_digraph ~faults:[ (pair, state) ] server ~gpus in
+          let faults = [ (pair, state) ] in
+          let g = Server.nvlink_digraph ~faults server ~gpus in
           let root = Treegen.best_root g in
           List.map
             (fun prev -> fst (Treegen.replan ~prev ~prev_graph g ~root))
@@ -299,23 +285,15 @@ let warm_packings () =
     pairs
 
 let pin expected packings () =
-  Alcotest.(check string) "packing digest" expected (digest_packings (packings ()))
-
-let register_duplicate () =
-  Alcotest.check_raises "duplicate name rejected"
-    (Invalid_argument "Planner.register: duplicate backend \"treegen\"")
-    (fun () -> Planner.register Planner.treegen)
+  Alcotest.(check string)
+    "packing digest" expected
+    (digest_packings (packings ()))
 
 let () =
   let backend_cases mk = List.map mk backends in
   Alcotest.run "planner"
     [
-      ( "registry",
-        [
-          Alcotest.test_case "built-ins" `Quick backend_names;
-          Alcotest.test_case "find" `Quick find_registered;
-          Alcotest.test_case "duplicate" `Quick register_duplicate;
-        ] );
+      ("registry", [ Alcotest.test_case "built-ins" `Quick backend_names ]);
       ( "feasibility",
         backend_cases (fun b ->
             Alcotest.test_case (Planner.name b) `Quick (feasible_on_fixed b))
@@ -333,10 +311,10 @@ let () =
         [
           Alcotest.test_case "treegen cold" `Quick
             (pin "4d5f9edc5c3b04e278b77549651763c3" (fun () ->
-                 cold_packings Planner.treegen));
+                 cold_packings Planner.Treegen));
           Alcotest.test_case "lp-flow cold" `Quick
             (pin "37b13865903014a2735c6fe4cb7a430b" (fun () ->
-                 cold_packings Planner.lp_flow));
+                 cold_packings Planner.Lp_flow));
           Alcotest.test_case "treegen warm replan" `Quick
             (pin "bed3992ff6fc1c69d44a308fdc7cadbc" warm_packings);
         ] );

@@ -121,7 +121,6 @@ let test_tournament_quad () =
     [
       ("treegen", 40.8, 32.8, 2, 2);
       ("lp-flow", 40.8, 32.8, 2, 2);
-      ("greedy-cut", 40.8, 17.3, 2, 1);
     ]
   in
   Alcotest.(check (list string))
@@ -142,7 +141,8 @@ let test_tournament_quad () =
       (fun ppf rows -> Scenario.pp_tournament ppf ~label:"quad" rows)
       rows
   in
-  Alcotest.(check int) "header + one line per backend" 4 (lines out)
+  Alcotest.(check int) "header + one line per backend"
+    (1 + List.length rows) (lines out)
 
 let contains s sub =
   match Str.search_forward (Str.regexp_string sub) s 0 with
