@@ -944,8 +944,9 @@ let analyze_suite () =
       ("collectives", Json.List (List.map Analysis.report_json reports));
       ("phases", Analysis.phases_json phases);
     ];
-  (* all_reduce against its tree-packing bound; the per-root
-     all_gather and reduce_scatter against their cut bounds. *)
+  (* all_reduce against the larger of its two family bounds (tree
+     packing, per-root cut value); the per-root all_gather and
+     reduce_scatter against their cut bounds. *)
   List.iter
     (fun (r : Analysis.report) ->
       let collective = r.Analysis.collective in
@@ -1236,6 +1237,11 @@ let check_specs =
             near "analyze" (row "efficiency");
           ])
         six_collectives;
+      (* The schedule family all-reduce chose. *)
+      [
+        exact "analyze"
+          [ Row ("collectives", "collective", "all_reduce"); F "family" ];
+      ];
       (* The critical-path attribution: the op count is a pure function
          of the schedule, the seconds split is simulator arithmetic. *)
       List.concat_map

@@ -15,6 +15,7 @@ type link_info = {
 
 type report = {
   collective : Plan.collective;
+  family : Plan.family;
   elems : int;
   chunk_elems : int;
   n_ranks : int;
@@ -107,6 +108,7 @@ let analyze ?chunk_elems ?policy t collective ~elems =
   end;
   {
     collective;
+    family = plan.Plan.family;
     elems;
     chunk_elems = plan.Plan.chunk_elems;
     n_ranks = plan.Plan.n_ranks;
@@ -176,10 +178,20 @@ let link_json l =
       ("on_critical_path", Json.Bool l.li_on_critical_path);
     ]
 
+(* Only all-reduce chooses its family; every other collective's is fixed
+   by the collective. *)
 let report_json r =
+  let family =
+    match r.collective with
+    | Plan.All_reduce -> [ ("family", Json.str (Plan.family_name r.family)) ]
+    | Plan.Broadcast | Plan.Reduce | Plan.Gather | Plan.All_gather
+    | Plan.Reduce_scatter ->
+        []
+  in
   Json.Obj
-    [
-      ("collective", Json.str (Plan.collective_name r.collective));
+    ([ ("collective", Json.str (Plan.collective_name r.collective)) ]
+    @ family
+    @ [
       ("elems", Json.int r.elems);
       ("chunk_elems", Json.int r.chunk_elems);
       ("n_ranks", Json.int r.n_ranks);
@@ -205,7 +217,7 @@ let report_json r =
           ] );
       ("bottlenecks", Json.List (List.map link_json r.bottlenecks));
       ("links", Json.List (List.map link_json r.links));
-    ]
+    ])
 
 let phases_json ps =
   Json.List

@@ -27,6 +27,9 @@ type link_info = {
 
 type report = {
   collective : Plan.collective;
+  family : Plan.family;
+      (** the plan's schedule family: for all-reduce, the one
+          {!Blink.plan} chose *)
   elems : int;
   chunk_elems : int;
   n_ranks : int;
@@ -68,4 +71,8 @@ val phases : Blink.t -> phase list
     handle. *)
 
 val report_json : report -> Blink_telemetry.Json.t
+(** The report as JSON. An all-reduce report also carries its
+    ["family"] (["trees"] or ["per_root"]); the other collectives have
+    only one. *)
+
 val phases_json : phase list -> Blink_telemetry.Json.t

@@ -154,6 +154,27 @@ let one_hop_tree ~n_ranks ~root =
   in
   Tree.of_edges ~n_ranks ~root edges
 
+(* The one-hop broadcast: one two-hop tree per non-root rank [i], root
+   -> [i] -> every other rank, share [1/(n-1)]. The root's attach sends
+   each piece once and every other attach relays one, instead of the
+   root's single attach carrying all [n-1] copies of a star. *)
+let relay_trees ~n_ranks ~root =
+  let ranks = List.init n_ranks Fun.id in
+  let share = 1. /. Float.of_int (n_ranks - 1) in
+  List.filter_map
+    (fun i ->
+      if i = root then None
+      else
+        let relayed =
+          List.filter_map
+            (fun j -> if j = root || j = i then None else Some (i, j))
+            ranks
+        in
+        Some
+          { Tree.tree = Tree.of_edges ~n_ranks ~root ((root, i) :: relayed);
+            share })
+    ranks
+
 let one_hop_trees ~n_ranks =
   let share = 1. /. Float.of_int n_ranks in
   List.init n_ranks (fun root ->
@@ -426,7 +447,12 @@ let min_cut_ratio g ratio =
    the buffer it owns. One-hop fabrics (NVSwitch) replace every cut by
    the attach bandwidth the kind already carries; there the tightest
    reduce-scatter cut is all ranks but one, which must receive
-   [(n-1)/n] of the buffer through a single attach. *)
+   [(n-1)/n] of the buffer through a single attach. On packed fabrics
+   all-reduce also has a per-root schedule, reduce-scatter then
+   all-gather of the [1/n] segments: the buffer crosses the
+   reduce-scatter cuts, then each segment the all-gather cuts, so that
+   family's bound is [1 / (1/RS + 1/(n AG))], and all-reduce takes the
+   larger of the two family bounds. *)
 let edge_cut_bound t (collective : Plan.collective) =
   let n = Digraph.n_vertices t.graph in
   if n <= 1 then infinity
@@ -440,16 +466,23 @@ let edge_cut_bound t (collective : Plan.collective) =
     in
     let s = Blink_topology.Link.reduce_scale in
     let nf = Float.of_int n in
+    let all_gather () =
+      min_cut_ratio t.graph (fun cap size -> cap /. (nf -. Float.of_int size))
+    in
+    let reduce_scatter () =
+      min_cut_ratio t.graph (fun cap size -> s *. nf *. cap /. Float.of_int size)
+    in
     match (collective, t.kind) with
     | Plan.Broadcast, _ -> directed
     | Plan.Reduce, _ -> s *. directed
-    | Plan.All_reduce, _ -> s *. undirected
+    | Plan.All_reduce, One_hop _ -> s *. undirected
+    | Plan.All_reduce, Packed _ ->
+        Float.max (s *. undirected)
+          (1. /. ((1. /. reduce_scatter ()) +. (1. /. (nf *. all_gather ()))))
     | Plan.Reduce_scatter, One_hop _ -> s *. undirected *. nf /. (nf -. 1.)
     | Plan.Gather, _ | Plan.All_gather, One_hop _ -> directed /. (nf -. 1.)
-    | Plan.All_gather, Packed _ ->
-        min_cut_ratio t.graph (fun cap size -> cap /. (nf -. Float.of_int size))
-    | Plan.Reduce_scatter, Packed _ ->
-        min_cut_ratio t.graph (fun cap size -> s *. nf *. cap /. Float.of_int size)
+    | Plan.All_gather, Packed _ -> all_gather ()
+    | Plan.Reduce_scatter, Packed _ -> reduce_scatter ()
 
 let broadcast_trees t =
   check_usable t;
@@ -459,12 +492,20 @@ let broadcast_trees t =
       let trees =
         match t.kind with
         | Packed p -> trees_of_packing t.graph p.directed
-        | One_hop _ ->
-            [ { Tree.tree = one_hop_tree ~n_ranks:(n_ranks t) ~root:t.root;
-                share = 1. } ]
+        | One_hop _ -> relay_trees ~n_ranks:(n_ranks t) ~root:t.root
       in
       t.bcast_trees <- Some trees;
       trees
+
+(* Gather funnels every buffer into the root, where a relay only adds a
+   hop: one-hop fabrics keep the root's star. *)
+let gather_trees t =
+  match t.kind with
+  | Packed _ -> broadcast_trees t
+  | One_hop _ ->
+      check_usable t;
+      [ { Tree.tree = one_hop_tree ~n_ranks:(n_ranks t) ~root:t.root;
+          share = 1. } ]
 
 let all_reduce_trees t =
   check_usable t;
@@ -584,12 +625,27 @@ let per_root t =
 let root_packings t = fst (per_root t)
 let root_trees t = snd (per_root t)
 
-let trees_for t (c : Plan.collective) =
-  match c with
-  | Plan.All_reduce -> all_reduce_trees t
-  | Plan.All_gather | Plan.Reduce_scatter ->
-      List.concat (Array.to_list (root_trees t))
-  | Plan.Broadcast | Plan.Reduce | Plan.Gather -> broadcast_trees t
+(* Every rank's trees, in root order: the tree list of a per-root plan. *)
+let per_root_trees t = List.concat (Array.to_list (root_trees t))
+
+(* Gate 1 of the per-root all-reduce: its family's cut value beats the
+   tree family's bound. Never on one-hop fabrics, whose rotating one-hop
+   trees already are a per-root schedule. *)
+let per_root_cut_wins t =
+  match t.kind with
+  | One_hop _ -> false
+  | Packed p ->
+      edge_cut_bound t Plan.All_reduce
+      > Blink_topology.Link.reduce_scale *. p.undirected.Treegen.rate
+
+(* Both gates of the per-root all-reduce candidate: gate 2, no per-root
+   region smaller than one chunk, then gate 1. *)
+let per_root_candidate t ~elems ~chunk =
+  match t.kind with
+  | One_hop _ -> false
+  | Packed p ->
+      elems >= chunk * n_ranks t * List.length p.directed.Treegen.trees
+      && per_root_cut_wins t
 
 let spec ?chunk_elems ?stream_reuse t =
   Codegen.spec ?chunk_elems ?stream_reuse ~telemetry:t.telemetry t.fabric
@@ -608,15 +664,15 @@ let all_reduce ?chunk_elems ?stream_reuse t ~elems =
 
 let gather ?chunk_elems ?stream_reuse t ~elems =
   Codegen.gather (spec ?chunk_elems ?stream_reuse t) ~root:t.root ~elems
-    ~trees:(broadcast_trees t)
+    ~trees:(gather_trees t)
 
 let all_gather ?chunk_elems ?stream_reuse t ~elems =
   Codegen.all_gather (spec ?chunk_elems ?stream_reuse t) ~elems
-    ~trees:(trees_for t Plan.All_gather)
+    ~trees:(per_root_trees t)
 
 let reduce_scatter ?chunk_elems ?stream_reuse t ~elems =
   Codegen.reduce_scatter (spec ?chunk_elems ?stream_reuse t) ~elems
-    ~trees:(trees_for t Plan.Reduce_scatter)
+    ~trees:(per_root_trees t)
 
 let time ?policy t prog =
   Engine.run ?policy ~telemetry:t.telemetry
@@ -711,10 +767,33 @@ let tuned_chunk t ~elems =
 (* ------------------------------------------------------------------ *)
 (* Compiled-plan cache *)
 
-(* Pure given the handle's fabric, root and forced tree memos. *)
+(* Pure given the handle's fabric, root and forced tree memos. An
+   all-reduce that passes both per-root gates
+   builds both families, replays each once and keeps the faster, the
+   trees on a tie. *)
 let build_plan t ((collective, elems, chunk) : plan_key) =
-  Plan.build collective ~spec:(spec ~chunk_elems:chunk t) ~root:t.root ~elems
-    ~trees:(trees_for t collective)
+  let build family trees =
+    Plan.build ~family collective ~spec:(spec ~chunk_elems:chunk t)
+      ~root:t.root ~elems ~trees
+  in
+  match collective with
+  | Plan.All_reduce when per_root_candidate t ~elems ~chunk ->
+      let trees = build Plan.Trees (all_reduce_trees t) in
+      let per_root = build Plan.Per_root (per_root_trees t) in
+      let makespan (p : Plan.t) =
+        (Engine.run_prepared ~arena:p.Plan.arena p.Plan.prepared)
+          .Engine.makespan
+      in
+      let m_trees = makespan trees and m_per_root = makespan per_root in
+      Log.debug (fun m ->
+          m "all_reduce elems=%d chunk=%d: trees %.3f ms, per-root %.3f ms"
+            elems chunk (m_trees *. 1e3) (m_per_root *. 1e3));
+      if m_per_root < m_trees then per_root else trees
+  | Plan.All_reduce -> build Plan.Trees (all_reduce_trees t)
+  | Plan.Broadcast | Plan.Reduce -> build Plan.Trees (broadcast_trees t)
+  | Plan.Gather -> build Plan.Trees (gather_trees t)
+  | Plan.All_gather | Plan.Reduce_scatter ->
+      build Plan.Per_root (per_root_trees t)
 
 let count_miss t ~evicted =
   Telemetry.incr t.telemetry "plan.cache.misses";
@@ -1041,14 +1120,17 @@ let prewarm_start t keys =
   (* Force the tree memos here: the pure stage then only reads
      [t.bcast_trees]/[t.ar_trees]/[t.root_trees] and never races on
      filling them. The per-root packings are only paid for when a key
-     needs them. *)
+     may need them: an all_gather or reduce_scatter, or an all_reduce
+     past gate 1 (gate 2 needs the chunk, maybe not tuned yet). *)
   ignore (broadcast_trees t);
   ignore (all_reduce_trees t);
-  if
-    List.exists
-      (fun (c, _) -> c = Plan.All_gather || c = Plan.Reduce_scatter)
-      keys
-  then ignore (root_trees t);
+  let needs_root_trees (c, _) =
+    match c with
+    | Plan.All_gather | Plan.Reduce_scatter -> true
+    | Plan.All_reduce -> per_root_cut_wins t
+    | Plan.Broadcast | Plan.Reduce | Plan.Gather -> false
+  in
+  if List.exists needs_root_trees keys then ignore (root_trees t);
   let keys = dedup Option.some keys in
   let s_known, s_tune =
     List.partition_map

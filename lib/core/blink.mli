@@ -151,9 +151,7 @@ val edge_cut_bound : t -> Plan.collective -> float
     bounded by the Edmonds arborescence-packing value ([min] over
     vertices of maxflow from {!root}); reduce de-rates that by
     {!Blink_topology.Link.reduce_scale} (inline reduction slows the
-    receiving link); all_reduce is bounded by the de-rated undirected
-    spanning-tree-packing weight (each tree carries the buffer both ways
-    across every tree edge); gather funnels [n-1] per-rank buffers
+    receiving link); gather funnels [n-1] per-rank buffers
     through the root's cut, dividing the bound by [n-1]. All_gather and
     reduce_scatter take their cut bounds over the rank subsets [S] of
     {!graph} (ForestColl, arXiv 2402.06787), with [cap_in(S)] the
@@ -164,11 +162,28 @@ val edge_cut_bound : t -> Plan.collective -> float
     On NVSwitch machines the packing values are the one-hop aggregate
     attach bandwidth [a]: all_gather keeps the gather form, and
     reduce_scatter is bounded by [reduce_scale * a * n / (n-1)], the cut
-    around all ranks but one. [infinity] on single-GPU allocations
-    (nothing to bound). *)
+    around all ranks but one.
+
+    All_reduce takes the larger of its two schedule families' bounds
+    (see {!plan}). The tree family is bounded by the de-rated undirected
+    spanning-tree-packing weight [reduce_scale * all_reduce_rate]: each
+    tree carries the buffer both ways across every tree edge. The
+    per-root family runs a reduce-scatter of the whole buffer, then an
+    all-gather of the [1/n] segments, so its cut value is
+    [1 / (1/RS + 1/(n AG))] with [RS] and [AG] the two bounds above. On
+    the full DGX-1V that is 67.74 GB/s against the trees' 60.92, on the
+    full DGX-1P 40.96 against 37.29. On NVSwitch machines only the tree
+    form applies ([reduce_scale * a]). This bounds the two families, not
+    every all-reduce schedule. [infinity] on single-GPU
+    allocations (nothing to bound). *)
 
 val broadcast_trees : t -> Blink_collectives.Tree.weighted list
-(** Trees rooted at {!root}, shares proportional to packed weights. *)
+(** Trees rooted at {!root} for broadcast and reduce, shares
+    proportional to packed weights. On NVSwitch machines: [n-1] two-hop
+    relay trees, [root -> i -> every other rank] with share [1/(n-1)],
+    so every attach carries part of the buffer. Gather keeps one
+    one-hop star there: its data all ends at the root, and a relay only
+    adds a hop. *)
 
 val all_reduce_trees : t -> Blink_collectives.Tree.weighted list
 (** Trees for many-to-many primitives: the undirected packing's trees on
@@ -211,6 +226,8 @@ val reduce :
 val all_reduce :
   ?chunk_elems:int -> ?stream_reuse:bool -> t -> elems:int ->
   Blink_sim.Program.t * Blink_collectives.Codegen.layout
+(** The tree family, over {!all_reduce_trees}; {!plan} may pick the
+    per-root family instead. *)
 
 val gather :
   ?chunk_elems:int -> ?stream_reuse:bool -> t -> elems:int ->
@@ -239,7 +256,19 @@ val plan : ?chunk_elems:int -> t -> Plan.collective -> elems:int -> Plan.t
 (** Cached compilation. When [chunk_elems] is omitted the MIAD-tuned
     chunk for the size class is used ({!tuned_chunk}); tuning runs only
     on the first miss for that class. The returned plan is shared: two
-    calls with the same key return the same instance. *)
+    calls with the same key return the same instance.
+
+    All_reduce has two schedule families ({!Plan.family}): reduce +
+    broadcast over {!all_reduce_trees}, or reduce-scatter + all-gather
+    over every rank's {!root_trees} (concatenated in root order, so
+    rank [r] reduces and re-broadcasts segment [r/n .. (r+1)/n]). A miss
+    builds the per-root candidate only when both gates hold: its cut
+    value beats the trees' bound ({!edge_cut_bound}), and [elems >=
+    chunk * n * (trees in {!packing})], so that no per-root region is
+    smaller than one chunk. It then replays both once and keeps the
+    faster, the trees on a tie. Only the trees are ever tuned: MIAD
+    probes {!all_reduce}, so the chunk is the same for both. The
+    chosen family is [plan.family]. *)
 
 val prewarm :
   ?pool:Blink_parallel.Pool.t ->

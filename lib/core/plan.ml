@@ -23,8 +23,13 @@ let collective_name = function
   | All_gather -> "all_gather"
   | Reduce_scatter -> "reduce_scatter"
 
+type family = Trees | Per_root
+
+let family_name = function Trees -> "trees" | Per_root -> "per_root"
+
 type t = {
   collective : collective;
+  family : family;
   elems : int;
   chunk_elems : int;
   root : int;
@@ -52,7 +57,7 @@ and gauge_cells = {
   util : float array;  (* scratch for [Critical_path.utilization] *)
 }
 
-let build collective ~spec ~root ~elems ~trees =
+let build ~family collective ~spec ~root ~elems ~trees =
   let telemetry = spec.Codegen.telemetry in
   let name = collective_name collective in
   let span_start = Telemetry.now_s telemetry in
@@ -83,6 +88,7 @@ let build collective ~spec ~root ~elems ~trees =
     "plan.build";
   {
     collective;
+    family;
     elems;
     chunk_elems = spec.Codegen.chunk_elems;
     root;

@@ -25,8 +25,24 @@ type collective =
 val collective_name : collective -> string
 (** Lower-case label, e.g. ["all_reduce"] — for logs and bench output. *)
 
+type family =
+  | Trees  (** trees from one packing ({!Blink.broadcast_trees} or
+               {!Blink.all_reduce_trees}) *)
+  | Per_root
+      (** every rank's own packing ({!Blink.root_trees}), each rank
+          rooting the trees for its own segment *)
+(** The schedule family a plan's trees come from. Only all-reduce
+    chooses: reduce + broadcast over the undirected packing, or a
+    pipelined reduce-scatter + all-gather over the per-root packings
+    ({!Blink.plan} keeps the faster). All_gather and reduce_scatter are
+    always [Per_root], the rooted collectives always [Trees]. *)
+
+val family_name : family -> string
+(** ["trees"] or ["per_root"]. *)
+
 type t = {
   collective : collective;
+  family : family;  (** where [trees] came from *)
   elems : int;  (** per-rank buffer length the program was generated for *)
   chunk_elems : int;  (** pipeline chunk size baked into the program *)
   root : int;  (** root rank for rooted collectives *)
@@ -60,6 +76,7 @@ type t = {
 and gauge_cells
 
 val build :
+  family:family ->
   collective ->
   spec:Blink_collectives.Codegen.spec ->
   root:int ->
@@ -69,8 +86,9 @@ val build :
 (** Run CodeGen once for the collective over the given weighted trees.
     [spec] carries the chunk size and fabric; [root] is ignored by
     root-less collectives ([All_reduce], [All_gather], [Reduce_scatter])
-    but still recorded. [All_gather] and [Reduce_scatter] take a per-root
-    packing: every rank's own trees, rooted at it ({!Blink.root_trees}). *)
+    but still recorded, as is [family]: CodeGen reads only the trees.
+    [All_gather] and [Reduce_scatter] take a per-root packing: every
+    rank's own trees, rooted at it ({!Blink.root_trees}). *)
 
 type execution = {
   timing : Blink_sim.Engine.result;

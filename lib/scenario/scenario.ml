@@ -280,6 +280,13 @@ let pp_analysis ppf (r : Analysis.report) =
   p "achieved %.1f GB/s vs %.1f GB/s edge-cut bound: %.1f%% of what the \
      topology permits@."
     r.achieved_gbps r.bound_gbps (100. *. r.efficiency);
+  (match (r.collective, r.family) with
+  | Plan.All_reduce, Plan.Trees ->
+      p "schedule: reduce + broadcast over the undirected tree packing@."
+  | Plan.All_reduce, Plan.Per_root ->
+      p "schedule: per-root reduce-scatter + all-gather (every rank's own \
+         packing)@."
+  | _ -> ());
   p "bottleneck link(s), the run's rate-defining set:@.";
   List.iter
     (fun l ->

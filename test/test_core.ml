@@ -305,7 +305,9 @@ let test_all_gather_near_bound () =
 
 (* No schedule beats the edge-cut bound on the full DGX-2: the one-hop
    reduce_scatter at 500 MB, where its stars come closest to the
-   single-attach cut, and all six collectives at 64 MB. *)
+   single-attach cut, and all six collectives at 64 MB. Broadcast and
+   reduce relay through every attach, so at 64 MB they reach at least
+   half their bound; the root's single star reached 6.5%. *)
 let test_dgx2_within_bound () =
   let h = Blink.create Server.dgx2 ~gpus:(Array.init 16 Fun.id) in
   let check collective ~mbytes =
@@ -313,12 +315,169 @@ let test_dgx2_within_bound () =
     let r = Blink_core.Analysis.analyze h collective ~elems in
     if r.achieved_gbps > r.bound_gbps then
       Alcotest.failf "%s at %.0f MB: %.2f GB/s beats its %.2f GB/s bound"
-        (Plan.collective_name collective) mbytes r.achieved_gbps r.bound_gbps
+        (Plan.collective_name collective) mbytes r.achieved_gbps r.bound_gbps;
+    if (collective = Plan.Broadcast || collective = Plan.Reduce)
+       && r.efficiency < 0.5
+    then
+      Alcotest.failf "%s at %.0f MB: %.2f GB/s, %.1f%% of its bound"
+        (Plan.collective_name collective) mbytes r.achieved_gbps
+        (100. *. r.efficiency)
   in
   check Plan.Reduce_scatter ~mbytes:500.;
   List.iter
     (fun c -> check c ~mbytes:64.)
     Plan.[ All_reduce; Broadcast; Reduce; Gather; All_gather; Reduce_scatter ]
+
+(* ------------------------------------------------------------------ *)
+(* All-reduce families: packed trees, or per-root reduce-scatter +
+   all-gather *)
+
+(* The four fabrics of the topology sweep. *)
+let sweep_fabrics = List.filteri (fun i _ -> i < 4) per_root_fabrics
+
+let per_root_all_reduce ?(chunk_elems = 256) h ~elems =
+  Codegen.all_reduce
+    (Blink.spec ~chunk_elems h)
+    ~elems
+    ~trees:(List.concat (Array.to_list (Blink.root_trees h)))
+
+(* The per-root all-reduce over every fabric: the compiled kernels agree
+   with the reference interpreter on every buffer, every rank ends with
+   the sum, and no two ops race on a buffer. *)
+let test_per_root_all_reduce_data () =
+  let elems = 3_001 in
+  List.iter
+    (fun (label, make) ->
+      let h = make () in
+      let k = Blink.n_ranks h in
+      let prog, layout = per_root_all_reduce h ~elems in
+      let data = layout.Codegen.data in
+      let mem = Sem.memory_of_program prog in
+      let rmem = Sem.Ref.memory_of_program prog in
+      let inputs = Array.init k (fun r -> root_input r elems) in
+      for r = 0 to k - 1 do
+        Sem.write mem ~node:r ~buf:data.(r) inputs.(r);
+        Sem.Ref.write rmem ~node:r ~buf:data.(r) inputs.(r)
+      done;
+      Sem.run prog mem;
+      Sem.Ref.run prog rmem;
+      List.iter
+        (fun (node, buf, _) ->
+          Alcotest.(check (array (float 0.)))
+            (Printf.sprintf "%s node=%d buf=%d" label node buf)
+            (Sem.Ref.read rmem ~node ~buf)
+            (Sem.read mem ~node ~buf))
+        (Blink_sim.Program.buffers prog);
+      let sum =
+        Array.init elems (fun i ->
+            Array.fold_left (fun acc a -> acc +. a.(i)) 0. inputs)
+      in
+      for r = 0 to k - 1 do
+        Alcotest.(check (array (float 0.)))
+          (Printf.sprintf "%s rank %d holds the sum" label r)
+          sum
+          (Sem.read mem ~node:r ~buf:data.(r))
+      done;
+      Alcotest.(check bool) (label ^ " race-free") true
+        (Blink_sim.Hazard.is_race_free prog))
+    per_root_fabrics
+
+(* [Blink.plan] keeps the faster family: on the sweep's fabrics and
+   sizes its plan is never slower than the trees at its chunk, nor than
+   the per-root schedule wherever both gates admit it (its cut value
+   beats the trees' bound, and every per-root region holds a chunk:
+   elems >= chunk * n * directed trees), and it is per-root exactly
+   when that schedule is admitted and faster. Per-root wins on the full
+   DGX-1V and DGX-1P at 32M elements. *)
+let test_all_reduce_keeps_faster () =
+  List.iter
+    (fun (label, make) ->
+      let h = make () in
+      let n_trees = List.length (Option.get (Blink.packing h)).Treegen.trees in
+      let cut_beats_trees =
+        Blink.edge_cut_bound h Plan.All_reduce
+        > Link.reduce_scale *. Blink.all_reduce_rate h
+      in
+      List.iter
+        (fun elems ->
+          let plan = Blink.plan h Plan.All_reduce ~elems in
+          let chunk_elems = plan.Plan.chunk_elems in
+          let chosen = Plan.seconds (Plan.execute ~data:false plan) in
+          let trees =
+            (Blink.time h (fst (Blink.all_reduce ~chunk_elems h ~elems))).E.makespan
+          in
+          let per_root =
+            (Blink.time h (fst (per_root_all_reduce ~chunk_elems h ~elems)))
+              .E.makespan
+          in
+          let admitted =
+            cut_beats_trees && elems >= chunk_elems * Blink.n_ranks h * n_trees
+          in
+          let name = Printf.sprintf "%s at %d" label elems in
+          let best = if admitted then Float.min trees per_root else trees in
+          if chosen > best then
+            Alcotest.failf "%s: plan %.6f s, trees %.6f s, per-root %.6f s" name
+              chosen trees per_root;
+          Alcotest.(check string) (name ^ " family")
+            (if admitted && per_root < trees then "per_root" else "trees")
+            (Plan.family_name plan.Plan.family);
+          if elems = 33_554_432 && (label = "dgx-1v-8" || label = "dgx-1p-8") then
+            Alcotest.(check string) (name ^ " per-root wins") "per_root"
+              (Plan.family_name plan.Plan.family))
+        [ 262_144; 4_194_304; 33_554_432 ])
+    sweep_fabrics
+
+(* Trees, per-root plans and NCCL rings all stay within the all-reduce
+   bound at 32M elements, which on the full DGX-1V and DGX-1P is the
+   per-root family's cut value. *)
+let test_all_reduce_within_bound () =
+  let elems = 33_554_432 and chunk_elems = 131_072 in
+  List.iter
+    (fun (label, make) ->
+      let h = make () in
+      let bound = Blink.edge_cut_bound h Plan.All_reduce in
+      let gbps prog = Blink.algbw_gbps ~elems (Blink.time h prog) in
+      let ring =
+        Blink_baselines.Ring.all_reduce
+          (Blink.spec ~chunk_elems h)
+          ~elems
+          ~channels:
+            (Blink_baselines.Ring.nccl_channels (Blink.server h) ~gpus:(Blink.gpus h))
+      in
+      List.iter
+        (fun (family, prog) ->
+          let rate = gbps prog in
+          if rate > bound then
+            Alcotest.failf "%s %s: %.2f GB/s beats its %.2f GB/s bound" label
+              family rate bound)
+        [
+          ("trees", fst (Blink.all_reduce ~chunk_elems h ~elems));
+          ("per-root", fst (per_root_all_reduce ~chunk_elems h ~elems));
+          ("ring", fst ring);
+        ])
+    sweep_fabrics;
+  List.iter
+    (fun (server, want) ->
+      let h = Blink.create server ~gpus:full8 in
+      Alcotest.(check (float 0.01))
+        (server.Server.name ^ " all_reduce bound")
+        want
+        (Blink.edge_cut_bound h Plan.All_reduce))
+    [ (Server.dgx1v, 67.74); (Server.dgx1p, 40.96) ]
+
+(* Below the size where every per-root region holds a chunk the trees
+   are planned alone: no per-root packing is computed. *)
+let test_small_all_reduce_skips_root_packings () =
+  List.iter
+    (fun elems ->
+      let h = Blink.create Server.dgx1v ~gpus:full8 in
+      let plan = Blink.plan h Plan.All_reduce ~elems in
+      Alcotest.(check string) "trees" "trees" (Plan.family_name plan.Plan.family);
+      Alcotest.(check (list int))
+        (Printf.sprintf "no root packings at %d" elems)
+        [ 0; 0; 0 ]
+        (List.map (root_packing_count h) [ "handle"; "mapped"; "planned" ]))
+    [ 262_144; 1_000_000 ]
 
 (* ------------------------------------------------------------------ *)
 (* Blink facade *)
@@ -342,7 +501,19 @@ let test_facade_dgx2 () =
       (Blink.all_reduce_trees h)
     |> List.sort_uniq compare
   in
-  Alcotest.(check int) "distinct roots" 16 (List.length roots)
+  Alcotest.(check int) "distinct roots" 16 (List.length roots);
+  (* Broadcast and reduce relay: root -> i -> the rest, one tree per
+     non-root rank. Gather keeps the root's star. *)
+  let relay = Blink.broadcast_trees h in
+  Alcotest.(check int) "15 relay trees" 15 (List.length relay);
+  List.iter
+    (fun w ->
+      Alcotest.(check int) "two hops" 2
+        (Blink_collectives.Tree.max_depth w.Blink_collectives.Tree.tree);
+      check_float "relay share" (1. /. 15.) w.Blink_collectives.Tree.share)
+    relay;
+  let gather = Blink.plan h Plan.Gather ~elems:4_096 in
+  Alcotest.(check int) "gather star" 1 (List.length gather.Plan.trees)
 
 let test_facade_rejects_disconnected () =
   Alcotest.(check bool) "disconnected rejected" true
@@ -601,6 +772,14 @@ let () =
           Alcotest.test_case "after fail_link" `Quick test_per_root_after_fail_link;
           Alcotest.test_case "all_gather bound" `Quick test_all_gather_near_bound;
           Alcotest.test_case "dgx-2 within bound" `Quick test_dgx2_within_bound;
+        ] );
+      ( "all-reduce families",
+        [
+          Alcotest.test_case "per-root data" `Quick test_per_root_all_reduce_data;
+          Alcotest.test_case "keeps the faster" `Quick test_all_reduce_keeps_faster;
+          Alcotest.test_case "within bound" `Quick test_all_reduce_within_bound;
+          Alcotest.test_case "small sizes skip root packings" `Quick
+            test_small_all_reduce_skips_root_packings;
         ] );
       ( "chunking",
         [

@@ -181,9 +181,11 @@ let test_hybrid_deterministic () =
         (Blink.time handle (fst seq)).E.makespan
         (Blink.time handle (fst par)).E.makespan)
 
-(* Handle states the prewarm equivalence tests run in: a healthy quad,
-   and a DGX-1V-8 on a private store after a warm degrade, whose size
-   classes then carry the warm replan's chunk hints. *)
+(* Handle states the prewarm equivalence tests run in: a healthy quad;
+   a DGX-1V-8 on a private store after a warm degrade, whose size
+   classes then carry the warm replan's chunk hints; and a healthy
+   DGX-1V-8 whose 32M-element all_reduce picks the per-root family, so
+   the pure stage builds it over per-root trees forced beforehand. *)
 type state = {
   label : string;
   make : unit -> Blink.t;
@@ -215,6 +217,11 @@ let states =
           Blink.degrade_link h ~u:0 ~v:3 ~factor:0.5;
           h);
       keys = degraded_keys;
+    };
+    {
+      label = "per-root all_reduce";
+      make = (fun () -> Blink.create Server.dgx1v ~gpus:(Array.init 8 Fun.id));
+      keys = [ (Plan.All_reduce, 262_144); (Plan.All_reduce, 33_554_432) ];
     };
   ]
 

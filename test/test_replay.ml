@@ -47,11 +47,12 @@ let plan_for = plan_on handle
 
 (* DGX-2-16 kernel tables as (raw, compiled): one kernel per op action,
    then what contiguity batching leaves. A change here is a compiler or
-   codegen change, not noise. *)
+   codegen change, not noise. Broadcast and reduce run over the 15
+   two-hop relay trees. *)
 let dgx2_kernels = function
   | Plan.All_reduce -> (960, 960)
-  | Plan.Broadcast -> (180, 30)
-  | Plan.Reduce -> (180, 30)
+  | Plan.Broadcast -> (450, 450)
+  | Plan.Reduce -> (450, 450)
   | Plan.Gather -> (181, 31)
   | Plan.All_gather -> (2896, 496)
   | Plan.Reduce_scatter -> (480, 480)
