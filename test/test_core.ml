@@ -773,7 +773,7 @@ let () =
           Alcotest.test_case "all_gather bound" `Quick test_all_gather_near_bound;
           Alcotest.test_case "dgx-2 within bound" `Quick test_dgx2_within_bound;
         ] );
-      ( "all-reduce families",
+      ( "allreduce",
         [
           Alcotest.test_case "per-root data" `Quick test_per_root_all_reduce_data;
           Alcotest.test_case "keeps the faster" `Quick test_all_reduce_keeps_faster;
