@@ -10,6 +10,7 @@ module Treegen = Blink_core.Treegen
 module Json = Blink_telemetry.Json
 module Telemetry = Blink_telemetry.Telemetry
 module Scenario = Blink_scenario.Scenario
+module Simplex = Blink_lp.Simplex
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: planner and simulator costs. *)
@@ -510,6 +511,48 @@ let replay_suite () =
    Throughputs are host-dependent (the gate ignores them); the
    benchmarked shapes are exact. *)
 
+(* One simplex elimination (Simplex.eliminate) on a 42 x 2,347 tableau:
+   the directed candidate LP of an 8-GPU DGX-1V after a 50% degrade of
+   link 2-3 (42 edge rows; 2,305 MWU trees plus 42 slacks). Every entry
+   is nonzero, as in a tableau well into phase II, so the pivot row is
+   dense and each of the 41 other rows updates every column. Each timed
+   elimination starts from a fresh copy of the same tableau; the copy is
+   not timed. *)
+let pivot_bench () =
+  let rows = 42 and cols = 2_347 and iters = 200 in
+  let seed = ref 12345 in
+  let next () =
+    seed := ((!seed * 1103515245) + 12345) land 0x3fffffff;
+    0.25 +. (Float.of_int (!seed lsr 6 land 0xffff) /. 65536.)
+  in
+  let a0 = Array.init rows (fun _ -> Array.init cols (fun _ -> next ())) in
+  let b0 = Array.init rows (fun _ -> next ()) in
+  let a = Array.map Array.copy a0 and b = Array.copy b0 in
+  let scratch = Array.make cols 0 in
+  let updates = ref 0 and total = ref 0. in
+  (* Elimination 0 warms the caches and is not counted. *)
+  for it = 0 to iters do
+    Array.iteri (fun i r -> Array.blit r 0 a.(i) 0 cols) a0;
+    Array.blit b0 0 b 0 rows;
+    let t0 = Unix.gettimeofday () in
+    updates := Simplex.eliminate a b ~scratch ~row:0 ~col:0;
+    if it > 0 then total := !total +. (Unix.gettimeofday () -. t0)
+  done;
+  let dt = !total /. Float.of_int iters in
+  let ns = dt *. 1e9 /. Float.of_int !updates in
+  Util.row "  %-10s %8.2f ns per row-element update  (%.3f ms per %dx%d \
+            elimination, %d updates)\n"
+    "pivot" ns (dt *. 1e3) rows cols !updates;
+  Json.Obj
+    [
+      ("kernel", Json.str "pivot");
+      ("elems", Json.int !updates);
+      ("rows", Json.int rows);
+      ("cols", Json.int cols);
+      ("wall_s", Json.float dt);
+      ("ns_per_update", Json.float ns);
+    ]
+
 let kernels_suite () =
   Util.heading "Kernels: C stub throughput";
   let elems = 4_194_304 in
@@ -549,6 +592,7 @@ let kernels_suite () =
     bench "to_f64" 12. (fun () -> Sem.Kernels.to_f64 wide a 0 elems)
   in
   let ks = [ k_copy; k_reduce; k_of_f64; k_to_f64 ] in
+  let pivot = pivot_bench () in
   Util.write_bench_json ~suite:"kernels"
     [
       ("elems", Json.int elems);
@@ -564,7 +608,8 @@ let kernels_suite () =
                    ("wall_s", Json.float dt);
                    ("gbps", Json.float gbps);
                  ])
-             ks) );
+             ks
+          @ [ pivot ]) );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1226,7 +1271,10 @@ let check_specs =
         six_collectives;
       List.map
         (fun k -> exact "kernels" [ Row ("kernels", "kernel", k); F "elems" ])
-        [ "copy"; "reduce"; "of_f64"; "to_f64" ];
+        [ "copy"; "reduce"; "of_f64"; "to_f64"; "pivot" ];
+      List.map
+        (fun f -> exact "kernels" [ Row ("kernels", "kernel", "pivot"); F f ])
+        [ "rows"; "cols" ];
       List.concat_map
         (fun c ->
           let row field = [ Row ("collectives", "collective", c); F field ] in

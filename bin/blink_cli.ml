@@ -20,6 +20,7 @@ module Fabric = Blink_topology.Fabric
 module Blink = Blink_core.Blink
 module Plan = Blink_core.Plan
 module Treegen = Blink_core.Treegen
+module Simplex = Blink_lp.Simplex
 module Telemetry = Blink_telemetry.Telemetry
 module Ring = Blink_baselines.Ring
 module Models = Blink_dnn.Models
@@ -548,6 +549,7 @@ let failover server gpus mbytes fail_links degrades fail_gpus cold
     Format.printf "(no faults requested: pass --fail-link, --degrade or \
                    --fail-gpu)@."
   else begin
+    let lp0 = Simplex.stats () in
     try
       List.iter
         (fun fault ->
@@ -561,6 +563,10 @@ let failover server gpus mbytes fail_links degrades fail_gpus cold
       Format.printf "counters: fault.injected %d, plan.cache.invalidations %d@."
         (Telemetry.counter_value telemetry "fault.injected")
         (Telemetry.counter_value telemetry "plan.cache.invalidations");
+      let lp = Simplex.stats () in
+      Format.printf "replan LPs: %d simplex solves, %d pivots@."
+        (lp.Simplex.solves - lp0.Simplex.solves)
+        (lp.Simplex.pivots - lp0.Simplex.pivots);
       (* Cold (and contingency-served) replans must match a fresh handle
          bit for bit; a warm replan keeps surviving trees, so its packing
          may legitimately trade some rate for the sub-10ms replan, and

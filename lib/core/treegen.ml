@@ -1,7 +1,7 @@
 module Digraph = Blink_graph.Digraph
 module Maxflow = Blink_graph.Maxflow
 module Arborescence = Blink_graph.Arborescence
-module Dsu = Blink_graph.Dsu
+module Kruskal = Blink_graph.Kruskal
 module Simplex = Blink_lp.Simplex
 module Ilp = Blink_lp.Ilp
 module Telemetry = Blink_telemetry.Telemetry
@@ -69,24 +69,6 @@ let undirected_links g =
 let link_endpoints g (l : link) =
   let e = Digraph.edge g l.fwd in
   (e.Digraph.src, e.Digraph.dst)
-
-(* Minimum spanning tree over links by price; None when disconnected. *)
-let kruskal ~n g links price =
-  let order =
-    List.init (Array.length links) Fun.id
-    |> List.sort (fun a b ->
-           let c = compare price.(a) price.(b) in
-           if c <> 0 then c else compare a b)
-  in
-  let dsu = Dsu.create n in
-  let chosen =
-    List.filter
-      (fun li ->
-        let u, v = link_endpoints g links.(li) in
-        Dsu.union dsu u v)
-      order
-  in
-  if Dsu.n_sets dsu = 1 then Some chosen else None
 
 (* Orient a link tree away from [root]: returns directed edge ids. *)
 let orient g links ~root link_ids =
@@ -165,12 +147,22 @@ let candidate_lp ~caps ~candidates =
    ids oriented away from the root. *)
 
 type model =
-  | Mdirected of Digraph.t
+  | Mdirected of {
+      g : Digraph.t;
+      arb : Arborescence.workspace;
+      costs : float array;  (* the oracle's per-edge costs *)
+    }
   | Mundirected of {
       g : Digraph.t;
       links : link array;
       link_of_edge : int array;
+      kruskal : Kruskal.t;
     }
+
+let kruskal_over g links =
+  let ends = Array.map (link_endpoints g) links in
+  Kruskal.create ~n:(Digraph.n_vertices g) ~src:(Array.map fst ends)
+    ~dst:(Array.map snd ends)
 
 let model g ~undirected =
   if undirected then begin
@@ -181,12 +173,18 @@ let model g ~undirected =
         link_of_edge.(l.fwd) <- li;
         link_of_edge.(l.bwd) <- li)
       links;
-    Mundirected { g; links; link_of_edge }
+    Mundirected { g; links; link_of_edge; kruskal = kruskal_over g links }
   end
-  else Mdirected g
+  else
+    Mdirected
+      {
+        g;
+        arb = Arborescence.workspace g;
+        costs = Array.make (Digraph.n_edges g) 0.;
+      }
 
 let model_caps = function
-  | Mdirected g ->
+  | Mdirected { g; _ } ->
       Array.init (Digraph.n_edges g) (fun i -> (Digraph.edge g i).Digraph.cap)
   | Mundirected { links; _ } -> Array.map (fun l -> l.lcap) links
 
@@ -204,12 +202,13 @@ let depleted_price = 1e18
 
 let model_oracle m ~root price =
   match m with
-  | Mdirected g ->
-      Arborescence.min_arborescence g ~root ~cost:(fun e ->
-          let p = price.(e.Digraph.id) in
-          if Float.is_finite p then p else depleted_price)
-  | Mundirected { g; links; _ } ->
-      kruskal ~n:(Digraph.n_vertices g) g links price
+  | Mdirected { arb; costs; _ } ->
+      for i = 0 to Array.length costs - 1 do
+        let p = price.(i) in
+        costs.(i) <- (if Float.is_finite p then p else depleted_price)
+      done;
+      Arborescence.solve arb ~root costs
+  | Mundirected { kruskal; _ } -> Kruskal.min_tree kruskal price
 
 let model_edges m ~root items =
   match m with
@@ -223,7 +222,7 @@ let model_tree m ~root ~price =
    optimum over the candidate item lists undirected. *)
 let model_optimal m ~root candidates =
   match m with
-  | Mdirected g -> optimal_rate g ~root
+  | Mdirected { g; _ } -> optimal_rate g ~root
   | Mundirected _ when candidates = [] -> 0.
   | Mundirected _ ->
       let candidates = Array.of_list candidates in
@@ -376,8 +375,7 @@ let pack ?(epsilon = 0.1) ?(telemetry = Telemetry.disabled) g ~root
 let greedy_integral m ~root ~unit =
   let found = ref [] in
   (match m with
-  | Mundirected { g; links; _ } ->
-      let n = Digraph.n_vertices g in
+  | Mundirected { g; links; kruskal; _ } ->
       let residual = Array.map (fun l -> l.lcap /. unit) links in
       let continue = ref true in
       while !continue do
@@ -386,14 +384,14 @@ let greedy_integral m ~root ~unit =
             (fun r -> if r < 0.999 then depleted_price else 1. -. (1e-6 *. r))
             residual
         in
-        match kruskal ~n g links price with
+        match Kruskal.min_tree kruskal price with
         | Some link_ids
           when List.for_all (fun li -> residual.(li) >= 0.999) link_ids ->
             List.iter (fun li -> residual.(li) <- residual.(li) -. 1.) link_ids;
             found := orient g links ~root link_ids :: !found
         | Some _ | None -> continue := false
       done
-  | Mdirected g ->
+  | Mdirected { g; _ } ->
       (* Exact integral arborescence packing by Edmonds' constructive proof
          (Schrijver's safe-edge formulation): while building tree t of k,
          grow the covered set S one edge at a time, picking any frontier
@@ -813,7 +811,7 @@ let feasible g packing =
   && Array.for_all2 (fun x c -> x <= c +. 1e-6) load caps
 
 let integral_trees m ~root =
-  let g = match m with Mdirected g | Mundirected { g; _ } -> g in
+  let g = match m with Mdirected { g; _ } | Mundirected { g; _ } -> g in
   (* [greedy_integral] assumes a non-trivial graph (its undirected loop
      would spin on a vertex-only graph where Kruskal keeps returning the
      empty spanning forest). *)

@@ -1,158 +1,262 @@
-(* Chu-Liu/Edmonds by recursive cycle contraction. Working edges carry the id
-   of the original Digraph edge so the final answer can be reported in terms
-   of the caller's graph. Sizes here are tiny (n <= 16 GPUs), so the simple
-   O(V * E) recursive formulation is plenty. *)
+(* Chu-Liu/Edmonds by cycle contraction, over arrays. Each level holds a
+   working edge list (the caller's edges at level 0, in decreasing id
+   order); contracting a cycle of level l builds level l + 1's list from
+   level l's, in order, and records for every edge whether and where it
+   enters the cycle. The search descends until the cheapest in-edges are
+   acyclic, then climbs back, breaking each level's cycle at the vertex
+   the chosen edge into the contracted vertex enters.
 
-type wedge = { orig : int; wsrc : int; wdst : int; cost : float }
+   Every decision follows the list order of the recursive formulation
+   this replaced: the cheapest in-edge is the first of the minimum cost
+   in list order, the cycle is the first one the parent walk meets from
+   vertices 0, 1, ..., and the result lists each level's cycle edges
+   (in walk order, entry vertex skipped) before the deeper levels', the
+   acyclic level's in-edges by decreasing vertex. So the edge set, and
+   its order, are the reference's for the same costs.
 
-(* Core recursion over a vertex count and working edge list. Vertices are
-   0 .. n-1 and [root] is one of them. Returns original edge ids. *)
-let rec solve n root (wedges : wedge list) : int list option =
-  if n <= 1 then Some []
-  else begin
-    (* Cheapest incoming working edge for every non-root vertex. *)
-    let inc = Array.make n None in
-    List.iter
-      (fun e ->
-        if e.wdst <> root && e.wsrc <> e.wdst then
-          match inc.(e.wdst) with
-          | None -> inc.(e.wdst) <- Some e
-          | Some best -> if e.cost < best.cost then inc.(e.wdst) <- Some e)
-      wedges;
-    let missing = ref false in
-    for v = 0 to n - 1 do
-      if v <> root && inc.(v) = None then missing := true
+   Two edge buffers alternate between levels; only the per-level cycle
+   and entry tables ([levels] deep, at most n - 1) persist for the climb
+   back. A call allocates only its result list. *)
+
+type workspace = {
+  n : int;
+  m : int;
+  gsrc : int array;  (* the graph's edges, by id *)
+  gdst : int array;
+  (* Two working edge lists, used alternately by successive levels. *)
+  src : int array array;
+  dst : int array array;
+  orig : int array array;
+  cost : float array array;
+  inc : int array;  (* per vertex: index of its cheapest in-edge, or -1 *)
+  color : int array;  (* 0 unvisited, 1 on the current path, 2 done *)
+  path : int array;
+  mutable path_len : int;  (* of the last [walk] *)
+  in_cycle : bool array;
+  relabel : int array;
+  (* Per level l, for the climb back: the cycle's in-edges (orig ids) and
+     the vertices they enter, in walk order, at [l * n ..]; the cycle
+     length; and, at [l * m + orig], the level-l vertex an edge enters
+     the cycle at, or -1. *)
+  cyc_edge : int array;
+  cyc_vertex : int array;
+  cyc_len : int array;
+  enters : int array;
+  out : int array;  (* the answer, filled from the back *)
+}
+
+let workspace g =
+  let n = Digraph.n_vertices g and m = Digraph.n_edges g in
+  let levels = max 1 (n - 1) in
+  let gsrc = Array.make m 0 and gdst = Array.make m 0 in
+  Digraph.fold_edges
+    (fun e () ->
+      gsrc.(e.Digraph.id) <- e.Digraph.src;
+      gdst.(e.Digraph.id) <- e.Digraph.dst)
+    g ();
+  let buf () = [| Array.make m 0; Array.make m 0 |] in
+  {
+    n;
+    m;
+    gsrc;
+    gdst;
+    src = buf ();
+    dst = buf ();
+    orig = buf ();
+    cost = [| Array.make m 0.; Array.make m 0. |];
+    inc = Array.make n (-1);
+    color = Array.make n 0;
+    path = Array.make n 0;
+    path_len = 0;
+    in_cycle = Array.make n false;
+    relabel = Array.make n 0;
+    cyc_edge = Array.make (levels * n) 0;
+    cyc_vertex = Array.make (levels * n) 0;
+    cyc_len = Array.make levels 0;
+    enters = Array.make (levels * m) (-1);
+    out = Array.make (max 0 (n - 1)) 0;
+  }
+
+(* Walk parents from [v] into [w.path] (length [w.path_len]) until a
+   visited vertex. Returns the index in the path of the first cycle
+   vertex when the walk closed a cycle, or -1. Marks the walked vertices
+   done either way. *)
+let walk w ~src ~v =
+  let color = w.color and path = w.path in
+  let len = ref 0 and u = ref v in
+  while color.(!u) = 0 do
+    color.(!u) <- 1;
+    path.(!len) <- !u;
+    incr len;
+    u := src.(w.inc.(!u))
+  done;
+  let start = ref (-1) in
+  if color.(!u) = 1 then begin
+    let k = ref 0 in
+    while path.(!k) <> !u do
+      incr k
     done;
-    if !missing then None
+    start := !k
+  end;
+  for k = 0 to !len - 1 do
+    color.(path.(k)) <- 2
+  done;
+  w.path_len <- !len;
+  !start
+
+(* Solve from level [level] (vertex count [nv], root [root], [ne] edges in
+   buffer [level land 1]). Fills [w.out.(0 .. pos - 1)] from the back and
+   returns the new start, or -1 when some vertex has no in-edge. *)
+let rec descend w ~level ~nv ~root ~ne ~pos =
+  if nv <= 1 then pos
+  else begin
+    let b = level land 1 in
+    let src = w.src.(b) and dst = w.dst.(b) and orig = w.orig.(b)
+    and cost = w.cost.(b) in
+    let inc = w.inc in
+    Array.fill inc 0 nv (-1);
+    for p = 0 to ne - 1 do
+      let d = dst.(p) in
+      if d <> root && src.(p) <> d then begin
+        let best = inc.(d) in
+        if best < 0 || cost.(p) < cost.(best) then inc.(d) <- p
+      end
+    done;
+    let missing = ref false in
+    for v = 0 to nv - 1 do
+      if v <> root && inc.(v) < 0 then missing := true
+    done;
+    if !missing then -1
     else begin
-      (* Find a cycle in the functional graph v -> src(inc(v)), if any.
-         Colors: 0 unvisited, 1 on current path, 2 done. *)
-      let color = Array.make n 0 in
-      color.(root) <- 2;
-      let cycle = ref [] in
-      let v = ref 0 in
-      while !cycle = [] && !v < n do
-        if color.(!v) = 0 then begin
-          (* Walk parents until we hit a visited vertex. *)
-          let path = ref [] in
-          let u = ref !v in
-          while color.(!u) = 0 do
-            color.(!u) <- 1;
-            path := !u :: !path;
-            match inc.(!u) with
-            | Some e -> u := e.wsrc
-            | None -> assert false (* non-root vertices all have inc *)
-          done;
-          if color.(!u) = 1 then begin
-            (* !u is on the current path: the portion of the path from the
-               first occurrence of !u onwards is the cycle. *)
-            let rec from_u = function
-              | [] -> assert false
-              | x :: rest -> if x = !u then x :: rest else from_u rest
-            in
-            (* [path] is reversed (deepest first); re-reverse to walk from
-               the start vertex, then cut at the cycle entry. *)
-            cycle := from_u (List.rev !path)
-          end;
-          List.iter (fun x -> color.(x) <- 2) !path
-        end;
+      Array.fill w.color 0 nv 0;
+      w.color.(root) <- 2;
+      let start = ref (-1) and v = ref 0 in
+      while !start < 0 && !v < nv do
+        if w.color.(!v) = 0 then start := walk w ~src ~v:!v;
         incr v
       done;
-      match !cycle with
-      | [] ->
-          (* Acyclic: the chosen in-edges are the arborescence. *)
-          let ids = ref [] in
-          for u = 0 to n - 1 do
-            match inc.(u) with
-            | Some e when u <> root -> ids := e.orig :: !ids
-            | _ -> ()
-          done;
-          Some !ids
-      | cyc ->
-          let in_cycle = Array.make n false in
-          List.iter (fun x -> in_cycle.(x) <- true) cyc;
-          (* Contract the cycle into fresh vertex [c]; relabel the rest. *)
-          let c = 0 in
-          let relabel = Array.make n (-1) in
-          let next = ref 1 in
-          for u = 0 to n - 1 do
-            if in_cycle.(u) then relabel.(u) <- c
-            else begin
-              relabel.(u) <- !next;
-              incr next
-            end
-          done;
-          let n' = !next in
-          let root' = relabel.(root) in
-          (* Edges into the cycle get reduced costs; remember which original
-             edge each contracted edge stands for, and which cycle vertex it
-             enters (to break the cycle on expansion). *)
-          let enters = Hashtbl.create 16 in
-          (* key: orig id of an edge entering the cycle; value: entered vertex *)
-          let contracted =
-            List.filter_map
-              (fun e ->
-                let su = in_cycle.(e.wsrc) and dv = in_cycle.(e.wdst) in
-                if su && dv then None
-                else if dv then begin
-                  let chosen =
-                    match inc.(e.wdst) with Some x -> x | None -> assert false
-                  in
-                  if not (Hashtbl.mem enters e.orig) then
-                    Hashtbl.add enters e.orig e.wdst;
-                  Some
-                    {
-                      orig = e.orig;
-                      wsrc = relabel.(e.wsrc);
-                      wdst = c;
-                      cost = e.cost -. chosen.cost;
-                    }
-                end
-                else
-                  Some
-                    { e with wsrc = relabel.(e.wsrc); wdst = relabel.(e.wdst) })
-              wedges
-          in
-          (match solve n' root' contracted with
-          | None -> None
-          | Some chosen_ids ->
-              (* Exactly one chosen edge enters the contracted vertex: find
-                 it via the [enters] table, then add every cycle in-edge
-                 except the one into the vertex that edge enters. *)
-              let entry_vertex = ref (-1) in
-              List.iter
-                (fun id ->
-                  match Hashtbl.find_opt enters id with
-                  | Some v -> entry_vertex := v
-                  | None -> ())
-                chosen_ids;
-              assert (!entry_vertex >= 0);
-              let cycle_edges =
-                List.filter_map
-                  (fun u ->
-                    if u = !entry_vertex then None
-                    else
-                      match inc.(u) with
-                      | Some e -> Some e.orig
-                      | None -> assert false)
-                  cyc
-              in
-              Some (cycle_edges @ chosen_ids))
+      if !start < 0 then begin
+        (* Acyclic: the chosen in-edges, by decreasing vertex. *)
+        let pos = ref pos in
+        for u = 0 to nv - 1 do
+          if u <> root then begin
+            decr pos;
+            w.out.(!pos) <- orig.(inc.(u))
+          end
+        done;
+        !pos
+      end
+      else contract w ~level ~nv ~root ~ne ~pos ~start:!start
     end
+  end
+
+(* Contract the cycle [w.path.(start .. w.path_len - 1)] of [level] into
+   vertex 0 of the next level, solve that, and expand the cycle. *)
+and contract w ~level ~nv ~root ~ne ~pos ~start =
+  let n = w.n and m = w.m in
+  let b = level land 1 in
+  let src = w.src.(b) and dst = w.dst.(b) and orig = w.orig.(b)
+  and cost = w.cost.(b) in
+  let nb = 1 - b in
+  let src' = w.src.(nb) and dst' = w.dst.(nb) and orig' = w.orig.(nb)
+  and cost' = w.cost.(nb) in
+  let in_cycle = w.in_cycle and relabel = w.relabel in
+  Array.fill in_cycle 0 nv false;
+  let clen = w.path_len - start in
+  for k = 0 to clen - 1 do
+    let u = w.path.(start + k) in
+    in_cycle.(u) <- true;
+    w.cyc_vertex.((level * n) + k) <- u;
+    w.cyc_edge.((level * n) + k) <- orig.(w.inc.(u))
+  done;
+  w.cyc_len.(level) <- clen;
+  let next = ref 1 in
+  for u = 0 to nv - 1 do
+    if in_cycle.(u) then relabel.(u) <- 0
+    else begin
+      relabel.(u) <- !next;
+      incr next
+    end
+  done;
+  let base = level * m in
+  let ne' = ref 0 in
+  for p = 0 to ne - 1 do
+    let s = src.(p) and d = dst.(p) and o = orig.(p) in
+    let su = in_cycle.(s) and dv = in_cycle.(d) in
+    if su && dv then w.enters.(base + o) <- -1
+    else begin
+      let q = !ne' in
+      orig'.(q) <- o;
+      src'.(q) <- relabel.(s);
+      if dv then begin
+        w.enters.(base + o) <- d;
+        dst'.(q) <- 0;
+        cost'.(q) <- cost.(p) -. cost.(w.inc.(d))
+      end
+      else begin
+        w.enters.(base + o) <- -1;
+        dst'.(q) <- relabel.(d);
+        cost'.(q) <- cost.(p)
+      end;
+      incr ne'
+    end
+  done;
+  let pos =
+    descend w ~level:(level + 1) ~nv:!next ~root:relabel.(root) ~ne:!ne' ~pos
+  in
+  if pos < 0 then -1
+  else begin
+    (* Exactly one chosen edge enters the contracted vertex; every cycle
+       in-edge but the one into the vertex it enters joins the answer. *)
+    let entry = ref (-1) in
+    for k = pos to Array.length w.out - 1 do
+      let v = w.enters.(base + w.out.(k)) in
+      if v >= 0 then entry := v
+    done;
+    assert (!entry >= 0);
+    let pos = ref pos in
+    for k = w.cyc_len.(level) - 1 downto 0 do
+      if w.cyc_vertex.((level * n) + k) <> !entry then begin
+        decr pos;
+        w.out.(!pos) <- w.cyc_edge.((level * n) + k)
+      end
+    done;
+    !pos
+  end
+
+let solve w ~root costs =
+  if root < 0 || root >= w.n then invalid_arg "Arborescence: root out of range";
+  if Array.length costs <> w.m then
+    invalid_arg "Arborescence.solve: one cost per edge";
+  (* Level 0 lists the graph's edges by decreasing id. *)
+  let m = w.m in
+  let src = w.src.(0) and dst = w.dst.(0) and orig = w.orig.(0)
+  and cost = w.cost.(0) in
+  for p = 0 to m - 1 do
+    let id = m - 1 - p in
+    src.(p) <- w.gsrc.(id);
+    dst.(p) <- w.gdst.(id);
+    orig.(p) <- id;
+    cost.(p) <- costs.(id)
+  done;
+  let len = Array.length w.out in
+  let pos = descend w ~level:0 ~nv:w.n ~root ~ne:m ~pos:len in
+  if pos < 0 then None
+  else begin
+    let ids = ref [] in
+    for k = len - 1 downto pos do
+      ids := w.out.(k) :: !ids
+    done;
+    Some !ids
   end
 
 let min_arborescence g ~root ~cost =
   let n = Digraph.n_vertices g in
   if root < 0 || root >= n then invalid_arg "Arborescence: root out of range";
-  let wedges =
-    Digraph.fold_edges
-      (fun e acc ->
-        { orig = e.Digraph.id; wsrc = e.Digraph.src; wdst = e.Digraph.dst;
-          cost = cost e }
-        :: acc)
-      g []
+  let costs =
+    Array.init (Digraph.n_edges g) (fun id -> cost (Digraph.edge g id))
   in
-  solve n root wedges
+  solve (workspace g) ~root costs
 
 let is_arborescence g ~root ids =
   let n = Digraph.n_vertices g in

@@ -11,7 +11,33 @@ val min_arborescence :
 (** [min_arborescence g ~root ~cost] returns the edge ids of a minimum-cost
     spanning arborescence rooted at [root], or [None] when some vertex is
     unreachable from [root]. Costs may be any finite floats. On a 1-vertex
-    graph the result is [Some []]. *)
+    graph the result is [Some []]. Raises [Invalid_argument] when [root]
+    is out of range.
+
+    {b Tie-break contract.} The result is a pure function of the costs,
+    fixed down to the order of the list: the edges are considered in
+    decreasing id order, and among in-edges of equal (reduced) cost into
+    a vertex the first in that order — the highest id — is chosen; each
+    contraction keeps the surviving edges in the same order. The cycle
+    contracted is the first one met walking cheapest in-edges back from
+    vertices [0, 1, ...]; the result lists each contracted cycle's edges
+    before those of the deeper levels, and the final acyclic level's
+    in-edges by decreasing vertex. Callers that sum prices over the
+    result (Garg-Konemann) see the same float sums from release to
+    release. *)
+
+type workspace
+(** Scratch space for repeated solves on one graph: {!solve} allocates
+    nothing but its result list. A workspace snapshots the graph's edges
+    when it is made and is not safe to share between domains. *)
+
+val workspace : Digraph.t -> workspace
+
+val solve : workspace -> root:int -> float array -> int list option
+(** [solve w ~root costs] is [min_arborescence g ~root ~cost] for the
+    graph [w] was made from, with edge [id] costing [costs.(id)]: the same
+    edges in the same order. Raises [Invalid_argument] when [costs] does
+    not have one entry per edge or [root] is out of range. *)
 
 val is_arborescence : Digraph.t -> root:int -> int list -> bool
 (** Checks that the given edge ids form a spanning arborescence of [g]

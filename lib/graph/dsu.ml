@@ -3,6 +3,13 @@ type t = { parent : int array; rank : int array; mutable sets : int }
 let create n =
   { parent = Array.init n Fun.id; rank = Array.make n 0; sets = n }
 
+let reset t =
+  for v = 0 to Array.length t.parent - 1 do
+    t.parent.(v) <- v;
+    t.rank.(v) <- 0
+  done;
+  t.sets <- Array.length t.parent
+
 let rec find t x =
   let p = t.parent.(x) in
   if p = x then x

@@ -5,6 +5,9 @@ type t
 val create : int -> t
 (** [create n] is a forest of [n] singleton sets [0 .. n-1]. *)
 
+val reset : t -> unit
+(** Back to singleton sets, in place. *)
+
 val find : t -> int -> int
 (** Canonical representative of the set containing the element. *)
 

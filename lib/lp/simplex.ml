@@ -7,13 +7,17 @@
    rule only needs the first column with a positive reduced cost, so
    [optimize] prices columns in index order, over the rows whose basic
    variable has a nonzero cost, and stops at the first eligible one.
-   [pivot] touches only the pivot row's nonzero columns, which keeps it
-   cheap on the sparse 0/1 packing LPs.
+
+   The two hot loops, the pivot and the pricing scan, are C kernels
+   (simplex_stubs.c). The pivot updates every column when the pivot row
+   is dense and only its nonzero columns otherwise; the pricing scan
+   prices a block of columns at a time.
 
    Bit-identity contract: every reduced cost sums the same terms in the
-   same order as a full objective-row recomputation would, and the pivot
-   skips only the pivot row's zero entries, whose updates would add or
-   divide a zero, so the method takes exactly the pivots of the plain
+   same order as a full objective-row recomputation would, every entry
+   update is the same a - f * b (no fused multiply-add), and the sparse
+   pivot skips only the pivot row's zero entries, whose updates would
+   subtract a zero, so the method takes exactly the pivots of the plain
    dense tableau and returns the same bits. The one possible difference
    is the sign of a zero tableau entry, which no comparison below can
    see. An incrementally updated objective row would
@@ -26,6 +30,15 @@ type status =
 
 let eps = 1e-9
 
+(* Process-wide totals, for reports: atomic because planning runs on
+   several domains at once. *)
+let solves = Atomic.make 0
+let pivots = Atomic.make 0
+
+type stats = { solves : int; pivots : int }
+
+let stats () = { solves = Atomic.get solves; pivots = Atomic.get pivots }
+
 type tableau = {
   m : int;
   total : int;
@@ -35,43 +48,43 @@ type tableau = {
   cols : int array;  (* scratch, length total: the pivot row's nonzeros *)
   rows : int array;  (* scratch, length m: rows with a costed basic var *)
   costs : float array;  (* scratch, length m: the cost of each such row *)
+  reduced : float array;  (* scratch, length total: priced columns *)
 }
 
+external pivot_kernel :
+  float array array -> float array -> int array -> int -> int -> int
+  = "blink_lp_pivot"
+[@@noalloc]
+
+external entering_kernel :
+  float array array ->
+  float array ->
+  int array ->
+  float array ->
+  int ->
+  int ->
+  float ->
+  float array ->
+  int = "blink_lp_entering_byte" "blink_lp_entering_nat"
+[@@noalloc]
+
+let eliminate a b ~scratch ~row ~col =
+  let m = Array.length a in
+  if row < 0 || row >= m || col < 0 || col >= Array.length a.(row) then
+    invalid_arg "Simplex.eliminate: pivot out of range";
+  let total = Array.length a.(row) in
+  if Array.length b <> m || Array.length scratch < total then
+    invalid_arg "Simplex.eliminate: dimension mismatch";
+  Array.iter
+    (fun r ->
+      if Array.length r <> total then
+        invalid_arg "Simplex.eliminate: ragged tableau")
+    a;
+  pivot_kernel a b scratch row col
+
 let pivot t ~row ~col =
-  let prow = t.a.(row) in
-  let pval = prow.(col) in
-  let cols = t.cols in
-  let n_cols = ref 0 in
-  for j = 0 to t.total - 1 do
-    let v = prow.(j) in
-    if v <> 0. then begin
-      let v = v /. pval in
-      prow.(j) <- v;
-      if v <> 0. then begin
-        cols.(!n_cols) <- j;
-        incr n_cols
-      end
-    end
-  done;
-  let n_cols = !n_cols in
-  t.b.(row) <- t.b.(row) /. pval;
-  let brow = t.b.(row) in
-  for i = 0 to t.m - 1 do
-    if i <> row then begin
-      let irow = t.a.(i) in
-      let factor = irow.(col) in
-      if Float.abs factor > 0. then begin
-        (* [cols] holds [n_cols] indices, each below [total], the length
-           of every tableau row. *)
-        for k = 0 to n_cols - 1 do
-          let j = Array.unsafe_get cols k in
-          Array.unsafe_set irow j
-            (Array.unsafe_get irow j -. (factor *. Array.unsafe_get prow j))
-        done;
-        t.b.(i) <- t.b.(i) -. (factor *. brow)
-      end
-    end
-  done;
+  Atomic.incr pivots;
+  ignore (pivot_kernel t.a t.b t.cols row col : int);
   t.basis.(row) <- col
 
 let objective_value t obj =
@@ -81,11 +94,11 @@ let objective_value t obj =
   done;
   !acc
 
-(* The first column in index order that [allowed] admits and whose
-   reduced cost obj_j - sum_i obj_{basis i} * a_{i j} (maximization)
-   exceeds [eps], or -1 when there is none. The sum runs over the rows
-   with a nonzero basic cost, in ascending row order. *)
-let entering_column t obj allowed =
+(* The first column below [limit] whose reduced cost
+   obj_j - sum_i obj_{basis i} * a_{i j} (maximization) exceeds [eps],
+   or -1 when there is none. The sum runs over the rows with a nonzero
+   basic cost, in ascending row order. *)
+let entering_column t obj ~limit =
   let rows = t.rows and costs = t.costs in
   let n_rows = ref 0 in
   for i = 0 to t.m - 1 do
@@ -96,40 +109,23 @@ let entering_column t obj allowed =
       incr n_rows
     end
   done;
-  let n_rows = !n_rows in
-  let a = t.a in
-  let entering = ref (-1) and j = ref 0 in
-  while !entering < 0 && !j < t.total do
-    let col = !j in
-    if allowed col then begin
-      let acc = ref obj.(col) in
-      (* [rows] and [costs] hold [n_rows] entries; each row index is
-         below [m] and [col] below [total], the tableau's dimensions. *)
-      for k = 0 to n_rows - 1 do
-        let arow = Array.unsafe_get a (Array.unsafe_get rows k) in
-        acc :=
-          !acc -. (Array.unsafe_get costs k *. Array.unsafe_get arow col)
-      done;
-      if !acc > eps then entering := col
-    end;
-    incr j
-  done;
-  !entering
+  entering_kernel t.a obj rows costs !n_rows limit eps t.reduced
 
-(* Optimize [obj] (maximize) over the current tableau. [allowed] masks the
-   columns the entering variable may come from. Returns [false] when
+(* Optimize [obj] (maximize) over the current tableau. The entering
+   variable comes from the columns below [limit]. Returns [false] when
    unbounded. Bland's rule: smallest eligible entering column, smallest
    basis variable on ratio ties. *)
-let optimize t obj allowed =
+let optimize t obj ~limit =
   let rec loop () =
-    let col = entering_column t obj allowed in
+    let col = entering_column t obj ~limit in
     if col < 0 then true
     else begin
       let row = ref (-1) in
       let best = ref infinity in
       for i = 0 to t.m - 1 do
-        if t.a.(i).(col) > eps then begin
-          let ratio = t.b.(i) /. t.a.(i).(col) in
+        let aic = t.a.(i).(col) in
+        if aic > eps then begin
+          let ratio = t.b.(i) /. aic in
           if
             ratio < !best -. eps
             || (ratio < !best +. eps
@@ -150,6 +146,7 @@ let optimize t obj allowed =
   loop ()
 
 let solve_max ~c ~a ~b =
+  Atomic.incr solves;
   let m = Array.length a in
   let n = Array.length c in
   Array.iter
@@ -175,14 +172,18 @@ let solve_max ~c ~a ~b =
       cols = Array.make total 0;
       rows = Array.make m 0;
       costs = Array.make m 0.;
+      reduced = Array.make total 0.;
     }
   in
   let art_col = ref (n + m) in
   for i = 0 to m - 1 do
     let sign = if needs_artificial.(i) then -1. else 1. in
-    for j = 0 to n - 1 do
-      t.a.(i).(j) <- sign *. a.(i).(j)
-    done;
+    (* [1. *. x] is [x] bit for bit, so positive rows are copied. *)
+    if needs_artificial.(i) then
+      for j = 0 to n - 1 do
+        t.a.(i).(j) <- sign *. a.(i).(j)
+      done
+    else Array.blit a.(i) 0 t.a.(i) 0 n;
     t.a.(i).(n + i) <- sign;
     t.b.(i) <- sign *. b.(i);
     if needs_artificial.(i) then begin
@@ -200,7 +201,7 @@ let solve_max ~c ~a ~b =
       for j = n + m to total - 1 do
         phase1.(j) <- -1.
       done;
-      let bounded = optimize t phase1 (fun _ -> true) in
+      let bounded = optimize t phase1 ~limit:total in
       assert bounded;
       let infeasibility = -.objective_value t phase1 in
       if infeasibility > 1e-6 then false
@@ -230,7 +231,7 @@ let solve_max ~c ~a ~b =
   else begin
     let phase2 = Array.make total 0. in
     Array.blit c 0 phase2 0 n;
-    if not (optimize t phase2 (fun j -> j < n + m)) then Unbounded
+    if not (optimize t phase2 ~limit:(n + m)) then Unbounded
     else begin
       let solution = Array.make n 0. in
       for i = 0 to m - 1 do

@@ -2,6 +2,7 @@ module D = Blink_graph.Digraph
 module Dsu = Blink_graph.Dsu
 module Maxflow = Blink_graph.Maxflow
 module Arb = Blink_graph.Arborescence
+module Kruskal = Blink_graph.Kruskal
 module Ham = Blink_graph.Hamiltonian
 module Auto = Blink_graph.Automorphism
 
@@ -251,6 +252,252 @@ let prop_min_arborescence_optimal =
       | Some _, None | None, Some _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Differential references: the list-based Chu-Liu/Edmonds and Kruskal
+   that the array-based oracles replaced, verbatim but for module paths
+   (Kruskal took TreeGen's duplex links; here an item is an endpoint
+   pair). Same prices, same edges, in the same order. *)
+
+module Reference = struct
+  type wedge = { orig : int; wsrc : int; wdst : int; cost : float }
+
+  (* Core recursion over a vertex count and working edge list. Vertices are
+     0 .. n-1 and [root] is one of them. Returns original edge ids. *)
+  let rec solve n root (wedges : wedge list) : int list option =
+    if n <= 1 then Some []
+    else begin
+      (* Cheapest incoming working edge for every non-root vertex. *)
+      let inc = Array.make n None in
+      List.iter
+        (fun e ->
+          if e.wdst <> root && e.wsrc <> e.wdst then
+            match inc.(e.wdst) with
+            | None -> inc.(e.wdst) <- Some e
+            | Some best -> if e.cost < best.cost then inc.(e.wdst) <- Some e)
+        wedges;
+      let missing = ref false in
+      for v = 0 to n - 1 do
+        if v <> root && inc.(v) = None then missing := true
+      done;
+      if !missing then None
+      else begin
+        (* Find a cycle in the functional graph v -> src(inc(v)), if any.
+           Colors: 0 unvisited, 1 on current path, 2 done. *)
+        let color = Array.make n 0 in
+        color.(root) <- 2;
+        let cycle = ref [] in
+        let v = ref 0 in
+        while !cycle = [] && !v < n do
+          if color.(!v) = 0 then begin
+            (* Walk parents until we hit a visited vertex. *)
+            let path = ref [] in
+            let u = ref !v in
+            while color.(!u) = 0 do
+              color.(!u) <- 1;
+              path := !u :: !path;
+              match inc.(!u) with
+              | Some e -> u := e.wsrc
+              | None -> assert false (* non-root vertices all have inc *)
+            done;
+            if color.(!u) = 1 then begin
+              (* !u is on the current path: the portion of the path from the
+                 first occurrence of !u onwards is the cycle. *)
+              let rec from_u = function
+                | [] -> assert false
+                | x :: rest -> if x = !u then x :: rest else from_u rest
+              in
+              (* [path] is reversed (deepest first); re-reverse to walk from
+                 the start vertex, then cut at the cycle entry. *)
+              cycle := from_u (List.rev !path)
+            end;
+            List.iter (fun x -> color.(x) <- 2) !path
+          end;
+          incr v
+        done;
+        match !cycle with
+        | [] ->
+            (* Acyclic: the chosen in-edges are the arborescence. *)
+            let ids = ref [] in
+            for u = 0 to n - 1 do
+              match inc.(u) with
+              | Some e when u <> root -> ids := e.orig :: !ids
+              | _ -> ()
+            done;
+            Some !ids
+        | cyc ->
+            let in_cycle = Array.make n false in
+            List.iter (fun x -> in_cycle.(x) <- true) cyc;
+            (* Contract the cycle into fresh vertex [c]; relabel the rest. *)
+            let c = 0 in
+            let relabel = Array.make n (-1) in
+            let next = ref 1 in
+            for u = 0 to n - 1 do
+              if in_cycle.(u) then relabel.(u) <- c
+              else begin
+                relabel.(u) <- !next;
+                incr next
+              end
+            done;
+            let n' = !next in
+            let root' = relabel.(root) in
+            (* Edges into the cycle get reduced costs; remember which original
+               edge each contracted edge stands for, and which cycle vertex it
+               enters (to break the cycle on expansion). *)
+            let enters = Hashtbl.create 16 in
+            (* key: orig id of an edge entering the cycle; value: entered vertex *)
+            let contracted =
+              List.filter_map
+                (fun e ->
+                  let su = in_cycle.(e.wsrc) and dv = in_cycle.(e.wdst) in
+                  if su && dv then None
+                  else if dv then begin
+                    let chosen =
+                      match inc.(e.wdst) with Some x -> x | None -> assert false
+                    in
+                    if not (Hashtbl.mem enters e.orig) then
+                      Hashtbl.add enters e.orig e.wdst;
+                    Some
+                      {
+                        orig = e.orig;
+                        wsrc = relabel.(e.wsrc);
+                        wdst = c;
+                        cost = e.cost -. chosen.cost;
+                      }
+                  end
+                  else
+                    Some
+                      { e with wsrc = relabel.(e.wsrc); wdst = relabel.(e.wdst) })
+                wedges
+            in
+            (match solve n' root' contracted with
+            | None -> None
+            | Some chosen_ids ->
+                (* Exactly one chosen edge enters the contracted vertex: find
+                   it via the [enters] table, then add every cycle in-edge
+                   except the one into the vertex that edge enters. *)
+                let entry_vertex = ref (-1) in
+                List.iter
+                  (fun id ->
+                    match Hashtbl.find_opt enters id with
+                    | Some v -> entry_vertex := v
+                    | None -> ())
+                  chosen_ids;
+                assert (!entry_vertex >= 0);
+                let cycle_edges =
+                  List.filter_map
+                    (fun u ->
+                      if u = !entry_vertex then None
+                      else
+                        match inc.(u) with
+                        | Some e -> Some e.orig
+                        | None -> assert false)
+                    cyc
+                in
+                Some (cycle_edges @ chosen_ids))
+      end
+    end
+
+  let min_arborescence g ~root ~cost =
+    let n = D.n_vertices g in
+    if root < 0 || root >= n then invalid_arg "Arborescence: root out of range";
+    let wedges =
+      D.fold_edges
+        (fun e acc ->
+          { orig = e.D.id; wsrc = e.D.src; wdst = e.D.dst;
+            cost = cost e }
+          :: acc)
+        g []
+    in
+    solve n root wedges
+
+  let kruskal ~n ends price =
+    let order =
+      List.init (Array.length ends) Fun.id
+      |> List.sort (fun a b ->
+             let c = compare price.(a) price.(b) in
+             if c <> 0 then c else compare a b)
+    in
+    let dsu = Dsu.create n in
+    let chosen =
+      List.filter
+        (fun li ->
+          let u, v = ends.(li) in
+          Dsu.union dsu u v)
+        order
+    in
+    if Dsu.n_sets dsu = 1 then Some chosen else None
+end
+
+(* Random multigraphs (parallel edges in both directions) priced from a
+   handful of values, so equal-cost in-edges and equal-price items are
+   everywhere. Each graph is solved under several price vectors through
+   one reused workspace / solver, as the MWU packer does. *)
+let random_multigraph rng =
+  let n = 1 + Random.State.int rng 9 in
+  let g = D.create ~n in
+  let density = 0.2 +. Random.State.float rng 0.6 in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if u <> v then
+        for _ = 1 to 1 + Random.State.int rng 2 do
+          if Random.State.float rng 1. < density then
+            ignore (D.add_edge g ~src:u ~dst:v ~cap:1.)
+        done
+    done
+  done;
+  g
+
+let tied_prices rng k =
+  let levels = 1 + Random.State.int rng 4 in
+  Array.init k (fun _ ->
+      match Random.State.int rng 12 with
+      | 0 -> infinity
+      | 1 -> 1e18
+      | _ -> 0.5 *. Float.of_int (Random.State.int rng levels))
+
+let prop_arborescence_matches_reference =
+  QCheck.Test.make ~name:"array chu-liu/edmonds matches list reference"
+    ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed + 97 |] in
+      let g = random_multigraph rng in
+      let ws = Arb.workspace g in
+      let root = Random.State.int rng (D.n_vertices g) in
+      List.for_all
+        (fun _ ->
+          let costs =
+            Array.map
+              (fun p -> if Float.is_finite p then p else 1e18)
+              (tied_prices rng (D.n_edges g))
+          in
+          let expected =
+            Reference.min_arborescence g ~root ~cost:(fun e -> costs.(e.D.id))
+          in
+          Arb.solve ws ~root costs = expected
+          && Arb.min_arborescence g ~root ~cost:(fun e -> costs.(e.D.id))
+             = expected)
+        (List.init 6 Fun.id))
+
+let prop_kruskal_matches_reference =
+  QCheck.Test.make ~name:"array kruskal matches list reference" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed + 131 |] in
+      let g = random_multigraph rng in
+      let n = D.n_vertices g in
+      let ends =
+        Array.of_list (List.map (fun e -> (e.D.src, e.D.dst)) (D.edges g))
+      in
+      let solver =
+        Kruskal.create ~n ~src:(Array.map fst ends) ~dst:(Array.map snd ends)
+      in
+      List.for_all
+        (fun _ ->
+          let price = tied_prices rng (Array.length ends) in
+          Kruskal.min_tree solver price = Reference.kruskal ~n ends price)
+        (List.init 6 Fun.id))
+
+(* ------------------------------------------------------------------ *)
 (* Hamiltonian *)
 
 let cube_mesh_cap u v =
@@ -381,7 +628,9 @@ let () =
           Alcotest.test_case "disconnected" `Quick test_arborescence_none;
           Alcotest.test_case "depth" `Quick test_arborescence_depth;
           QCheck_alcotest.to_alcotest prop_min_arborescence_optimal;
+          QCheck_alcotest.to_alcotest prop_arborescence_matches_reference;
         ] );
+      ("kruskal", [ QCheck_alcotest.to_alcotest prop_kruskal_matches_reference ]);
       ( "hamiltonian",
         [
           Alcotest.test_case "cube mesh" `Quick test_hamiltonian_cube_mesh;
