@@ -139,7 +139,10 @@ let plan server gpus undirected =
   let g = Server.nvlink_digraph server ~gpus in
   let root = Treegen.best_root g in
   let packing = Treegen.plan g ~root ~undirected in
+  let optimum = Treegen.optimum g ~root ~undirected in
   Format.printf "%a@." Treegen.pp packing;
+  Format.printf "certified optimum %.3f GB/s (rate %.1f%%)@." optimum
+    (100. *. packing.Treegen.rate /. optimum);
   List.iteri
     (fun i t ->
       let hops =

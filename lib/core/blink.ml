@@ -429,6 +429,16 @@ let min_cut_ratio g ratio =
     (fun acc mask -> Float.min acc (ratio (cap_in mask) (popcount mask)))
     infinity masks
 
+(* The per-root schedules' cut values (see below): all-gather,
+   reduce-scatter, and all-reduce as the two in sequence. *)
+let per_root_cuts g =
+  let s = Blink_topology.Link.reduce_scale in
+  let nf = Float.of_int (Digraph.n_vertices g) in
+  let ratio f = min_cut_ratio g (fun cap size -> f cap (Float.of_int size)) in
+  let ag = ratio (fun cap size -> cap /. (nf -. size)) in
+  let rs = ratio (fun cap size -> s *. nf *. cap /. size) in
+  (ag, rs, 1. /. ((1. /. rs) +. (1. /. (nf *. ag))))
+
 (* The topology's edge-cut upper bound on the collective's algorithm
    bandwidth, in GB/s of buffer bytes per second (the {!algbw_gbps}
    convention). Rooted move-only collectives are bounded by the Edmonds
@@ -436,53 +446,48 @@ let min_cut_ratio g ratio =
    Reduce-type collectives de-rate every cut by
    {!Blink_topology.Link.reduce_scale}: a transfer whose receiver
    reduces inline runs at [scale * bw], and the reduce phase carries the
-   full buffer across each cut. All-reduce is bounded by the undirected
-   spanning-tree-packing weight (the Tutte/Nash-Williams quantity the
-   MWU+LP packing computes): each packed tree carries the buffer once in
-   each direction of every tree edge, and the de-rated reduce direction
-   binds. Gather funnels n-1 per-rank buffers through the root's cut, so
-   its bound divides by n-1. All-gather and reduce-scatter take their
-   cut bounds (ForestColl, arXiv 2402.06787): every subset S must
-   receive the |V\S| buffers held outside it, or, reduced, the |S|/n of
-   the buffer it owns. One-hop fabrics (NVSwitch) replace every cut by
-   the attach bandwidth the kind already carries; there the tightest
-   reduce-scatter cut is all ranks but one, which must receive
-   [(n-1)/n] of the buffer through a single attach. On packed fabrics
-   all-reduce also has a per-root schedule, reduce-scatter then
-   all-gather of the [1/n] segments: the buffer crosses the
-   reduce-scatter cuts, then each segment the all-gather cuts, so that
-   family's bound is [1 / (1/RS + 1/(n AG))], and all-reduce takes the
-   larger of the two family bounds. *)
+   full buffer across each cut. All-reduce trees are bounded by the
+   certified fractional optimum of the undirected spanning-tree packing
+   ({!Treegen.optimum}, the Tutte/Nash-Williams quantity): each packed
+   tree carries the buffer once in each direction of every tree edge,
+   and the de-rated reduce direction binds. Gather funnels n-1 per-rank
+   buffers through the root's cut, so its bound divides by n-1.
+   All-gather and reduce-scatter take their cut bounds (ForestColl,
+   arXiv 2402.06787): every subset S must receive the |V\S| buffers held
+   outside it, or, reduced, the |S|/n of the buffer it owns. One-hop
+   fabrics (NVSwitch) replace every cut by the attach bandwidth the kind
+   already carries; there the tightest reduce-scatter cut is all ranks
+   but one, which must receive [(n-1)/n] of the buffer through a single
+   attach. On packed fabrics all-reduce also has a per-root schedule,
+   reduce-scatter then all-gather of the [1/n] segments: the buffer
+   crosses the reduce-scatter cuts, then each segment the all-gather
+   cuts, so that family's bound is [1 / (1/RS + 1/(n AG))], and
+   all-reduce takes the larger of the two family bounds. *)
 let edge_cut_bound t (collective : Plan.collective) =
   let n = Digraph.n_vertices t.graph in
   if n <= 1 then infinity
   else
-    let directed, undirected =
+    let directed () =
       match t.kind with
-      | One_hop r -> (r, r)
-      | Packed p ->
-          ( Maxflow.broadcast_rate t.graph ~root:t.root,
-            p.undirected.Treegen.rate )
+      | One_hop r -> r
+      | Packed _ -> Maxflow.broadcast_rate t.graph ~root:t.root
     in
     let s = Blink_topology.Link.reduce_scale in
     let nf = Float.of_int n in
-    let all_gather () =
-      min_cut_ratio t.graph (fun cap size -> cap /. (nf -. Float.of_int size))
-    in
-    let reduce_scatter () =
-      min_cut_ratio t.graph (fun cap size -> s *. nf *. cap /. Float.of_int size)
-    in
     match (collective, t.kind) with
-    | Plan.Broadcast, _ -> directed
-    | Plan.Reduce, _ -> s *. directed
-    | Plan.All_reduce, One_hop _ -> s *. undirected
-    | Plan.All_reduce, Packed _ ->
-        Float.max (s *. undirected)
-          (1. /. ((1. /. reduce_scatter ()) +. (1. /. (nf *. all_gather ()))))
-    | Plan.Reduce_scatter, One_hop _ -> s *. undirected *. nf /. (nf -. 1.)
-    | Plan.Gather, _ | Plan.All_gather, One_hop _ -> directed /. (nf -. 1.)
-    | Plan.All_gather, Packed _ -> all_gather ()
-    | Plan.Reduce_scatter, Packed _ -> reduce_scatter ()
+    | Plan.Broadcast, _ -> directed ()
+    | Plan.Reduce, _ -> s *. directed ()
+    | Plan.All_reduce, One_hop r -> s *. r
+    | Plan.Reduce_scatter, One_hop r -> s *. r *. nf /. (nf -. 1.)
+    | Plan.Gather, _ | Plan.All_gather, One_hop _ -> directed () /. (nf -. 1.)
+    | (Plan.All_reduce | Plan.All_gather | Plan.Reduce_scatter), Packed _ -> (
+        let ag, rs, ar = per_root_cuts t.graph in
+        match collective with
+        | Plan.All_gather -> ag
+        | Plan.Reduce_scatter -> rs
+        | _ ->
+            let trees = Treegen.optimum t.graph ~root:t.root ~undirected:true in
+            Float.max (s *. trees) ar)
 
 let broadcast_trees t =
   check_usable t;
@@ -628,15 +633,16 @@ let root_trees t = snd (per_root t)
 (* Every rank's trees, in root order: the tree list of a per-root plan. *)
 let per_root_trees t = List.concat (Array.to_list (root_trees t))
 
-(* Gate 1 of the per-root all-reduce: its family's cut value beats the
-   tree family's bound. Never on one-hop fabrics, whose rotating one-hop
-   trees already are a per-root schedule. *)
+(* Gate 1 of the per-root all-reduce: its family's cut value beats what
+   the packed trees reach, [reduce_scale * rate]. Never on one-hop
+   fabrics, whose rotating one-hop trees already are a per-root
+   schedule. *)
 let per_root_cut_wins t =
   match t.kind with
   | One_hop _ -> false
   | Packed p ->
-      edge_cut_bound t Plan.All_reduce
-      > Blink_topology.Link.reduce_scale *. p.undirected.Treegen.rate
+      let _, _, ar = per_root_cuts t.graph in
+      ar > Blink_topology.Link.reduce_scale *. p.undirected.Treegen.rate
 
 (* Both gates of the per-root all-reduce candidate: gate 2, no per-root
    region smaller than one chunk, then gate 1. *)

@@ -165,14 +165,16 @@ val edge_cut_bound : t -> Plan.collective -> float
     around all ranks but one.
 
     All_reduce takes the larger of its two schedule families' bounds
-    (see {!plan}). The tree family is bounded by the de-rated undirected
-    spanning-tree-packing weight [reduce_scale * all_reduce_rate]: each
-    tree carries the buffer both ways across every tree edge. The
+    (see {!plan}). The tree family is bounded by the de-rated certified
+    optimum of the undirected spanning-tree packing,
+    [reduce_scale * Treegen.optimum ~undirected:true] ({!Treegen.optimum},
+    computed here by column generation, never on the planning path):
+    each tree carries the buffer both ways across every tree edge. The
     per-root family runs a reduce-scatter of the whole buffer, then an
     all-gather of the [1/n] segments, so its cut value is
     [1 / (1/RS + 1/(n AG))] with [RS] and [AG] the two bounds above. On
-    the full DGX-1V that is 67.74 GB/s against the trees' 60.92, on the
-    full DGX-1P 40.96 against 37.29. On NVSwitch machines only the tree
+    the full DGX-1V that is 67.74 GB/s against the trees' 62.66, on the
+    full DGX-1P 40.96 against 37.89. On NVSwitch machines only the tree
     form applies ([reduce_scale * a]). This bounds the two families, not
     every all-reduce schedule. [infinity] on single-GPU
     allocations (nothing to bound). *)
@@ -263,7 +265,8 @@ val plan : ?chunk_elems:int -> t -> Plan.collective -> elems:int -> Plan.t
     over every rank's {!root_trees} (concatenated in root order, so
     rank [r] reduces and re-broadcasts segment [r/n .. (r+1)/n]). A miss
     builds the per-root candidate only when both gates hold: its cut
-    value beats the trees' bound ({!edge_cut_bound}), and [elems >=
+    value (see {!edge_cut_bound}) beats the rate the trees reach,
+    [reduce_scale * all_reduce_rate], and [elems >=
     chunk * n * (trees in {!packing})], so that no per-root region is
     smaller than one chunk. It then replays both once and keeps the
     faster, the trees on a tie. Only the trees are ever tuned: MIAD

@@ -5,12 +5,11 @@
 
     - [Treegen] — the paper's planner ({!Treegen.plan}); the default,
       and the only backend with an incremental warm-replan path.
-    - [Lp_flow] — column-generation LP packing in the style of the
-      multi-commodity-flow formulation (arXiv 2305.13479): a restricted
-      master LP over candidate trees ({!Treegen.candidate_lp} on
-      {!Blink_lp.Simplex}) alternates with a congestion-priced
-      spanning-structure oracle that proposes new columns; the fractional
-      optimum is rounded with {!Treegen.minimize}.
+    - [Lp_flow] — exact column-generation LP packing in the style of the
+      multi-commodity-flow formulation (arXiv 2305.13479): the final
+      master of {!Treegen.column_generation}, whose dual-priced rounds
+      stop only when no tree can raise the fractional optimum, rounded
+      with {!Treegen.minimize}.
 
     The backend is part of a plan's identity: {!Blink.create} threads
     its {!name} into {!Blink_store.Fingerprint.make}, so tenants on

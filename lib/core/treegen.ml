@@ -17,14 +17,10 @@ type packing = {
   root : int;
   trees : tree list;
   rate : float;
-  optimal : float;
   undirected : bool;
 }
 
 let tol = 1e-9
-
-let optimal_rate g ~root =
-  if Digraph.n_vertices g <= 1 then 0. else Maxflow.broadcast_rate g ~root
 
 let total trees = List.fold_left (fun acc t -> acc +. t.weight) 0. trees
 
@@ -103,12 +99,13 @@ let orient g links ~root link_ids =
   done;
   List.rev !edges
 
-(* Capacity-constraint rows (one per item used by any candidate), built
-   from an inverted item -> candidate-indices table: near-linear in the
-   total item count, instead of the O(rows * k * |items|) List.mem scan a
-   per-cell membership test would cost. Rows come back sorted by item id:
-   both LP solvers downstream pivot in row order, so hash-bucket order
-   here would leak into which optimal vertex they land on. *)
+(* Capacity-constraint rows [(item, row, cap)], one per item used by any
+   candidate, built from an inverted item -> candidate-indices table:
+   near-linear in the total item count, instead of the
+   O(rows * k * |items|) List.mem scan a per-cell membership test would
+   cost. Rows come back sorted by item id: both LP solvers downstream
+   pivot in row order, so hash-bucket order here would leak into which
+   optimal vertex they land on. *)
 let capacity_rows ~cap_of ~cand_items =
   let k = Array.length cand_items in
   let users : (int, int list) Hashtbl.t = Hashtbl.create 64 in
@@ -125,20 +122,7 @@ let capacity_rows ~cap_of ~cand_items =
   |> List.map (fun (item, cis) ->
          let row = Array.make k 0. in
          List.iter (fun ci -> row.(ci) <- 1.) cis;
-         (row, cap_of item))
-
-(* LP re-optimization over a candidate set: maximize total weight subject
-   to per-item capacities. Returns (lp_opt, weights). *)
-let candidate_lp ~caps ~candidates =
-  let k = Array.length candidates in
-  let rows = capacity_rows ~cap_of:(fun item -> caps.(item)) ~cand_items:candidates in
-  let a = Array.of_list (List.map fst rows) in
-  let b = Array.of_list (List.map snd rows) in
-  match Simplex.maximize ~c:(Array.make k 1.) ~a ~b with
-  | Simplex.Optimal { objective; solution } -> (objective, solution)
-  | Simplex.Infeasible | Simplex.Unbounded ->
-      (* 0 is always feasible and capacities bound the objective. *)
-      assert false
+         (item, row, cap_of item))
 
 (* ------------------------------------------------------------------ *)
 (* The capacity model: the one place that knows directed edges from
@@ -214,19 +198,6 @@ let model_edges m ~root items =
   match m with
   | Mdirected _ -> items
   | Mundirected { g; links; _ } -> orient g links ~root items
-
-let model_tree m ~root ~price =
-  Option.map (model_edges m ~root) (model_oracle m ~root price)
-
-(* The packing's certified [optimal]: Edmonds' bound directed; the LP
-   optimum over the candidate item lists undirected. *)
-let model_optimal m ~root candidates =
-  match m with
-  | Mdirected { g; _ } -> optimal_rate g ~root
-  | Mundirected _ when candidates = [] -> 0.
-  | Mundirected _ ->
-      let candidates = Array.of_list candidates in
-      fst (candidate_lp ~caps:(model_caps m) ~candidates)
 
 let mode_label undirected = if undirected then "undirected" else "directed"
 
@@ -330,7 +301,6 @@ let mwu_telemetry telemetry ~undirected =
             ("mode", Json.str mode);
             ("trees", Json.int (List.length packing.trees));
             ("rate_gbps", Json.float packing.rate);
-            ("optimal_gbps", Json.float packing.optimal);
           ]
         "treegen.pack"
     end;
@@ -347,23 +317,98 @@ let mwu_trees m ~root raw =
     (fun (items, weight) -> { edges = model_edges m ~root items; weight })
     raw
 
+(* Single-vertex or cut-off-from-root fabrics pack nothing. *)
+let spans g ~root =
+  Digraph.n_vertices g > 1 && Digraph.is_connected_from g ~root
+
 let pack ?(epsilon = 0.1) ?(telemetry = Telemetry.disabled) g ~root
     ~undirected =
   let round, finish = mwu_telemetry telemetry ~undirected in
   let start = Telemetry.now_s telemetry in
-  if Digraph.n_vertices g <= 1 || not (Digraph.is_connected_from g ~root) then
-    finish ~start { root; trees = []; rate = 0.; optimal = 0.; undirected }
+  if not (spans g ~root) then
+    finish ~start { root; trees = []; rate = 0.; undirected }
   else begin
     let m = model g ~undirected in
     let raw = mwu m ~round ~epsilon ~caps:(model_caps m) ~root in
-    let optimal = model_optimal m ~root (List.map fst raw) in
     let trees = mwu_trees m ~root raw in
     let rate = total trees in
     Log.debug (fun f ->
-        f "MWU (%s): %d trees, rate %.2f of optimal %.2f"
-          (mode_label undirected) (List.length trees) rate optimal);
-    finish ~start { root; trees; rate; optimal; undirected }
+        f "MWU (%s): %d trees, rate %.2f" (mode_label undirected)
+          (List.length trees) rate);
+    finish ~start { root; trees; rate; undirected }
   end
+
+(* ------------------------------------------------------------------ *)
+(* Column generation: the exact fractional optimum of the capacity model.
+   The master LP's optimal duals price the items; a cheapest tree pricing
+   below 1 would raise the master's objective, so it joins the master.
+   When none does, the duals are feasible over every tree. After any
+   round the duals scaled by the cheapest price are feasible, so
+   [objective / min(1, cheapest price)] bounds the optimum (Farley). *)
+
+(* The master LP over [columns] (item lists) under per-item [caps]: the
+   objective, a weight per column and a price per item (0 where unused). *)
+let master ~caps columns =
+  let rows =
+    capacity_rows ~cap_of:(fun item -> caps.(item)) ~cand_items:columns
+  in
+  let a = Array.of_list (List.map (fun (_, row, _) -> row) rows) in
+  let b = Array.of_list (List.map (fun (_, _, cap) -> cap) rows) in
+  match Simplex.maximize ~c:(Array.make (Array.length columns) 1.) ~a ~b with
+  | Simplex.Optimal { objective; solution; duals } ->
+      let price = Array.make (Array.length caps) 0. in
+      List.iteri (fun r (item, _, _) -> price.(item) <- duals.(r)) rows;
+      (objective, solution, price)
+  | Simplex.Infeasible | Simplex.Unbounded ->
+      (* 0 is always feasible and capacities bound the objective. *)
+      assert false
+
+(* Column generation converges far below this cap on every fabric
+   planned (DGX class: under 40 rounds); it only bounds degenerate
+   inputs, and a capped run still returns its Farley bound. *)
+let max_rounds = 256
+
+let column_generation g ~root ~undirected =
+  if not (spans g ~root) then ({ root; trees = []; rate = 0.; undirected }, 0.)
+  else begin
+    let m = model g ~undirected in
+    let caps = model_caps m in
+    (* The graph spans from [root], so the oracle always finds a tree. *)
+    let cheapest price = Option.get (model_oracle m ~root price) in
+    let seen = Hashtbl.create 64 in
+    let rec loop rounds columns items bound =
+      Hashtbl.replace seen (List.sort compare items) ();
+      let columns = columns @ [ items ] in
+      let objective, weights, price = master ~caps (Array.of_list columns) in
+      let items = cheapest price in
+      let cost = List.fold_left (fun acc i -> acc +. price.(i)) 0. items in
+      let bound =
+        if cost > 0. then Float.min bound (objective /. Float.min 1. cost)
+        else bound
+      in
+      if cost < 1. -. tol && rounds < max_rounds
+         && not (Hashtbl.mem seen (List.sort compare items))
+      then loop (rounds + 1) columns items bound
+      else (columns, weights, bound)
+    in
+    (* Seed: the widest tree, priced by inverse capacity. *)
+    let columns, weights, bound =
+      loop 1 [] (cheapest (Array.map (fun c -> 1. /. c) caps)) infinity
+    in
+    let tree i items =
+      { edges = model_edges m ~root items; weight = weights.(i) }
+    in
+    let trees = List.mapi tree columns in
+    Log.debug (fun f ->
+        f "CG (%s): %d columns, master %.3f, bound %.3f"
+          (mode_label undirected) (List.length columns) (total trees) bound);
+    ({ root; trees; rate = total trees; undirected }, bound)
+  end
+
+let optimum g ~root ~undirected =
+  if not (spans g ~root) then 0.
+  else if undirected then snd (column_generation g ~root ~undirected)
+  else Maxflow.broadcast_rate g ~root
 
 (* ------------------------------------------------------------------ *)
 (* Greedy integral extraction: repeatedly pull a spanning tree out of the
@@ -531,6 +576,7 @@ let minimize ?(threshold = 0.05) ?(warm_start = []) g packing =
        timing-sensitive tests were validated against. *)
     let rows =
       capacity_rows ~cap_of:(fun item -> item_caps.(item) /. unit) ~cand_items
+      |> List.map (fun (_, row, cap) -> (row, cap))
       |> List.sort compare
     in
     let a = Array.of_list (List.map fst rows) in
@@ -546,7 +592,7 @@ let minimize ?(threshold = 0.05) ?(warm_start = []) g packing =
     in
     match Simplex.maximize ~c ~a ~b with
     | Simplex.Infeasible | Simplex.Unbounded -> packing (* unreachable *)
-    | Simplex.Optimal { objective = lp_opt; solution = lp_sol } ->
+    | Simplex.Optimal { objective = lp_opt; solution = lp_sol; _ } ->
         (* The simplex solution is basic: restricting the ILP to its
            support keeps branch-and-bound tiny without losing the LP
            optimum. The integral candidates from the greedy/Edmonds
@@ -755,8 +801,7 @@ let replan ?(epsilon = 0.1) ?threshold ?(telemetry = Telemetry.disabled) ~prev
       if displaced = [] then
         (* No surviving tree routes over the affected link: the packing
            is still feasible verbatim and MWU/ILP are skipped entirely. *)
-        let optimal = model_optimal m ~root kept_items in
-        ({ root; trees = kept; rate = total kept; optimal; undirected }, stats)
+        ({ root; trees = kept; rate = total kept; undirected }, stats)
       else begin
         (* Residual repack: MWU over what the kept trees leave free.
            Depleted items price at [infinity]; any oracle tree forced
@@ -771,10 +816,9 @@ let replan ?(epsilon = 0.1) ?threshold ?(telemetry = Telemetry.disabled) ~prev
           kept kept_items;
         Array.iteri (fun i c -> if c < tol then caps.(i) <- 0.) caps;
         let raw = mwu m ~round ~epsilon ~caps ~root in
-        let optimal = model_optimal m ~root (kept_items @ List.map fst raw) in
         let trees = kept @ mwu_trees m ~root raw in
         let packing =
-          finish ~start { root; trees; rate = total trees; optimal; undirected }
+          finish ~start { root; trees; rate = total trees; undirected }
         in
         (minimize ?threshold ~warm_start:kept ~telemetry g packing, stats)
       end
@@ -785,7 +829,7 @@ let best_root g =
   let n = Digraph.n_vertices g in
   let best = ref 0 and best_rate = ref neg_infinity in
   for r = 0 to n - 1 do
-    let rate = optimal_rate g ~root:r in
+    let rate = Maxflow.broadcast_rate g ~root:r in
     if rate > !best_rate +. tol then begin
       best := r;
       best_rate := rate
@@ -810,19 +854,9 @@ let feasible g packing =
     packing.trees
   && Array.for_all2 (fun x c -> x <= c +. 1e-6) load caps
 
-let integral_trees m ~root =
-  let g = match m with Mdirected { g; _ } | Mundirected { g; _ } -> g in
-  (* [greedy_integral] assumes a non-trivial graph (its undirected loop
-     would spin on a vertex-only graph where Kruskal keeps returning the
-     empty spanning forest). *)
-  if Digraph.n_vertices g <= 1 || Digraph.n_edges g = 0 then []
-  else
-    greedy_integral m ~root
-      ~unit:(Array.fold_left Float.min infinity (model_caps m))
-
 let pp ppf p =
-  Format.fprintf ppf "@[<v>packing root=%d rate=%.3f optimal=%.3f (%d trees%s)"
-    p.root p.rate p.optimal (List.length p.trees)
+  Format.fprintf ppf "@[<v>packing root=%d rate=%.3f (%d trees%s)" p.root
+    p.rate (List.length p.trees)
     (if p.undirected then ", undirected" else "");
   List.iter
     (fun t ->

@@ -9,8 +9,7 @@
       under per-directed-edge capacities: optimal for one-to-many
       primitives (Broadcast, Gather). The optimum equals the min over
       non-root vertices of the root-to-vertex max-flow (Edmonds'
-      theorem), reported in {!field-optimal} and used to validate the
-      approximation.
+      theorem).
     - {b Undirected} ([~undirected:true]) — spanning trees under
       per-{e link} capacities, where a link is a full-duplex channel
       consumed in both directions at once (reduce up, broadcast down):
@@ -21,8 +20,13 @@
     The ILP step ({!minimize}) restricts weights to integer multiples of
     the capacity unit and re-allows fractional weights one variable at a
     time until within [threshold] of the candidate-set LP optimum. On the
-    full 8-GPU DGX-1V the directed planner returns 6 unit trees (138 GB/s)
-    and the undirected planner 3 unit trees — the paper's numbers. *)
+    full 8-GPU DGX-1V the directed planner returns 6 unit trees (129 GB/s)
+    and the undirected planner 3 unit trees — the paper's numbers.
+
+    How good a packing could be is a separate question, answered only
+    where it is read: {!optimum} certifies the fractional optimum, and
+    {!column_generation} is the exact routine behind it and behind
+    {!Planner}'s lp-flow backend. No planning path computes it. *)
 
 type tree = {
   edges : int list;  (** Digraph edge ids forming the arborescence *)
@@ -33,7 +37,6 @@ type packing = {
   root : int;
   trees : tree list;
   rate : float;  (** [sum weight]: achieved packing rate *)
-  optimal : float;  (** certified upper/achievable bound (see {!pack}) *)
   undirected : bool;  (** which capacity model the packing satisfies *)
 }
 
@@ -46,15 +49,13 @@ val pack :
   packing
 (** MWU packing under the [undirected] capacity model. [epsilon]
     (default [0.1]) trades tree count and run time for approximation
-    quality: the returned rate is at least [(1 - 2 * epsilon) * optimal]
-    and always capacity-feasible. Trees with identical edge sets are
-    merged. Returns an empty packing (rate 0) when some vertex is
-    unreachable from the root. [optimal] is Edmonds' bound directed, and
-    the LP optimum over the candidate trees (a certified achievable rate)
-    undirected. Undirected, the graph must be symmetric (every physical
-    link present as two opposite directed edges of equal capacity, as
-    {!Blink_topology.Server.nvlink_digraph} builds); raises
-    [Invalid_argument] otherwise.
+    quality: the returned rate is at least [(1 - 2 * epsilon)] times
+    {!optimum} and always capacity-feasible. Trees with identical edge
+    sets are merged. Returns an empty packing (rate 0) when some vertex
+    is unreachable from the root. Undirected, the graph must be
+    symmetric (every physical link present as two opposite directed
+    edges of equal capacity, as {!Blink_topology.Server.nvlink_digraph}
+    builds); raises [Invalid_argument] otherwise.
 
     [telemetry] counts MWU rounds (["treegen.mwu.rounds"], labelled by
     capacity model) and, when tracing, records a ["treegen.pack"] span. *)
@@ -132,45 +133,34 @@ val feasible : Blink_graph.Digraph.t -> packing -> bool
 
 val pp : Format.formatter -> packing -> unit
 
-(** {2 Capacity model}
+(** {2 Certified optimum} *)
 
-    The model every function above runs over, exposed so the other
-    planner backend ({!Planner}) reuses TreeGen's item accounting and
-    spanning-structure oracles. An {e item} is the unit of capacity a
-    packing consumes: a directed edge id in the directed model, a
-    duplex-link id in the undirected one. Trees are always exchanged as
-    directed edge-id lists oriented away from the root. *)
+val column_generation :
+  Blink_graph.Digraph.t -> root:int -> undirected:bool -> packing * float
+(** Exact column generation (CG) for the fractional packing LP of the
+    [undirected] capacity model. The restricted master LP runs over the
+    trees found so far. Each round prices the capacity items (directed
+    edges, or duplex links) by the master's optimal duals
+    ({!Blink_lp.Simplex.maximize}) and asks the model's own oracle for the
+    cheapest tree: Chu-Liu/Edmonds directed, Kruskal undirected. A tree
+    pricing below 1 joins the master; the loop stops when none does
+    (the master is then optimal over every tree), when the oracle
+    returns a column already in the master, or at a fixed round cap that
+    only degenerate inputs reach.
 
-type model
-(** A graph plus its capacity model (directed edges or duplex links). *)
+    Returns the final master as a fractional packing (every generated
+    column with its LP weight, [0.] for columns the optimal basis leaves
+    out; [rate] the master objective) and the least Farley bound seen:
+    after any round, [objective / min(1, p)], with [p] the cheapest
+    tree's price, bounds the optimum from above, so a capped run still
+    returns a sound bound. At convergence the two agree. Empty packing
+    and bound [0.] when the graph does not span from [root]. *)
 
-val model : Blink_graph.Digraph.t -> undirected:bool -> model
-(** Build the model. Undirected, the graph must be symmetric (raises
-    [Invalid_argument] otherwise, as {!pack}). *)
-
-val model_caps : model -> float array
-(** Per-item capacities (a fresh array, indexed by item id). *)
-
-val model_items : model -> int list -> int list
-(** Map a tree's directed edge ids to the item ids it consumes (the
-    identity in the directed model). *)
-
-val model_tree : model -> root:int -> price:float array -> int list option
-(** Minimum-total-price spanning structure under per-item [price]:
-    Chu-Liu/Edmonds arborescence in the directed model, Kruskal over
-    links (oriented away from [root]) in the undirected one. [None] when
-    the graph does not span from [root]. *)
-
-val integral_trees : model -> root:int -> int list list
-(** The greedy/Edmonds integral extraction {!minimize} seeds its ILP
-    with, at the minimum-capacity unit: undirected, a maximal unit-tree
-    packing; directed, the {e exact} optimal integral arborescence
-    packing when every capacity is a (near-)integer multiple of the
-    unit, and [[]] otherwise. *)
-
-val candidate_lp :
-  caps:float array -> candidates:int list array -> float * float array
-(** Maximize total weight over the candidate item-lists subject to
-    per-item [caps]: returns the LP optimum and one optimal weight per
-    candidate. The exact re-optimization the undirected {!pack} and
-    {!Planner}'s lp-flow backend use to certify a candidate set. *)
+val optimum : Blink_graph.Digraph.t -> root:int -> undirected:bool -> float
+(** The certified optimum rate of any packing of [g] from [root] under
+    the capacity model: directed, Edmonds' bound
+    ({!Blink_graph.Maxflow.broadcast_rate}); undirected, the converged
+    {!column_generation} bound. Every {!plan}, {!replan} and {!Planner}
+    rate is at most this. [0.] when the graph does not span from
+    [root]. On the full DGX-1V it is 129 GB/s directed and 73.714 GB/s
+    undirected (24/7 links' worth). *)

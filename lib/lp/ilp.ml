@@ -78,13 +78,14 @@ let relaxation p lo hi =
         b.(m + k) <- rhs)
       !bound_rows;
     match Simplex.maximize ~c:p.c ~a ~b with
-    | Simplex.Optimal { objective; solution } ->
+    | Simplex.Optimal { objective; solution; duals } ->
         let shifted = Array.mapi (fun j y -> y +. lo.(j)) solution in
         let const = ref 0. in
         for j = 0 to n - 1 do
           const := !const +. (p.c.(j) *. lo.(j))
         done;
-        Simplex.Optimal { objective = objective +. !const; solution = shifted }
+        Simplex.Optimal
+          { objective = objective +. !const; solution = shifted; duals }
     | other -> other
   end
 
@@ -115,7 +116,7 @@ let solve ?(max_nodes = 200_000) ?warm_start p =
           (* Bounded boxes for integer vars make this possible only through
              continuous vars; treat as a hopeless direction. *)
           ()
-      | Simplex.Optimal { objective; solution } ->
+      | Simplex.Optimal { objective; solution; _ } ->
           if objective > !incumbent_obj +. tol then begin
             (* Most fractional integer-constrained variable. *)
             let frac_var = ref (-1) in

@@ -24,7 +24,11 @@
    round differently and could change which column enters. *)
 
 type status =
-  | Optimal of { objective : float; solution : float array }
+  | Optimal of {
+      objective : float;
+      solution : float array;
+      duals : float array;
+    }
   | Infeasible
   | Unbounded
 
@@ -93,6 +97,23 @@ let objective_value t obj =
     acc := !acc +. (obj.(t.basis.(i)) *. t.b.(i))
   done;
   !acc
+
+(* The optimal duals of the [m] original rows. The tableau's slack
+   column [n + i] is [B^-1 (sign_i e_i)], so [c_B] times it is the dual
+   of row [i] in the caller's sign convention, negated rows included.
+   Summed row by row so the scan stays contiguous. *)
+let duals t obj ~n =
+  let y = Array.make t.m 0. in
+  for k = 0 to t.m - 1 do
+    let cb = obj.(t.basis.(k)) in
+    if cb <> 0. then begin
+      let row = t.a.(k) in
+      for i = 0 to t.m - 1 do
+        y.(i) <- y.(i) +. (cb *. row.(n + i))
+      done
+    end
+  done;
+  y
 
 (* The first column below [limit] whose reduced cost
    obj_j - sum_i obj_{basis i} * a_{i j} (maximization) exceeds [eps],
@@ -237,7 +258,8 @@ let solve_max ~c ~a ~b =
       for i = 0 to m - 1 do
         if t.basis.(i) < n then solution.(t.basis.(i)) <- t.b.(i)
       done;
-      Optimal { objective = objective_value t phase2; solution }
+      let duals = duals t phase2 ~n in
+      Optimal { objective = objective_value t phase2; solution; duals }
     end
   end
 
@@ -245,6 +267,7 @@ let maximize ~c ~a ~b = solve_max ~c ~a ~b
 
 let minimize ~c ~a ~b =
   match solve_max ~c:(Array.map (fun x -> -.x) c) ~a ~b with
-  | Optimal { objective; solution } ->
-      Optimal { objective = -.objective; solution }
+  | Optimal { objective; solution; duals } ->
+      let duals = Array.map (fun y -> -.y) duals in
+      Optimal { objective = -.objective; solution; duals }
   | (Infeasible | Unbounded) as other -> other

@@ -32,17 +32,29 @@
     update identically. *)
 
 type status =
-  | Optimal of { objective : float; solution : float array }
+  | Optimal of {
+      objective : float;
+      solution : float array;
+      duals : float array;  (** one per row of [a], read off the final basis *)
+    }
   | Infeasible
   | Unbounded
 
 val maximize : c:float array -> a:float array array -> b:float array -> status
 (** [maximize ~c ~a ~b] solves the LP above. [a] has one row per
     constraint; every row must have the same length as [c]. Raises
-    [Invalid_argument] on dimension mismatch. *)
+    [Invalid_argument] on dimension mismatch.
+
+    The [duals] [y] of an [Optimal] result solve the dual LP
+    [minimize b.y subject to A^T y >= c, y >= 0]: they are feasible and
+    [b.y = objective], both within the method's tolerance ([1e-9] per
+    reduced cost). Computing them costs one pass over the costed basis
+    rows; no pivot depends on them. *)
 
 val minimize : c:float array -> a:float array array -> b:float array -> status
-(** Same constraints, minimizing; the reported objective is the minimum. *)
+(** Same constraints, minimizing; the reported objective is the minimum
+    and the [duals] are those of the minimization: [y <= 0],
+    [A^T y <= c], [b.y = objective]. *)
 
 type stats = { solves : int; pivots : int }
 

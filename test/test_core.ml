@@ -24,7 +24,8 @@ let test_dgx1v_directed_packing () =
   let p = Treegen.plan g ~root:0 ~undirected:false in
   Alcotest.(check int) "6 trees" 6 (List.length p.Treegen.trees);
   check_float "rate = 6 units" (6. *. gen2) p.Treegen.rate;
-  check_float "optimal = 6 units" (6. *. gen2) p.Treegen.optimal;
+  check_float "optimal = 6 units" (6. *. gen2)
+    (Treegen.optimum g ~root:0 ~undirected:false);
   Alcotest.(check bool) "feasible" true (Treegen.feasible g p);
   List.iter
     (fun t -> check_float "unit weight" gen2 t.Treegen.weight)
@@ -41,10 +42,11 @@ let test_mwu_within_guarantee () =
   let g = dgx1v_graph full8 in
   let epsilon = 0.1 in
   let p = Treegen.pack ~epsilon g ~root:0 ~undirected:false in
+  let optimal = Treegen.optimum g ~root:0 ~undirected:false in
   Alcotest.(check bool) "rate within (1-2eps) of optimal" true
-    (p.Treegen.rate >= (1. -. (2. *. epsilon)) *. p.Treegen.optimal);
+    (p.Treegen.rate >= (1. -. (2. *. epsilon)) *. optimal);
   Alcotest.(check bool) "never exceeds optimal" true
-    (p.Treegen.rate <= p.Treegen.optimal +. 1e-6);
+    (p.Treegen.rate <= optimal +. 1e-6);
   Alcotest.(check bool) "feasible" true (Treegen.feasible g p)
 
 let test_ilp_reduces_tree_count () =
@@ -54,7 +56,7 @@ let test_ilp_reduces_tree_count () =
   Alcotest.(check bool) "fewer or equal trees" true
     (List.length mini.Treegen.trees <= List.length raw.Treegen.trees);
   Alcotest.(check bool) "keeps 95% of rate" true
-    (mini.Treegen.rate >= 0.95 *. raw.Treegen.optimal);
+    (mini.Treegen.rate >= 0.95 *. Treegen.optimum g ~root:0 ~undirected:false);
   Alcotest.(check bool) "feasible" true (Treegen.feasible g mini)
 
 let test_undirected_packing_dgx1v () =
@@ -62,9 +64,10 @@ let test_undirected_packing_dgx1v () =
   let g = dgx1v_graph full8 in
   let p = Treegen.plan g ~root:0 ~undirected:true in
   Alcotest.(check bool) "undirected flag" true p.Treegen.undirected;
-  check_float "optimal = 24/7 units" (24. /. 7. *. gen2) p.Treegen.optimal;
+  let optimal = Treegen.optimum g ~root:0 ~undirected:true in
+  check_float "optimal = 24/7 units" (24. /. 7. *. gen2) optimal;
   Alcotest.(check bool) "within 5% of optimal" true
-    (p.Treegen.rate >= 0.95 *. p.Treegen.optimal);
+    (p.Treegen.rate >= 0.95 *. optimal);
   Alcotest.(check bool) "feasible under link capacities" true (Treegen.feasible g p)
 
 let test_partial_allocation_packing () =
@@ -115,9 +118,10 @@ let prop_packing_sound_on_allocations =
       let gpus = pick () in
       let g = dgx1v_graph gpus in
       let p = Treegen.plan ~epsilon:0.1 g ~root:0 ~undirected:false in
+      let optimal = Treegen.optimum g ~root:0 ~undirected:false in
       Treegen.feasible g p
-      && p.Treegen.rate >= 0.8 *. p.Treegen.optimal
-      && p.Treegen.rate <= p.Treegen.optimal +. 1e-6)
+      && p.Treegen.rate >= 0.8 *. optimal
+      && p.Treegen.rate <= optimal +. 1e-6)
 
 (* ------------------------------------------------------------------ *)
 (* Per-root packings: all_gather and reduce_scatter *)
@@ -385,7 +389,7 @@ let test_per_root_all_reduce_data () =
 (* [Blink.plan] keeps the faster family: on the sweep's fabrics and
    sizes its plan is never slower than the trees at its chunk, nor than
    the per-root schedule wherever both gates admit it (its cut value
-   beats the trees' bound, and every per-root region holds a chunk:
+   beats the trees' rate, and every per-root region holds a chunk:
    elems >= chunk * n * directed trees), and it is per-root exactly
    when that schedule is admitted and faster. Per-root wins on the full
    DGX-1V and DGX-1P at 32M elements. *)
@@ -394,9 +398,13 @@ let test_all_reduce_keeps_faster () =
     (fun (label, make) ->
       let h = make () in
       let n_trees = List.length (Option.get (Blink.packing h)).Treegen.trees in
+      let per_root_cut =
+        let rs = Blink.edge_cut_bound h Plan.Reduce_scatter in
+        let ag = Blink.edge_cut_bound h Plan.All_gather in
+        1. /. ((1. /. rs) +. (1. /. (Float.of_int (Blink.n_ranks h) *. ag)))
+      in
       let cut_beats_trees =
-        Blink.edge_cut_bound h Plan.All_reduce
-        > Link.reduce_scale *. Blink.all_reduce_rate h
+        per_root_cut > Link.reduce_scale *. Blink.all_reduce_rate h
       in
       List.iter
         (fun elems ->

@@ -87,7 +87,7 @@ let prop_simplex_sound =
       let a = Array.append a (Array.init n (fun j -> Array.init n (fun i -> if i = j then 1. else 0.))) in
       let b = Array.init (m + n) (fun _ -> 1. +. Float.of_int (Random.State.int rng 9)) in
       match Simplex.maximize ~c ~a ~b with
-      | Simplex.Optimal { objective; solution } ->
+      | Simplex.Optimal { objective; solution; _ } ->
           if not (feasible_point ~a ~b solution) then false
           else begin
             (* Compare against random feasible points found by scaling. *)
@@ -140,8 +140,8 @@ let prop_simplex_strong_duality =
       let at = Array.init n (fun j -> Array.init (m + 1) (fun i -> -.a.(i).(j))) in
       let neg_c = Array.map (fun x -> -.x) c in
       match (Simplex.maximize ~c ~a ~b, Simplex.minimize ~c:b ~a:at ~b:neg_c) with
-      | ( Simplex.Optimal { objective = primal; solution = x },
-          Simplex.Optimal { objective = dual; solution = y } ) ->
+      | ( Simplex.Optimal { objective = primal; solution = x; _ },
+          Simplex.Optimal { objective = dual; solution = y; _ } ) ->
           feasible_point ~a ~b x
           && feasible_point ~a:at ~b:neg_c y
           && Float.abs (primal -. dual) <= 1e-6
@@ -364,7 +364,10 @@ module Reference = struct
         for i = 0 to m - 1 do
           if t.basis.(i) < n then solution.(t.basis.(i)) <- t.b.(i)
         done;
-        Simplex.Optimal { objective = objective_value t phase2; solution }
+        (* The reference does not price rows: [same_status] compares
+           objectives and solutions only. *)
+        Simplex.Optimal
+          { objective = objective_value t phase2; solution; duals = [||] }
       end
     end
 end
@@ -434,6 +437,33 @@ let prop_simplex_matches_reference =
       let rng = Random.State.make [| seed + 41 |] in
       let c, a, b = random_lp rng in
       same_status (Simplex.maximize ~c ~a ~b) (Reference.solve_max ~c ~a ~b))
+
+(* The reported duals solve the dual LP: y >= 0, A^T y >= c and
+   b.y = objective, within a tolerance scaled to the draw's magnitudes. *)
+let prop_simplex_duals =
+  QCheck.Test.make ~name:"simplex duals feasible and tight" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed + 41 |] in
+      let c, a, b = random_lp rng in
+      match Simplex.maximize ~c ~a ~b with
+      | Simplex.Optimal { objective; duals = y; _ } ->
+          let tol = 1e-6 *. (1. +. Float.abs objective) in
+          let by = ref 0. in
+          Array.iteri (fun i yi -> by := !by +. (b.(i) *. yi)) y;
+          Array.length y = Array.length a
+          && Array.for_all (fun yi -> yi >= -.tol) y
+          && Float.abs (!by -. objective) <= tol
+          && Array.for_all Fun.id
+               (Array.mapi
+                  (fun j cj ->
+                    let aty = ref 0. in
+                    Array.iteri
+                      (fun i row -> aty := !aty +. (row.(j) *. y.(i)))
+                      a;
+                    !aty >= cj -. tol)
+                  c)
+      | Simplex.Infeasible | Simplex.Unbounded -> true)
 
 (* ------------------------------------------------------------------ *)
 (* ILP *)
@@ -536,6 +566,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_simplex_sound;
           QCheck_alcotest.to_alcotest prop_simplex_strong_duality;
           QCheck_alcotest.to_alcotest prop_simplex_matches_reference;
+          QCheck_alcotest.to_alcotest prop_simplex_duals;
         ] );
       ( "ilp",
         [

@@ -4,7 +4,9 @@
    - Feasibility: on fixed DGX topologies and on randomized degraded
      sub-allocations, both packings (directed + undirected) satisfy
      Treegen.feasible, achieve a positive rate on connected fabrics, and
-     never exceed their own certified optimum.
+     never exceed the certified optimum (Treegen.optimum).
+   - Exactness: on the DGX-1V cases with a known optimum, lp-flow's
+     column-generation master reaches it.
    - Data correctness: an AllReduce compiled from each backend's trees is
      element-identical to the float-array reference semantics.
    - Store identity: distinct backends produce distinct fingerprints, so
@@ -29,8 +31,11 @@ let backend_names () =
     "both backends, treegen first" [ "treegen"; "lp-flow" ]
     (List.map Planner.name backends)
 
+let optimum g (p : Treegen.packing) =
+  Treegen.optimum g ~root:p.Treegen.root ~undirected:p.Treegen.undirected
+
 (* A packing is acceptable iff feasible, spanning-positive, and within
-   (a hair of) its own certified optimum. *)
+   (a hair of) the certified optimum. *)
 let check_packing ~label g (p : Treegen.packing) =
   Alcotest.(check bool)
     (label ^ ": feasible")
@@ -39,9 +44,9 @@ let check_packing ~label g (p : Treegen.packing) =
     Alcotest.(check bool) (label ^ ": positive rate") true (p.Treegen.rate > 0.);
   Alcotest.(check bool)
     (Printf.sprintf "%s: rate %.4f within optimal %.4f" label p.Treegen.rate
-       p.Treegen.optimal)
+       (optimum g p))
     true
-    (p.Treegen.rate <= p.Treegen.optimal +. 1e-6)
+    (p.Treegen.rate <= optimum g p +. 1e-6)
 
 let check_both_packings ~label b g ~root =
   let directed = Planner.plan b g ~root ~undirected:false in
@@ -79,9 +84,9 @@ let dgx1v_rates b () =
   let directed = Planner.plan b g ~root ~undirected:false in
   Alcotest.(check bool)
     (Printf.sprintf "%s: directed rate %.2f vs optimal %.2f" (Planner.name b)
-       directed.Treegen.rate directed.Treegen.optimal)
+       directed.Treegen.rate (optimum g directed))
     true
-    (directed.Treegen.rate >= 0.9 *. directed.Treegen.optimal)
+    (directed.Treegen.rate >= 0.9 *. optimum g directed)
 
 (* Randomized fabrics: random sub-allocations of the DGX-1V with random
    link degradations/failures. Skip the (rare) draws whose surviving
@@ -130,10 +135,37 @@ let random_feasibility b =
         let undirected = Planner.plan b g ~root ~undirected:true in
         Treegen.feasible g directed
         && Treegen.feasible g undirected
-        && directed.Treegen.rate <= directed.Treegen.optimal +. 1e-6
-        && undirected.Treegen.rate <= undirected.Treegen.optimal +. 1e-6
+        && directed.Treegen.rate <= optimum g directed +. 1e-6
+        && undirected.Treegen.rate <= optimum g undirected +. 1e-6
         && (Array.length gpus <= 1 || directed.Treegen.rate > 0.)
       end)
+
+(* The certified optimum on the full DGX-1V, healthy and after one fault
+   (directed: Edmonds' bound, 6 links' worth; undirected: the fractional
+   spanning-tree packing), and lp-flow's column-generation master
+   reaching each value. *)
+let dgx1v_optimum () =
+  let gpus = Array.init 8 Fun.id in
+  let check label ~faults ~undirected want =
+    let g = Server.nvlink_digraph ~faults Server.dgx1v ~gpus in
+    let root = Treegen.best_root g in
+    let master, bound = Treegen.column_generation g ~root ~undirected in
+    Alcotest.(check (float 1e-3))
+      (label ^ ": optimum") want
+      (Treegen.optimum g ~root ~undirected);
+    Alcotest.(check (float 1e-3)) (label ^ ": bound") want bound;
+    Alcotest.(check (float 1e-3))
+      (label ^ ": lp-flow master") want master.Treegen.rate
+  in
+  check "directed" ~faults:[] ~undirected:false 129.;
+  List.iter
+    (fun (label, faults, want) -> check label ~faults ~undirected:true want)
+    [
+      ("healthy", [], 73.714);
+      ("2-3 down", [ ((2, 3), Server.Down) ], 67.571);
+      ("2-3 at 0.5", [ ((2, 3), Server.Degraded 0.5) ], 70.643);
+      ("0-2 at 0.5", [ ((0, 2), Server.Degraded 0.5) ], 72.179);
+    ]
 
 (* End-to-end data correctness per backend: AllReduce over each backend's
    trees, slab semantics vs the float-array reference. *)
@@ -225,8 +257,8 @@ let shared_store_separation () =
     handles
 
 (* Packing pins: one MD5 over every packing a planner returns, so a
-   refactor of the planners shows any change in a tree, a weight bit, a
-   rate or an optimum. Cold: both capacity models on every unique
+   refactor of the planners shows any change in a tree, a weight bit or
+   a rate. Cold: both capacity models on every unique
    connected 3-8 GPU allocation of the DGX-1V and DGX-1P. Warm: both
    models of the full DGX-1V replanned after each single link failure
    and each halving of one link pair. *)
@@ -234,8 +266,8 @@ let digest_packings packings =
   let b = Buffer.create 65_536 in
   List.iter
     (fun (p : Treegen.packing) ->
-      Printf.bprintf b "root %d undirected %b rate %h optimal %h\n"
-        p.Treegen.root p.Treegen.undirected p.Treegen.rate p.Treegen.optimal;
+      Printf.bprintf b "root %d undirected %b rate %h\n" p.Treegen.root
+        p.Treegen.undirected p.Treegen.rate;
       List.iter
         (fun (t : Treegen.tree) ->
           Printf.bprintf b "  %h [%s]\n" t.Treegen.weight
@@ -300,7 +332,9 @@ let () =
         @ backend_cases (fun b ->
               Alcotest.test_case
                 (Planner.name b ^ " dgx1v rate")
-                `Quick (dgx1v_rates b)) );
+                `Quick (dgx1v_rates b))
+        @ [ Alcotest.test_case "dgx1v certified optimum" `Quick dgx1v_optimum ]
+      );
       ( "random fabrics",
         backend_cases (fun b ->
             QCheck_alcotest.to_alcotest (random_feasibility b)) );
@@ -310,13 +344,13 @@ let () =
       ( "packing pins",
         [
           Alcotest.test_case "treegen cold" `Quick
-            (pin "4d5f9edc5c3b04e278b77549651763c3" (fun () ->
+            (pin "01e900a9e41c2997dbd16a198631520d" (fun () ->
                  cold_packings Planner.Treegen));
           Alcotest.test_case "lp-flow cold" `Quick
-            (pin "37b13865903014a2735c6fe4cb7a430b" (fun () ->
+            (pin "1d6814672eca6f95cca07bf2b65a1573" (fun () ->
                  cold_packings Planner.Lp_flow));
           Alcotest.test_case "treegen warm replan" `Quick
-            (pin "bed3992ff6fc1c69d44a308fdc7cadbc" warm_packings);
+            (pin "ac6e59da0b109a1821c041b96cdcb377" warm_packings);
         ] );
       ( "store identity",
         [
