@@ -39,5 +39,6 @@ val plan :
 (** Pack spanning structures from [root] under the directed or duplex
     capacity model. The packing satisfies {!Treegen.feasible}; it is
     empty (rate 0) when the graph does not span from [root]. [epsilon]
-    and [telemetry] apply to [Treegen] only; [threshold] is the ILP
-    rounding tolerance of both. *)
+    applies to [Treegen] only; [threshold] is the ILP rounding tolerance
+    of both. [telemetry] gets all of [Treegen]'s metrics, and
+    [Lp_flow]'s ILP step ({!Treegen.minimize}'s metrics). *)

@@ -528,8 +528,55 @@ let greedy_integral m ~root ~unit =
 (* ------------------------------------------------------------------ *)
 (* ILP tree minimization, generic over the packing's capacity model. *)
 
+(* The smallest passing relaxation count. [attempt n] is memoized, so no
+   count runs twice, and every count is judged by the same run the scan
+   would make. Bisection is exact only while passing is monotone in [n],
+   which holds when every attempt finished; after any attempt that did
+   not, the scan over [0, ks] decides, reusing what ran. *)
+let first_passing ~ks attempt =
+  let memo = Hashtbl.create 8 in
+  let complete = ref true in
+  let run n =
+    match Hashtbl.find_opt memo n with
+    | Some found -> found
+    | None ->
+        let found, finished = attempt n in
+        if not finished then complete := false;
+        Hashtbl.add memo n found;
+        found
+  in
+  let rec scan n =
+    match run n with
+    | Some s -> Some (n, s)
+    | None -> if n >= ks then None else scan (n + 1)
+  in
+  (* [lo] fails; [hi] passes, or is [ks] and has not run yet. *)
+  let rec bisect lo hi =
+    if hi - lo <= 1 then hi
+    else
+      let mid = lo + ((hi - lo) / 2) in
+      if Option.is_some (run mid) then bisect lo mid else bisect mid hi
+  in
+  match run 0 with
+  | Some s -> Some (0, s)
+  | None when ks <= 0 -> None
+  | None ->
+      let n = bisect 0 ks in
+      let found = run n in
+      if !complete then Option.map (fun s -> (n, s)) found else scan 0
+
+type search = { attempts : int; node_limit_hits : int }
+
+let no_search = { attempts = 0; node_limit_hits = 0 }
+
+(* Slack on the all-integer bound below. The bound is exact in
+   arithmetic; the slack covers the ILP's per-column integrality
+   tolerance (1e-6) summed over the support, and simplex rounding. The
+   bound's margin on real fabrics is a quarter of a unit or more. *)
+let integral_slack = 1e-3
+
 let minimize ?(threshold = 0.05) ?(warm_start = []) g packing =
-  if packing.trees = [] then packing
+  if packing.trees = [] then (packing, no_search)
   else begin
     let m = model g ~undirected:packing.undirected in
     let item_caps = model_caps m in
@@ -591,7 +638,8 @@ let minimize ?(threshold = 0.05) ?(warm_start = []) g packing =
         cand_items
     in
     match Simplex.maximize ~c ~a ~b with
-    | Simplex.Infeasible | Simplex.Unbounded -> packing (* unreachable *)
+    | Simplex.Infeasible | Simplex.Unbounded ->
+        (packing, no_search) (* unreachable *)
     | Simplex.Optimal { objective = lp_opt; solution = lp_sol; _ } ->
         (* The simplex solution is basic: restricting the ILP to its
            support keeps branch-and-bound tiny without losing the LP
@@ -637,19 +685,51 @@ let minimize ?(threshold = 0.05) ?(warm_start = []) g packing =
           |> Array.of_list
         in
         let target = (1. -. threshold) *. lp_opt in
-        let rec attempt n_frac =
-          let integer = Array.make ks true in
-          for idx = 0 to n_frac - 1 do
-            integer.(order.(idx)) <- false
-          done;
-          match Ilp.solve ~max_nodes:20_000 ?warm_start:warm_vec (problem integer) with
-          | Some { Ilp.objective; solution } when objective +. tol >= target ->
-              Some solution
-          | _ -> if n_frac >= ks then None else attempt (n_frac + 1)
+        (* Every objective weight is 1, so an all-integer solution is
+           worth a whole number of units, at most the LP's: when
+           [floor lp_opt] misses the target, [attempt 0] cannot pass. *)
+        let integral_fails =
+          Float.floor (lp_opt +. integral_slack) +. integral_slack +. tol
+          < target
         in
-        (match attempt 0 with
-        | None -> packing (* fully relaxed ILP equals the LP; unreachable *)
-        | Some solution ->
+        let attempts = ref 0 in
+        let node_limit_hits = ref 0 in
+        (* [attempt n] relaxes the [n] most fractional columns and runs a
+           full branch-and-bound. Relaxing more columns only enlarges the
+           feasible set, so passing is monotone in [n] as long as B&B
+           finishes; [Ilp.solve] says when its node limit stopped it. *)
+        let attempt n_frac =
+          if n_frac = 0 && integral_fails then (None, true)
+          else begin
+            incr attempts;
+            let hits = !node_limit_hits in
+            let integer = Array.make ks true in
+            for idx = 0 to n_frac - 1 do
+              integer.(order.(idx)) <- false
+            done;
+            let found =
+              match
+                Ilp.solve ~max_nodes:20_000 ?warm_start:warm_vec
+                  ~on_node_limit:(fun () -> incr node_limit_hits)
+                  (problem integer)
+              with
+              | Some { Ilp.objective; solution } when objective +. tol >= target
+                ->
+                  Some solution
+              | _ -> None
+            in
+            (found, !node_limit_hits = hits)
+          end
+        in
+        let found = first_passing ~ks attempt in
+        let search =
+          { attempts = !attempts; node_limit_hits = !node_limit_hits }
+        in
+        (match found with
+        | None ->
+            (* fully relaxed ILP equals the LP; unreachable *)
+            (packing, search)
+        | Some (_, solution) ->
             let trees =
               let out = ref [] in
               Array.iteri
@@ -669,20 +749,24 @@ let minimize ?(threshold = 0.05) ?(warm_start = []) g packing =
                 m "ILP: %d -> %d trees, rate %.2f (candidate LP optimum %.2f)"
                   (List.length packing.trees) (List.length trees) rate
                   (lp_opt *. unit));
-            { packing with trees; rate })
+            ({ packing with trees; rate }, search))
   end
 
 (* Non-recursive rebinding: wrap the ILP step in telemetry (span, removed
-   tree count, final rate/tree gauges) without touching its internals. *)
+   tree count, search counters, final rate/tree gauges) without touching
+   its internals. *)
 let minimize ?threshold ?warm_start ?(telemetry = Telemetry.disabled) g packing =
   let start = Telemetry.now_s telemetry in
   let w0 = Telemetry.wall_s telemetry in
-  let result = minimize ?threshold ?warm_start g packing in
+  let result, search = minimize ?threshold ?warm_start g packing in
   if Telemetry.enabled telemetry then begin
     let mode = mode_label packing.undirected in
     let labels = [ ("mode", mode) ] in
     Telemetry.observe telemetry ~labels "plan.phase.ilp_s"
       (Telemetry.wall_s telemetry -. w0);
+    Telemetry.incr telemetry ~labels ~by:search.attempts "treegen.ilp.attempts";
+    Telemetry.incr telemetry ~labels ~by:search.node_limit_hits
+      "treegen.ilp.node_limit_hits";
     let before = List.length packing.trees in
     let after = List.length result.trees in
     Telemetry.incr telemetry ~labels

@@ -19,7 +19,9 @@
 
     The ILP step ({!minimize}) restricts weights to integer multiples of
     the capacity unit and re-allows fractional weights one variable at a
-    time until within [threshold] of the candidate-set LP optimum. On the
+    time until within [threshold] of the candidate-set LP optimum; it
+    searches the number of relaxed variables by bisection rather than
+    trying each in turn, with the same result. On the
     full 8-GPU DGX-1V the directed planner returns 6 unit trees (129 GB/s)
     and the undirected planner 3 unit trees — the paper's numbers.
 
@@ -75,8 +77,43 @@ val minimize :
     solution) are forced into the ILP support and seed the
     branch-and-bound incumbent, so the search starts from the previous
     solution instead of from nothing; omitting it reproduces the cold
-    search byte for byte. [telemetry] records the tree-count reduction
-    (["treegen.ilp.trees_removed"]) and final rate/tree gauges. *)
+    search byte for byte.
+
+    The search for the relaxation count: [attempt n] makes every support
+    column integral except the [n] most fractional, and runs a full
+    branch-and-bound; it passes when its rate reaches the target. The
+    result is the solution of the smallest passing [n], found by
+    {!first_passing} rather than by trying [n = 0, 1, 2, ...] in turn:
+    - {b integrality skip}: every objective weight is 1, so the
+      all-integer attempt is worth a whole number of capacity units, at
+      most the LP's. When [floor] of the LP optimum (in units, with a
+      small slack for tolerances) misses the target, [attempt 0] cannot
+      pass and does not run;
+    - {b bisection} over [(0, ks]], [ks] the support size: relaxing more
+      columns only enlarges the feasible set, so passing is monotone in
+      [n], and [n = ks] is the LP itself;
+    - {b fallback}: monotonicity needs every branch-and-bound to finish.
+      If any attempt stops at its node limit, the linear scan decides,
+      reusing the attempts already run, so the result is the scan's.
+
+    [telemetry] records the tree-count reduction
+    (["treegen.ilp.trees_removed"]), the branch-and-bound attempts run
+    (["treegen.ilp.attempts"]) and those cut short by the node limit
+    (["treegen.ilp.node_limit_hits"]), all labelled by capacity model,
+    and final rate/tree gauges. *)
+
+val first_passing : ks:int -> (int -> 'a option * bool) -> (int * 'a) option
+(** [first_passing ~ks attempt] is the smallest [n] in [[0, ks]] whose
+    [attempt n] passes, with what it returned: [attempt n] returns
+    [(Some x, _)] when [n] passes, [(None, _)] when it fails, and, as its
+    second component, whether it ran to completion. It gives the linear
+    scan's answer ([n = 0, 1, ..., ks], first pass wins) whenever passing
+    is monotone in [n] (once [n] passes, every larger count does), while
+    calling [attempt] at most [ceil (log2 (ks + 1)) + 2] times: [n = 0]
+    first, then a bisection of [(0, ks]], in which [ks] counts as passing
+    until it runs. If any call reports that it did not complete, the
+    search falls back to that scan. [attempt] runs at most once per [n];
+    later needs are served from a memo. [None] when no count passes. *)
 
 val plan :
   ?epsilon:float ->

@@ -89,7 +89,7 @@ let relaxation p lo hi =
     | other -> other
   end
 
-let solve ?(max_nodes = 200_000) ?warm_start p =
+let solve ?(max_nodes = 200_000) ?warm_start ?on_node_limit p =
   validate p;
   let n = Array.length p.c in
   let incumbent = ref None in
@@ -107,8 +107,10 @@ let solve ?(max_nodes = 200_000) ?warm_start p =
       incumbent := Some { objective = !objective; solution = rounded }
   | _ -> ());
   let nodes = ref 0 in
+  let truncated = ref false in
   let rec branch lo hi =
-    if !nodes < max_nodes then begin
+    if !nodes >= max_nodes then truncated := true
+    else begin
       incr nodes;
       match relaxation p lo hi with
       | Simplex.Infeasible -> ()
@@ -159,4 +161,5 @@ let solve ?(max_nodes = 200_000) ?warm_start p =
   let lo = Array.make n 0. in
   let hi = Array.copy p.upper in
   branch lo hi;
+  (match on_node_limit with Some f when !truncated -> f () | _ -> ());
   !incumbent

@@ -18,10 +18,19 @@ type problem = {
 
 type result = { objective : float; solution : float array }
 
-val solve : ?max_nodes:int -> ?warm_start:float array -> problem -> result option
+val solve :
+  ?max_nodes:int ->
+  ?warm_start:float array ->
+  ?on_node_limit:(unit -> unit) ->
+  problem ->
+  result option
 (** Best feasible solution, or [None] when infeasible. [max_nodes] bounds
     the branch-and-bound tree (default [200_000]); if exhausted, the best
     incumbent found so far is returned (still [None] if none was found).
+    [on_node_limit] is called once, just before returning, when the limit
+    cut the search short (some open node was never explored): the result
+    is then only a lower bound on the optimum, not the optimum. It is not
+    called when branch-and-bound finished; omitting it changes nothing.
     [warm_start], when feasible under {!is_feasible}, seeds the incumbent
     so branch-and-bound starts with its objective as a lower bound and
     prunes everything that cannot beat it — an infeasible warm start is

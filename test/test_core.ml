@@ -749,6 +749,59 @@ let test_multiserver_single_gpu_servers () =
   let got = Blink_sim.Semantics.read mem ~node:0 ~buf:layout.Blink_collectives.Codegen.data.(0) in
   Alcotest.(check (float 1e-9)) "summed" 3. got.(1)
 
+(* The relaxation-count search behind [Treegen.minimize]: on any
+   monotone pass/fail pattern it answers like the linear scan, in
+   logarithmically many attempts; a node-limit hit hands the answer to
+   the scan. *)
+let linear_scan ~ks attempt =
+  let rec go n =
+    match fst (attempt n) with
+    | Some x -> Some (n, x)
+    | None -> if n >= ks then None else go (n + 1)
+  in
+  go 0
+
+let prop_first_passing_matches_scan =
+  QCheck.Test.make ~name:"first_passing matches the scan" ~count:500
+    QCheck.(pair (int_bound 200) (int_bound 1_000))
+    (fun (ks, t) ->
+      (* Counts from [first] on pass; [first > ks] means none does. *)
+      let first = t mod (ks + 2) in
+      let attempt n = ((if n >= first then Some (n * 7) else None), true) in
+      let calls = ref 0 in
+      let got =
+        Treegen.first_passing ~ks (fun n ->
+            incr calls;
+            attempt n)
+      in
+      let budget =
+        2 + int_of_float (Float.ceil (Float.log2 (Float.of_int (ks + 1))))
+      in
+      got = linear_scan ~ks attempt && !calls <= budget)
+
+let test_first_passing_falls_back () =
+  (* Not monotone: 3 passes, 4-8 fail, 9 on pass. Bisection alone lands
+     on 9; a node-limit hit at 8 hands the answer to the scan, which
+     finds 3 and runs no count twice. *)
+  let runs = Hashtbl.create 16 in
+  let attempt ~hit n =
+    Hashtbl.replace runs n (1 + Option.value ~default:0 (Hashtbl.find_opt runs n));
+    ((if n = 3 || n >= 9 then Some (100 + n) else None), not (hit n))
+  in
+  let check label expected got =
+    Alcotest.(check (option (pair int int))) label expected got
+  in
+  let never _ = false in
+  check "all complete: bisection" (Some (9, 109))
+    (Treegen.first_passing ~ks:16 (attempt ~hit:never));
+  let scan = linear_scan ~ks:16 (attempt ~hit:never) in
+  Hashtbl.reset runs;
+  check "node-limit hit: the scan's answer" scan
+    (Treegen.first_passing ~ks:16 (attempt ~hit:(fun n -> n = 8)));
+  Hashtbl.iter
+    (fun n k -> Alcotest.(check int) (Printf.sprintf "count %d ran once" n) 1 k)
+    runs
+
 let () =
   Alcotest.run "core"
     [
@@ -763,6 +816,9 @@ let () =
           Alcotest.test_case "disconnected" `Quick test_disconnected_packing;
           Alcotest.test_case "best root" `Quick test_best_root;
           QCheck_alcotest.to_alcotest prop_packing_sound_on_allocations;
+          QCheck_alcotest.to_alcotest prop_first_passing_matches_scan;
+          Alcotest.test_case "first_passing falls back to the scan" `Quick
+            test_first_passing_falls_back;
         ] );
       ( "facade",
         [

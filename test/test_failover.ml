@@ -632,7 +632,20 @@ let test_slowest_sequences_pinned () =
           check_pin (label ^ " directed") directed (Blink.packing h);
           check_pin (label ^ " undirected") undirected
             (Blink.undirected_packing h))
-        steps)
+        steps;
+      (* The relaxation-count search is exact only while every
+         branch-and-bound finishes: none may stop at its node limit. *)
+      let t = Blink.telemetry h in
+      List.iter
+        (fun mode ->
+          let labels = [ ("mode", mode) ] in
+          Alcotest.(check bool)
+            (mode ^ ": ILP attempts recorded") true
+            (Telemetry.counter_value t ~labels "treegen.ilp.attempts" > 0);
+          Alcotest.(check int)
+            (mode ^ ": no node-limit hits") 0
+            (Telemetry.counter_value t ~labels "treegen.ilp.node_limit_hits"))
+        [ "directed"; "undirected" ])
     pinned_sequences
 
 let () =

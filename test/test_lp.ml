@@ -537,6 +537,22 @@ let test_ilp_is_feasible () =
   Alcotest.(check bool) "over capacity" false (Ilp.is_feasible p [| 1.; 1. |]);
   Alcotest.(check bool) "fractional" false (Ilp.is_feasible p [| 0.5; 0. |])
 
+(* The node-limit report: called once when the limit cut the search
+   short, never when branch-and-bound finished, and the solve itself does
+   not depend on whether anyone listens. *)
+let test_ilp_node_limit_reported () =
+  let values = [| 10.; 13.; 7.; 8. |] and weights = [| 5.; 6.; 3.; 4. |] in
+  let p = knapsack ~values ~weights ~capacity:10. in
+  let hits = ref 0 in
+  let on_node_limit () = incr hits in
+  let full = Ilp.solve ~on_node_limit p in
+  Alcotest.(check int) "finished: no report" 0 !hits;
+  Alcotest.(check bool) "listening changes nothing" true (full = Ilp.solve p);
+  let cut = Ilp.solve ~max_nodes:1 ~on_node_limit p in
+  Alcotest.(check int) "cut short: one report" 1 !hits;
+  Alcotest.(check bool) "cut result unchanged by the listener" true
+    (cut = Ilp.solve ~max_nodes:1 p)
+
 let prop_ilp_matches_brute_knapsack =
   QCheck.Test.make ~name:"branch-and-bound matches brute knapsack" ~count:80
     QCheck.(int_bound 100_000)
@@ -574,6 +590,8 @@ let () =
           Alcotest.test_case "mixed integer" `Quick test_ilp_fractional_vars;
           Alcotest.test_case "infeasible" `Quick test_ilp_infeasible;
           Alcotest.test_case "is_feasible" `Quick test_ilp_is_feasible;
+          Alcotest.test_case "node limit reported" `Quick
+            test_ilp_node_limit_reported;
           QCheck_alcotest.to_alcotest prop_ilp_matches_brute_knapsack;
         ] );
     ]

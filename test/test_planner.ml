@@ -19,6 +19,7 @@ module Blink = Blink_core.Blink
 module Plan = Blink_core.Plan
 module Planner = Blink_core.Planner
 module Treegen = Blink_core.Treegen
+module Simplex = Blink_lp.Simplex
 module Fingerprint = Blink_store.Fingerprint
 module Codegen = Blink_collectives.Codegen
 module P = Blink_sim.Program
@@ -316,6 +317,24 @@ let warm_packings () =
         [ Server.Down; Server.Degraded 0.5 ])
     pairs
 
+(* The cost of the costliest cold replan's ILP, pinned with its
+   packing: the undirected plan of the full DGX-1V after link pair 2-3
+   drops to half. Searching the relaxation count takes 92 simplex solves
+   here; scanning it took 1,682 for the same packing, so a return to the
+   scan fails the bound. *)
+let degraded_undirected_search () =
+  let faults = [ ((2, 3), Server.Degraded 0.5) ] in
+  let g = Server.nvlink_digraph ~faults Server.dgx1v ~gpus:(Array.init 8 Fun.id) in
+  let root = Treegen.best_root g in
+  let before = Simplex.stats () in
+  let p = Treegen.plan g ~root ~undirected:true in
+  let solves = (Simplex.stats ()).Simplex.solves - before.Simplex.solves in
+  Alcotest.(check string)
+    "packing digest" "c468021998c0b601a7e38ad4f4eba597" (digest_packings [ p ]);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d simplex solves, at most 120" solves)
+    true (solves <= 120)
+
 let pin expected packings () =
   Alcotest.(check string)
     "packing digest" expected
@@ -351,6 +370,8 @@ let () =
                  cold_packings Planner.Lp_flow));
           Alcotest.test_case "treegen warm replan" `Quick
             (pin "ac6e59da0b109a1821c041b96cdcb377" warm_packings);
+          Alcotest.test_case "treegen cold degrade 2-3 search" `Quick
+            degraded_undirected_search;
         ] );
       ( "store identity",
         [
