@@ -1533,6 +1533,67 @@ let regen_baselines () =
     baselined
 
 (* ------------------------------------------------------------------ *)
+(* Op fusion under the event loop: the 72 plans of the end-to-end
+   topology sweep replayed as prepared (fused where the contention
+   analysis allows) and prepared [~fuse:false], in alternating whole
+   sweeps on per-plan arenas. Exits 1 if a fused replay's makespan
+   differs from the unfused one. Prints only: it gates no speed. *)
+
+let fusion_suite () =
+  let rounds = 40 in
+  Util.heading "Fusion: the 72 topology-sweep plans, fused vs ~fuse:false, %d alternating sweeps"
+    rounds;
+  let plans = Scenario.sweep_plans () in
+  let fused = Array.map (fun p -> p.Plan.prepared) plans in
+  let plain =
+    Array.map
+      (fun p -> E.prepare ~fuse:false ~resources:p.Plan.resources p.Plan.program)
+      plans
+  in
+  let arenas = Array.map (fun _ -> E.arena ()) plans in
+  let sweep prepared =
+    let t0 = Unix.gettimeofday () in
+    Array.iteri (fun i p -> ignore (E.run_prepared ~arena:arenas.(i) p)) prepared;
+    Unix.gettimeofday () -. t0
+  in
+  let makespans prepared =
+    Array.mapi (fun i p -> (E.run_prepared ~arena:arenas.(i) p).E.makespan) prepared
+  in
+  let identical = makespans fused = makespans plain in
+  ignore (sweep fused);
+  ignore (sweep plain);
+  let tf = ref [] and tu = ref [] in
+  for k = 1 to rounds do
+    (* Alternate which side goes first, so drift hits both alike. *)
+    if k land 1 = 0 then begin
+      tf := sweep fused :: !tf;
+      tu := sweep plain :: !tu
+    end
+    else begin
+      tu := sweep plain :: !tu;
+      tf := sweep fused :: !tf
+    end
+  done;
+  let ms p xs = 1e3 *. Util.percentile p xs in
+  let count f = Array.fold_left (fun acc p -> acc + f p) 0 fused in
+  Util.row "  %d plans, %d ops; %d plans fuse, %d chains covering %d ops\n"
+    (Array.length plans) (count E.prepared_ops)
+    (count (fun p -> if E.fusion_enabled p then 1 else 0))
+    (count E.fused_chains) (count E.fused_ops);
+  Util.row "  %-10s %10s %10s %10s\n" "sweep" "p25 ms" "median ms" "p75 ms";
+  List.iter
+    (fun (label, xs) ->
+      Util.row "  %-10s %10.2f %10.2f %10.2f\n" label (ms 0.25 xs) (ms 0.5 xs) (ms 0.75 xs))
+    [ ("fused", !tf); ("unfused", !tu) ];
+  let wins = List.length (List.filter Fun.id (List.map2 ( < ) !tf !tu)) in
+  Util.row "  fused faster in %d of %d rounds; unfused / fused median %.3f; \
+            makespans identical: %b\n"
+    wins rounds
+    (Util.percentile 0.5 !tu /. Util.percentile 0.5 !tf)
+    identical;
+  Util.fail_if (not identical) "fusion: a fused replay's makespan differs from unfused\n"
+
+(* ------------------------------------------------------------------ *)
 
 let targets =
   List.map (fun ((target, _, _, _) as s) -> (target, fun () -> run_suite s)) suites
@@ -1541,6 +1602,7 @@ let targets =
       ("regress-selftest", regress_selftest);
       ("regen-baselines", regen_baselines);
       ("bechamel", bechamel_suite);
+      ("fusion", fusion_suite);
     ]
 
 let run_all () =

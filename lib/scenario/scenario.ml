@@ -272,6 +272,29 @@ let pp_tournament ppf ~label rows =
     rows
 
 (* ------------------------------------------------------------------ *)
+(* The topology sweep *)
+
+let sweep_plans () =
+  let module Server = Blink_topology.Server in
+  let dgx8 = Array.init 8 Fun.id in
+  List.concat_map
+    (fun handle ->
+      List.concat_map
+        (fun elems ->
+          ignore (Blink.tuned_chunk handle ~elems);
+          List.map
+            (fun collective -> Blink.plan handle collective ~elems)
+            Plan.[ All_reduce; Broadcast; Reduce; Gather; All_gather; Reduce_scatter ])
+        [ 262_144; 4_194_304; 33_554_432 ])
+    [
+      Blink.create Server.dgx1v ~gpus:dgx8;
+      Blink.create Server.dgx1p ~gpus:dgx8;
+      Blink.create Server.dgx1v ~gpus:[| 1; 4; 5; 6 |];
+      Blink.create ~link_faults:[ ((2, 3), Server.Down) ] Server.dgx1v ~gpus:dgx8;
+    ]
+  |> Array.of_list
+
+(* ------------------------------------------------------------------ *)
 (* Report printers *)
 
 let pp_analysis ppf (r : Analysis.report) =

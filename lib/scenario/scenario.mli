@@ -133,6 +133,15 @@ val tournament :
 val pp_tournament : Format.formatter -> label:string -> row list -> unit
 (** A header with [label] in its first column, then one line per row. *)
 
+(** {1 The topology sweep} *)
+
+val sweep_plans : unit -> Plan.t array
+(** The 72 plans the end-to-end benchmark's topology sweep replays: the
+    DGX-1V and DGX-1P with all eight GPUs, DGX-1V GPUs 1,4,5,6 and the
+    DGX-1V with link 2-3 down, each at 262,144, 4,194,304 and 33,554,432
+    elements (MIAD-tuned chunks) for all six collectives, in that
+    order. *)
+
 (** {1 Report printers} *)
 
 val pp_analysis : Format.formatter -> Blink_core.Analysis.report -> unit

@@ -10,12 +10,6 @@ type result = {
   busy : float array;
 }
 
-(* Monomorphic arena heaps for the event loop: the simulator spends most
-   of its time pushing/popping these, and the staged add/pop protocol
-   (see Pqueue) keeps steady-state event processing allocation-free. *)
-module Events = Pqueue.Float_int
-module Waitq = Pqueue.Float_int_int
-
 (* Time until the op's data is available once service starts. *)
 let data_time resources (o : Program.op) =
   match o.kind with
@@ -58,27 +52,38 @@ let record_slices telemetry prog ~start ~finish =
    ([(dst lsl 1) lor is_stream]), preserving the exact per-op edge order
    the list-based engine produced so replay is bit-identical. *)
 
-type prepared = {
-  p_prog : Program.t;
-  p_resources : resource array;
-  p_n : int;
-  p_n_res : int;
-  p_res_of : int array;  (* resource id, or -1 for delays *)
-  p_dur : float array;  (* base duration (data_time) *)
-  p_occ : float array;  (* lane occupancy: max dur gap *)
-  p_lat : float array;  (* pipeline latency of the op's resource *)
-  p_stream : int array;
-  p_lanes : int array;  (* per-resource lane count *)
-  p_pending0 : int array;  (* initial pending-dependency counts *)
-  p_dep_off : int array;  (* CSR row offsets, length n+1 *)
-  p_dep : int array;  (* packed edges: (dst lsl 1) lor is_stream *)
-  p_sources : int array;  (* ops with no dependencies, ascending id *)
+(* The arrays the event loop reads. Field order is shared with
+   engine_stubs.c (its S_ positions). *)
+type schedule = {
+  s_res_of : int array;  (* resource id, or -1 for delays *)
+  s_dur : float array;  (* base duration (data_time) *)
+  s_occ : float array;  (* lane occupancy: max dur gap *)
+  s_lat : float array;  (* pipeline latency of the op's resource *)
+  s_stream : int array;
+  s_lanes : int array;  (* per-resource lane count *)
+  s_pending0 : int array;  (* initial pending-dependency counts *)
+  s_dep_off : int array;  (* CSR row offsets, length n+1 *)
+  s_dep : int array;  (* packed edges: (dst lsl 1) lor is_stream *)
+  s_sources : int array;  (* ops with no dependencies, ascending id *)
   (* Prepare-time op fusion (see [contention_free] below): maximal runs of
      back-to-back same-resource, same-stream ops whose interior members
      have the stream edge as their only dependency are dispatched as one
      fused schedule entry. Interior members never enter the event heap. *)
-  p_fuse_next : int array;  (* next chain member, or -1 *)
-  p_fuse_len : int array;  (* chain length at heads (>= 2), 0 interior, 1 else *)
+  s_fuse_next : int array;  (* next chain member, or -1 *)
+  s_fuse_len : int array;  (* chain length at heads (>= 2), 0 interior, 1 else *)
+  s_wait_off : int array;
+      (* length n_res+1: resource r's waiting heap starts at entry
+         [s_wait_off.(r)] of the arena's work buffer; its ops on r bound it *)
+}
+
+type prepared = {
+  p_sched : schedule;
+  p_prog : Program.t;
+  p_n : int;
+  p_n_res : int;
+  p_work_bytes : int;
+      (* the arena work buffer a run needs, its event heap excluded *)
+  p_events : int;  (* event heap entries a run without faults needs *)
   p_fuse_safe : bool;  (* every resource passed the contention analysis *)
   p_fuse_chains : int;  (* number of fused chains *)
   p_fuse_ops : int;  (* ops covered by fused chains (heads included) *)
@@ -126,6 +131,20 @@ let contention_free ~resources ~res_of ~dur ~stream ~n_streams n =
     end
   done;
   !safe
+
+(* The event heap's peak, beyond one pending entry per op: the lane-free
+   events in flight. Resource r has at most [lanes r] lanes taken at once
+   and at most [attempts] service attempts per op on it, so it holds at
+   most [min (lanes r) (ops r * attempts)] lane-free events. Written so
+   that the product cannot overflow. *)
+let lane_events ~lanes ~wait_off ~attempts =
+  let sum = ref 0 in
+  Array.iteri
+    (fun r l ->
+      let ops = wait_off.(r + 1) - wait_off.(r) in
+      if ops > 0 then sum := !sum + if attempts > l / ops then l else ops * attempts)
+    lanes;
+  !sum
 
 let prepare ?(telemetry = Telemetry.disabled) ?(fuse = true) ~resources prog =
   Array.iteri
@@ -241,29 +260,46 @@ let prepare ?(telemetry = Telemetry.disabled) ?(fuse = true) ~resources prog =
       end
     done
   end;
+  (* Each resource's waiting heap holds at most its own ops. *)
+  let wait_off = Array.make (n_res + 1) 0 in
+  Array.iter (fun r -> if r >= 0 then wait_off.(r + 1) <- wait_off.(r + 1) + 1) res_of;
+  for r = 0 to n_res - 1 do
+    wait_off.(r + 1) <- wait_off.(r) + wait_off.(r + 1)
+  done;
+  let lanes = Array.map (fun r -> r.lanes) resources in
   if Telemetry.enabled telemetry then Telemetry.incr telemetry "engine.prepares";
   {
+    p_sched =
+      {
+        s_res_of = res_of;
+        s_dur = dur;
+        s_occ = occ;
+        s_lat = lat;
+        s_stream = stream;
+        s_lanes = lanes;
+        s_pending0 = pending;
+        s_dep_off = dep_off;
+        s_dep = dep;
+        s_sources = Array.of_list !sources;
+        s_fuse_next = fuse_next;
+        s_fuse_len = fuse_len;
+        s_wait_off = wait_off;
+      };
     p_prog = prog;
-    p_resources = resources;
     p_n = n;
     p_n_res = n_res;
-    p_res_of = res_of;
-    p_dur = dur;
-    p_occ = occ;
-    p_lat = lat;
-    p_stream = stream;
-    p_lanes = Array.map (fun r -> r.lanes) resources;
-    p_pending0 = pending;
-    p_dep_off = dep_off;
-    p_dep = dep;
-    p_sources = Array.of_list !sources;
-    p_fuse_next = fuse_next;
-    p_fuse_len = fuse_len;
+    (* ready times, lane counts and heap sizes, waiting heaps (16-byte
+       entries), pending counts padded to 8 bytes: the layout
+       engine_stubs.c reads. The event heap follows. *)
+    p_work_bytes =
+      (8 * n) + (16 * n_res) + (16 * wait_off.(n_res)) + (4 * (n + (n land 1)));
+    p_events = n + lane_events ~lanes ~wait_off ~attempts:1;
     p_fuse_safe = fuse_safe;
     p_fuse_chains = !fuse_chains;
     p_fuse_ops = !fuse_ops;
   }
 
+let schedule p = p.p_sched
 let prepared_program p = p.p_prog
 let prepared_ops p = p.p_n
 let fusion_enabled p = p.p_fuse_safe
@@ -271,22 +307,22 @@ let fused_chains p = p.p_fuse_chains
 let fused_ops p = p.p_fuse_ops
 
 (* ------------------------------------------------------------------ *)
-(* Arenas: the engine's mutable working set, reset in place per run.
-   Arrays are kept at exactly (n ops, n resources) — [result] aliases
-   them directly, and consumers like [Critical_path.utilization] iterate
-   the whole [busy] array — and reallocated only when the prepared
-   schedule's shape differs from the previous run. *)
+(* Arenas: the engine's mutable working set, reset in place per run by
+   the event loop. The result arrays are kept at exactly (n ops, n
+   resources) — [result] aliases them directly, and consumers like
+   [Critical_path.utilization] iterate the whole [busy] array — and
+   reallocated only when the prepared schedule's shape differs from the
+   previous run. The work buffer, which holds the loop's other state and
+   its heaps, only ever grows. Field order is shared with engine_stubs.c
+   (its A_ positions). *)
 
 type arena = {
   mutable a_start : float array;
   mutable a_finish : float array;
-  mutable a_ready : float array;
-  mutable a_pending : int array;
   mutable a_busy : float array;
-  mutable a_lanes : int array;
-  a_mk : float array;  (* 1 slot: running makespan, unboxed *)
-  a_events : Events.t;
-  mutable a_wait : Waitq.t array;
+  mutable a_work : Bytes.t;
+      (* ready times, free lanes, waiting heaps, pending counts, events *)
+  a_mk : float array;  (* 1 slot: the makespan, unboxed *)
   a_in_use : bool Atomic.t;
       (* Guards against concurrent or reentrant runs on one arena, which
          would silently corrupt the working arrays. Atomic so the
@@ -297,13 +333,9 @@ let arena () =
   {
     a_start = [||];
     a_finish = [||];
-    a_ready = [||];
-    a_pending = [||];
     a_busy = [||];
-    a_lanes = [||];
+    a_work = Bytes.empty;
     a_mk = Array.make 1 0.;
-    a_events = Events.create ();
-    a_wait = [||];
     a_in_use = Atomic.make false;
   }
 
@@ -313,84 +345,39 @@ let arena () =
 let scratch_key = Domain.DLS.new_key arena
 let scratch_arena () = Domain.DLS.get scratch_key
 
-let reset_arena a p =
-  let n = p.p_n and n_res = p.p_n_res in
-  if Array.length a.a_start <> n then begin
-    a.a_start <- Array.make n nan;
-    a.a_finish <- Array.make n nan;
-    a.a_ready <- Array.make n 0.;
-    a.a_pending <- Array.make n 0
+(* [events] is the event heap's capacity, which must bound the run's
+   peak (see [lane_events]). *)
+let size_arena a p ~events =
+  if Array.length a.a_start <> p.p_n then begin
+    a.a_start <- Array.create_float p.p_n;
+    a.a_finish <- Array.create_float p.p_n
   end;
-  if Array.length a.a_busy <> n_res then begin
-    a.a_busy <- Array.make n_res 0.;
-    a.a_lanes <- Array.make n_res 0
-  end;
-  if Array.length a.a_wait <> n_res then
-    a.a_wait <- Array.init n_res (fun _ -> Waitq.create ())
-  else Array.iter Waitq.clear a.a_wait;
-  Array.fill a.a_start 0 n nan;
-  Array.fill a.a_finish 0 n nan;
-  (* Initial ready time of every op is its resource's pipeline latency. *)
-  Array.blit p.p_lat 0 a.a_ready 0 n;
-  Array.blit p.p_pending0 0 a.a_pending 0 n;
-  Array.fill a.a_busy 0 n_res 0.;
-  Array.blit p.p_lanes 0 a.a_lanes 0 n_res;
-  a.a_mk.(0) <- 0.;
-  Events.clear a.a_events
+  if Array.length a.a_busy <> p.p_n_res then a.a_busy <- Array.create_float p.p_n_res;
+  let bytes = p.p_work_bytes + (16 * events) in
+  if Bytes.length a.a_work < bytes then a.a_work <- Bytes.create bytes
 
 (* ------------------------------------------------------------------ *)
 (* Fault hook: the retry branch of the event loop, which only [Fault.run]
-   drives. [no_faults] is the sentinel for a run without one, checked
-   once per run the way [Recorder.none] is. *)
+   drives. [no_faults] is the sentinel for a run without one. Field order
+   is shared with engine_stubs.c (its H_ positions). *)
 
 type fault_hook = {
   attempt : int -> int -> bool;
   io : float array;
   occ : float array;
+  max_attempts : int;
 }
 
-let no_faults = { attempt = (fun _ _ -> true); io = [||]; occ = [||] }
+let no_faults = { attempt = (fun _ _ -> true); io = [||]; occ = [||]; max_attempts = 1 }
 
-(* The tail every dispatch shares once an op's service is fixed: write
-   its begin/end recorder pair (both are known at dispatch — the
-   simulator fixes the finish when service starts) with inline array
-   stores, advance the makespan and release the dependents. [skip] is
-   one packed edge to leave alone (a fused chain's inline successor), or
-   -1. A top-level inlined function rather than a closure in [exec], so
-   sharing it costs a run neither a call per op nor a closure. *)
-let[@inline] finish_op a p ~rec_on recorder estaged id skip =
-  let fin = a.a_finish.(id) in
-  if rec_on then begin
-    let r = p.p_res_of.(id) in
-    let h = recorder.Recorder.head in
-    let mask = recorder.Recorder.mask in
-    let i = h land mask in
-    recorder.Recorder.ev_kind.(i) <- 0;
-    recorder.Recorder.ev_op.(i) <- id;
-    recorder.Recorder.ev_res.(i) <- r;
-    recorder.Recorder.ev_time.(i) <- a.a_start.(id);
-    let j = (h + 1) land mask in
-    recorder.Recorder.ev_kind.(j) <- 1;
-    recorder.Recorder.ev_op.(j) <- id;
-    recorder.Recorder.ev_res.(j) <- r;
-    recorder.Recorder.ev_time.(j) <- fin;
-    recorder.Recorder.head <- h + 2
-  end;
-  if fin > a.a_mk.(0) then a.a_mk.(0) <- fin;
-  for e = p.p_dep_off.(id) to p.p_dep_off.(id + 1) - 1 do
-    let packed = p.p_dep.(e) in
-    if packed <> skip then begin
-      let dep = packed lsr 1 in
-      let candidate = if packed land 1 = 1 then fin else fin +. p.p_lat.(dep) in
-      if candidate > a.a_ready.(dep) then a.a_ready.(dep) <- candidate;
-      let pend = a.a_pending.(dep) - 1 in
-      a.a_pending.(dep) <- pend;
-      if pend = 0 then begin
-        estaged.(0) <- a.a_ready.(dep);
-        Events.add_staged a.a_events dep
-      end
-    end
-  done
+(* The event loop (engine_stubs.c): resets the arena for the schedule,
+   dispatches every event and sums the busy times. Returns -1, the first
+   op that never became ready, or -2 if the event heap filled up (only a
+   fault hook that overruns its [max_attempts] can fill it). The flags
+   are 1 for [`Fair], 2 to record, 4 to decide attempts through the
+   hook. *)
+external event_loop : schedule -> arena -> Recorder.t -> fault_hook -> int -> int
+  = "blink_engine_run"
 
 let exec ~faults ~policy ~telemetry ~recorder a p =
   let t_span = Telemetry.now_s telemetry in
@@ -398,142 +385,37 @@ let exec ~faults ~policy ~telemetry ~recorder a p =
     invalid_arg
       "Engine.run_prepared: arena already in use (concurrent or reentrant \
        run on one arena)";
-  reset_arena a p;
+  let events =
+    if faults == no_faults then p.p_events
+    else
+      p.p_n
+      + lane_events ~lanes:p.p_sched.s_lanes ~wait_off:p.p_sched.s_wait_off
+          ~attempts:faults.max_attempts
+  in
+  size_arena a p ~events;
+  let flags =
+    (match policy with `Fair -> 1 | `Stream_priority -> 0)
+    lor (if recorder != Recorder.none then 2 else 0)
+    lor if faults != no_faults then 4 else 0
+  in
+  let stuck =
+    match event_loop p.p_sched a recorder faults flags with
+    | stuck -> stuck
+    | exception e ->
+        (* Only a fault hook raises (an unrecoverable op). *)
+        let bt = Printexc.get_raw_backtrace () in
+        Atomic.set a.a_in_use false;
+        Printexc.raise_with_backtrace e bt
+  in
+  (* Every op must have run; a cycle would leave one unfinished
+     (impossible by construction, but guard against programmer error). *)
+  if stuck <> -1 then begin
+    Atomic.set a.a_in_use false;
+    if stuck = -2 then
+      invalid_arg "Engine.run_faulted: the hook made more attempts than its max_attempts";
+    invalid_arg (Printf.sprintf "Engine.run: op %d never became ready" stuck)
+  end;
   let n = p.p_n in
-  let events = a.a_events in
-  let estaged = Events.staged events in
-  let fair = match policy with `Fair -> true | `Stream_priority -> false in
-  (* Flight recorder and fault hook: one physical-equality check each,
-     hoisted here. The no-fault dispatch never consults the hook. *)
-  let rec_on = recorder != Recorder.none in
-  let faults_on = faults != no_faults in
-  (* Times never travel as float arguments: closure calls box them, and
-     this is the per-op hot path. [start_op] reads its start time from
-     the staged slot (where [pop_staged] left it) before the slot is
-     reused for pushes; fused chain members get theirs in [a_start],
-     written by their predecessor. Once an op's service is fixed, its
-     times are read back from [a_start]/[a_finish]. *)
-  let rec fused_member id =
-    a.a_finish.(id) <- a.a_start.(id) +. p.p_dur.(id);
-    let next = p.p_fuse_next.(id) in
-    if next < 0 then begin
-      (* Last member: release the chain's lane before the dependents
-         fan-out, exactly where the unfused engine pushes its lane_free
-         (so equal-timestamp pops keep the free-before-acquire order). *)
-      estaged.(0) <- a.a_start.(id) +. p.p_occ.(id);
-      Events.add_staged events (-1 - p.p_res_of.(id))
-    end;
-    (* The stream edge to the next chain member is skipped, so the
-       member's pending count never reaches zero and it never enters the
-       event heap. *)
-    finish_op a p ~rec_on recorder estaged id ((next lsl 1) lor 1);
-    if next >= 0 then begin
-      (* Back-to-back on one lane: the successor starts exactly at this
-         member's finish (stream edges pay no latency, and under the
-         contention-free precondition it never waits for the lane). *)
-      a.a_start.(next) <- a.a_finish.(id);
-      fused_member next
-    end
-  in
-  let start_op id =
-    let t = estaged.(0) in
-    a.a_start.(id) <- t;
-    let r = p.p_res_of.(id) in
-    if p.p_fuse_len.(id) > 1 then begin
-      (* Chain head: one lane serves the whole chain, acquired here and
-         released by [fused_member] at the last member's release time. *)
-      a.a_lanes.(r) <- a.a_lanes.(r) - 1;
-      fused_member id
-    end
-    else if faults_on && r >= 0 then begin
-      (* One attempt under faults. [Fault.run] prepares its schedules
-         unfused (fused chains assume fixed durations), so no chain head
-         gets here. The hook reads the attempt's start time, nominal
-         duration and nominal occupancy from [io] and answers through it:
-         the lane release time, then the finish time if served or the
-         retry's ready time if not. *)
-      let io = faults.io in
-      io.(0) <- t;
-      io.(1) <- p.p_dur.(id);
-      io.(2) <- p.p_occ.(id);
-      let served = faults.attempt id r in
-      a.a_lanes.(r) <- a.a_lanes.(r) - 1;
-      estaged.(0) <- io.(0);
-      Events.add_staged events (-1 - r);
-      if served then begin
-        a.a_finish.(id) <- io.(1);
-        finish_op a p ~rec_on recorder estaged id (-1)
-      end
-      else begin
-        estaged.(0) <- io.(1);
-        Events.add_staged events id
-      end
-    end
-    else begin
-      a.a_finish.(id) <- t +. p.p_dur.(id);
-      if r >= 0 then begin
-        a.a_lanes.(r) <- a.a_lanes.(r) - 1;
-        (* Lane_free events are encoded as negative values (-1 - r). *)
-        estaged.(0) <- t +. p.p_occ.(id);
-        Events.add_staged events (-1 - r)
-      end;
-      finish_op a p ~rec_on recorder estaged id (-1)
-    end
-  in
-  let srcs = p.p_sources in
-  for i = 0 to Array.length srcs - 1 do
-    let id = srcs.(i) in
-    estaged.(0) <- a.a_ready.(id);
-    Events.add_staged events id
-  done;
-  let rec drain () =
-    if not (Events.is_empty events) then begin
-      let v = Events.pop_staged events in
-      if v >= 0 then begin
-        (* Ready op. *)
-        let id = v in
-        let r = p.p_res_of.(id) in
-        if r < 0 then start_op id
-        else if a.a_lanes.(r) > 0 then start_op id
-        else begin
-          (* Per-resource waiting sets keyed by the scheduling policy. *)
-          let w = a.a_wait.(r) in
-          (Waitq.staged w).(0) <- (if fair then estaged.(0) else 0.);
-          Waitq.add_staged w p.p_stream.(id) id
-        end
-      end
-      else begin
-        (* Lane freed on resource (-1 - v). *)
-        let r = -1 - v in
-        a.a_lanes.(r) <- a.a_lanes.(r) + 1;
-        let w = a.a_wait.(r) in
-        (* [pop_staged] on the waitq leaves [estaged.(0)] untouched, so
-           the event time is still in place for [start_op]. *)
-        if not (Waitq.is_empty w) then start_op (Waitq.pop_staged w)
-      end;
-      drain ()
-    end
-  in
-  drain ();
-  (* Every op must have run; a cycle would leave NaNs (impossible by
-     construction, but guard against programmer error). *)
-  for i = 0 to n - 1 do
-    if Float.is_nan a.a_finish.(i) then begin
-      Atomic.set a.a_in_use false;
-      invalid_arg (Printf.sprintf "Engine.run: op %d never became ready" i)
-    end
-  done;
-  (* Busy totals are a constant of the schedule (every op runs exactly
-     once), so they are summed here in op-id order rather than in
-     dispatch order: the float sum is then independent of heap pop order
-     and bit-identical between fused and unfused replays. Under faults the
-     hook's per-op lane-seconds (failed attempts included) stand in for
-     the nominal occupancies. *)
-  let occ = if faults_on then faults.occ else p.p_occ in
-  for id = 0 to n - 1 do
-    let r = p.p_res_of.(id) in
-    if r >= 0 then a.a_busy.(r) <- a.a_busy.(r) +. occ.(id)
-  done;
   let makespan = a.a_mk.(0) in
   if Telemetry.enabled telemetry then begin
     Telemetry.incr telemetry "engine.runs";

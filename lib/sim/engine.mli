@@ -41,9 +41,18 @@ type result = {
     schedule (flat per-op resource/duration/latency arrays, CSR
     dependents adjacency, initial pending counts), and {!run_prepared}
     executes it against a reusable {!arena} whose working arrays and
-    heaps are reset in place — the steady-state path allocates (almost)
-    nothing per run. {!run} is the thin prepare-then-run wrapper and
-    produces bit-identical results. *)
+    heaps are reset in place — the steady-state path allocates the same
+    few words per run whatever the program size. {!run} is the thin
+    prepare-then-run wrapper and produces bit-identical results.
+
+    The event loop itself is C ([engine_stubs.c]); this module keeps
+    validation, {!prepare}, arena sizing and telemetry. Replay stays
+    bit-identical to the OCaml loop it replaced, which the test suite
+    keeps as its reference: both the event heap (time, then insertion
+    order) and the waiting heaps (time or 0 by policy, then stream, then
+    op id) order by strict total orders, so any correct heap pops the
+    same sequence, and the loop performs the same IEEE additions and
+    comparisons, compiled with [-ffp-contract=off]. *)
 
 type prepared
 (** An immutable lowered schedule: safe to share across domains and to
@@ -76,6 +85,29 @@ val prepare :
     begin/end pair, so {!Recorder} and {!Critical_path} see original op
     ids. *)
 
+type schedule = private {
+  s_res_of : int array;  (** resource id per op, or -1 for a delay *)
+  s_dur : float array;  (** base duration per op *)
+  s_occ : float array;  (** lane occupancy per op: [max dur gap] *)
+  s_lat : float array;  (** pipeline latency of the op's resource *)
+  s_stream : int array;
+  s_lanes : int array;  (** lane count per resource *)
+  s_pending0 : int array;  (** initial pending-dependency counts *)
+  s_dep_off : int array;  (** CSR row offsets into [dep], length n+1 *)
+  s_dep : int array;  (** dependents, packed [(dst lsl 1) lor is_stream] *)
+  s_sources : int array;  (** ops with no dependencies, ascending *)
+  s_fuse_next : int array;  (** next fused chain member, or -1 *)
+  s_fuse_len : int array;
+      (** chain length at chain heads ([>= 2]), 0 inside, 1 elsewhere *)
+  s_wait_off : int array;
+      (** prefix sums of the ops per resource, length n_res+1 *)
+}
+(** The lowered arrays the event loop reads, exposed read-only for
+    reference implementations of the loop (the test suite keeps the
+    OCaml loop this one replaced). Never mutate them. *)
+
+val schedule : prepared -> schedule
+
 val prepared_program : prepared -> Program.t
 val prepared_ops : prepared -> int
 
@@ -90,8 +122,9 @@ val fused_ops : prepared -> int
 (** Total ops covered by fused chains, heads included. *)
 
 type arena
-(** The engine's mutable working set (start/finish/busy/pending/ready
-    arrays, event and waiting heaps), reset in place by each
+(** The engine's mutable working set (start/finish/busy arrays, a work
+    buffer with the ready times, pending counts and waiting heaps, and
+    the event heap), reset in place by each
     {!run_prepared}. Not safe to share across concurrent runs:
     {!run_prepared} atomically marks the arena in use for the duration
     of the run and raises [Invalid_argument] on a concurrent or
@@ -130,7 +163,9 @@ val run_prepared :
     This is the simulator's only event loop: {!Fault.run} replays
     faulted programs through it too (see {!run_faulted}). The fault
     branch is selected by one check per run, so the no-fault dispatch
-    path is the same code with or without it. *)
+    path is the same code with or without it. The arena's heaps are
+    sized from the schedule when the arena is reset, so the loop never
+    allocates; the result record is the run's only allocation. *)
 
 (** {2 Fault hook}
 
@@ -144,18 +179,24 @@ type fault_hook = {
           the op's nominal duration and its nominal lane occupancy. On
           return [io.(0)] holds the lane release time and [io.(1)] the
           finish time ([true]: served) or the time the op is ready to
-          try again ([false]: failed). May raise to abort the run. *)
+          try again ([false]: failed). May raise to abort the run; the
+          arena is released and the exception propagates. *)
   io : float array;  (** 3 slots: times pass through here unboxed *)
   occ : float array;
       (** per-op lane-seconds over all attempts, kept by [attempt];
           summed into [busy] in op-id order *)
+  max_attempts : int;
+      (** the most attempts [attempt] lets one op make (it raises on
+          the last failure): sizes the run's event heap *)
 }
 
 val run_faulted :
   ?policy:policy -> ?recorder:Recorder.t -> fault_hook -> prepared -> result
 (** {!run_prepared} on a fresh arena with every resourced op's attempts
     decided by the hook. The schedule must be prepared with
-    [~fuse:false]: fused chains assume fixed durations. *)
+    [~fuse:false]: fused chains assume fixed durations. Raises
+    [Invalid_argument] if the hook lets an op make more than
+    [max_attempts] attempts and the event heap sized for it fills up. *)
 
 val run :
   ?policy:policy ->

@@ -103,14 +103,14 @@ let service_finish f t0 work =
     go t0 work m0 !i0
   end
 
-let run ?(policy = `Fair) ?(telemetry = Telemetry.disabled) ?(retry = default_retry)
-    ?(events = []) ?(recorder = Recorder.none) ~resources prog =
+let check_retry retry =
   if retry.timeout_s < 0. || retry.backoff_s < 0. || retry.max_attempts < 1 then
-    invalid_arg "Fault.run: bad retry policy";
-  (* Unfused: fused chains assume fixed durations, which faults break. *)
-  let p = Engine.prepare ~fuse:false ~resources prog in
+    invalid_arg "Fault.run: bad retry policy"
+
+let hook ?(telemetry = Telemetry.disabled) ?(retry = default_retry)
+    ?(recorder = Recorder.none) ~events ~resources p =
+  check_retry retry;
   let faults = fold_events ~n_res:(Array.length resources) events in
-  Telemetry.incr telemetry ~by:(List.length events) "fault.injected";
   let n = Engine.prepared_ops p in
   let attempts = Array.make n 0 in
   let retries = ref 0 in
@@ -122,56 +122,65 @@ let run ?(policy = `Fair) ?(telemetry = Telemetry.disabled) ?(retry = default_re
     if rec_on && Telemetry.tracing telemetry then
       ignore (Recorder.dump_slices recorder telemetry)
   in
-  let timing =
-    match events with
-    | [] -> Engine.run_prepared ~policy ~arena:(Engine.arena ()) ~recorder p
-    | _ ->
-        let io = Array.make 3 0. and occ = Array.make n 0. in
-        (* All fault times are known up front, so every attempt's outcome
-           is decided at dispatch. *)
-        let attempt id r =
-          let t = io.(0) and dur = io.(1) in
-          let f = faults.(r) in
-          let fin = service_finish f t dur in
-          let detected =
-            if t >= f.fail_at || is_flaky f t then t +. retry.timeout_s
-            else if fin > f.fail_at then f.fail_at +. retry.timeout_s
-            else nan
-          in
-          let gap = resources.(r).Engine.gap in
-          if Float.is_nan detected then begin
-            (* An undegraded service keeps the engine's own occupancy, so
-               lane release and busy time match [Engine.run] bit for bit. *)
-            let o = if fin = t +. dur then io.(2) else Float.max (fin -. t) gap in
-            occ.(id) <- occ.(id) +. o;
-            io.(0) <- t +. o;
-            io.(1) <- fin;
-            true
-          end
-          else begin
-            (* The stalled attempt holds its lane until the timeout fires. *)
-            let o = Float.max (detected -. t) gap in
-            occ.(id) <- occ.(id) +. o;
-            attempts.(id) <- attempts.(id) + 1;
-            if rec_on then
-              Recorder.record recorder Recorder.Retry ~op:id ~res:r ~time:detected;
-            if attempts.(id) >= retry.max_attempts then begin
-              dump ();
-              raise (Unrecoverable { op = id; resource = r; attempts = attempts.(id) })
-            end;
-            incr retries;
-            Telemetry.incr telemetry "engine.retries";
-            io.(0) <- t +. o;
-            io.(1) <-
-              detected +. (retry.backoff_s *. (2. ** Float.of_int (attempts.(id) - 1)));
-            false
-          end
-        in
-        Engine.run_faulted ~policy ~recorder { Engine.attempt; io; occ } p
+  let io = Array.make 3 0. and occ = Array.make n 0. in
+  (* All fault times are known up front, so every attempt's outcome is
+     decided at dispatch. *)
+  let attempt id r =
+    let t = io.(0) and dur = io.(1) in
+    let f = faults.(r) in
+    let fin = service_finish f t dur in
+    let detected =
+      if t >= f.fail_at || is_flaky f t then t +. retry.timeout_s
+      else if fin > f.fail_at then f.fail_at +. retry.timeout_s
+      else nan
+    in
+    let gap = resources.(r).Engine.gap in
+    if Float.is_nan detected then begin
+      (* An undegraded service keeps the engine's own occupancy, so lane
+         release and busy time match [Engine.run] bit for bit. *)
+      let o = if fin = t +. dur then io.(2) else Float.max (fin -. t) gap in
+      occ.(id) <- occ.(id) +. o;
+      io.(0) <- t +. o;
+      io.(1) <- fin;
+      true
+    end
+    else begin
+      (* The stalled attempt holds its lane until the timeout fires. *)
+      let o = Float.max (detected -. t) gap in
+      occ.(id) <- occ.(id) +. o;
+      attempts.(id) <- attempts.(id) + 1;
+      if rec_on then
+        Recorder.record recorder Recorder.Retry ~op:id ~res:r ~time:detected;
+      if attempts.(id) >= retry.max_attempts then begin
+        dump ();
+        raise (Unrecoverable { op = id; resource = r; attempts = attempts.(id) })
+      end;
+      incr retries;
+      Telemetry.incr telemetry "engine.retries";
+      io.(0) <- t +. o;
+      io.(1) <-
+        detected +. (retry.backoff_s *. (2. ** Float.of_int (attempts.(id) - 1)));
+      false
+    end
   in
-  if !retries > 0 then dump ();
-  {
-    timing;
-    retries = !retries;
-    faulted_ops = Array.fold_left (fun acc k -> if k > 0 then acc + 1 else acc) 0 attempts;
-  }
+  let outcome timing =
+    if !retries > 0 then dump ();
+    {
+      timing;
+      retries = !retries;
+      faulted_ops =
+        Array.fold_left (fun acc k -> if k > 0 then acc + 1 else acc) 0 attempts;
+    }
+  in
+  ({ Engine.attempt; io; occ; max_attempts = retry.max_attempts }, outcome)
+
+let run ?(policy = `Fair) ?(telemetry = Telemetry.disabled) ?(retry = default_retry)
+    ?(events = []) ?(recorder = Recorder.none) ~resources prog =
+  check_retry retry;
+  (* Unfused: fused chains assume fixed durations, which faults break. *)
+  let p = Engine.prepare ~fuse:false ~resources prog in
+  let faults, outcome = hook ~telemetry ~retry ~recorder ~events ~resources p in
+  Telemetry.incr telemetry ~by:(List.length events) "fault.injected";
+  match events with
+  | [] -> outcome (Engine.run_prepared ~policy ~arena:(Engine.arena ()) ~recorder p)
+  | _ -> outcome (Engine.run_faulted ~policy ~recorder faults p)

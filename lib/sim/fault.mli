@@ -90,3 +90,19 @@ val run :
     and [telemetry] is tracing, the recorder window is automatically
     dumped into the Chrome-trace exporter ({!Recorder.dump_slices}) so
     the retry storm is visible post-mortem. *)
+
+val hook :
+  ?telemetry:Blink_telemetry.Telemetry.t ->
+  ?retry:retry ->
+  ?recorder:Recorder.t ->
+  events:event list ->
+  resources:Engine.resource array ->
+  Engine.prepared ->
+  Engine.fault_hook * (Engine.result -> outcome)
+(** The fault hook {!run} hands the event loop for a schedule prepared
+    with [~fuse:false], and the function that turns the loop's result
+    into the run's outcome (retry counts, and the recorder dump after a
+    retry). The hook keeps per-run state: use each pair for one run. A
+    reference implementation of the event loop can replay [run]'s exact
+    fault semantics with it. Raises [Invalid_argument] as {!run} does on
+    malformed events or a bad retry policy. *)

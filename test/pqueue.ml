@@ -1,6 +1,7 @@
 (* Arena heaps: float keys, int values, unboxed parallel-array storage.
-   These are [Engine.run_prepared]'s event and waiting queues: the heap
-   operations dominate large simulations.
+   These are the reference event loop's ([Engine_ref]) event and waiting
+   queues, as [Engine.run_prepared] used them before its loop moved to
+   C; the C heaps must pop the same sequences.
 
    Uniform OCaml calls box float arguments and returns, so a conventional
    [add : t -> float -> ...] costs two minor words per event even with

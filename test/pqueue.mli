@@ -1,5 +1,5 @@
-(** Arena heaps: the binary min-heaps behind [Engine.run_prepared]'s
-    event loop (its event queue and per-resource waiting sets).
+(** Arena heaps: the binary min-heaps behind the reference event loop
+    ({!Engine_ref}): its event queue and per-resource waiting sets.
 
     Keys compare ascending; insertion order breaks ties (earlier
     insertions pop first), which keeps the simulator deterministic. Keys

@@ -241,6 +241,73 @@ let test_timing_alloc_guard () =
     Alcotest.failf "all_reduce: %.0f minor words per timing-only run (budget %.0f)"
       words timing_word_budget
 
+(* The allocation contract of the event loop: a steady-state
+   [run_prepared] allocates the same minor words whatever the program
+   size, the result record and nothing per op. The 2,016-op DGX-1V-8
+   all-reduce of the guard above against one of 55,104 ops, under
+   both policies, with and without the flight recorder. *)
+let test_run_prepared_alloc_flat () =
+  let handle = Blink.create Server.dgx1v ~gpus:(Array.init 8 Fun.id) in
+  let small = Blink.plan ~chunk_elems:8_192 handle Plan.All_reduce ~elems:1_000_000 in
+  let big = Blink.plan ~chunk_elems:1_024 handle Plan.All_reduce ~elems:4_000_000 in
+  let ops plan = E.prepared_ops plan.Plan.prepared in
+  Alcotest.(check bool)
+    (Printf.sprintf "big schedule has >= 50k ops (%d)" (ops big))
+    true
+    (ops big >= 50_000);
+  List.iter
+    (fun (label, policy, record) ->
+      let words plan =
+        let recorder = if record then plan.Plan.recorder else Blink_sim.Recorder.none in
+        minor_words_per_call (fun () ->
+            E.run_prepared ~policy ~arena:plan.Plan.arena ~recorder plan.Plan.prepared)
+      in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "%s: %d ops vs %d ops" label (ops small) (ops big))
+        (words small) (words big))
+    [
+      ("fair", `Fair, false);
+      ("priority", `Stream_priority, false);
+      ("fair, recorded", `Fair, true);
+    ]
+
+(* The event loop keeps all its state in the arena. The 72 plans of the
+   end-to-end topology sweep replay on two domains at once, each domain
+   on its own arena and in its own order, three rounds each; every
+   result must be bit-identical to a sequential replay. *)
+let test_domains_replay_like_sequential () =
+  let plans = Blink_scenario.Scenario.sweep_plans () in
+  let bits (r : E.result) =
+    ( Int64.bits_of_float r.E.makespan,
+      Array.map Int64.bits_of_float r.E.start,
+      Array.map Int64.bits_of_float r.E.finish,
+      Array.map Int64.bits_of_float r.E.busy )
+  in
+  let replay arena p = bits (E.run_prepared ~arena p.Plan.prepared) in
+  let sequential = Array.map (replay (E.arena ())) plans in
+  let n = Array.length plans in
+  let ready = Atomic.make 0 in
+  let worker order () =
+    let arena = E.arena () in
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let mismatches = ref 0 in
+    for _ = 1 to 3 do
+      Array.iter
+        (fun i -> if replay arena plans.(i) <> sequential.(i) then incr mismatches)
+        order
+    done;
+    !mismatches
+  in
+  let forward = Array.init n Fun.id and backward = Array.init n (fun i -> n - 1 - i) in
+  let other = Domain.spawn (worker backward) in
+  let here = worker forward () in
+  let there = Domain.join other in
+  Alcotest.(check int) "72 plans" 72 n;
+  Alcotest.(check (pair int int)) "no replay differs from sequential" (0, 0) (here, there)
+
 let () =
   Alcotest.run "replay"
     [
@@ -274,5 +341,13 @@ let () =
                  (Comm.reduce_scatter c ins).Comm.value));
         ] );
       ( "timing-only allocation",
-        [ Alcotest.test_case "all_reduce" `Quick test_timing_alloc_guard ] );
+        [
+          Alcotest.test_case "all_reduce" `Quick test_timing_alloc_guard;
+          Alcotest.test_case "flat in program size" `Quick test_run_prepared_alloc_flat;
+        ] );
+      ( "domains",
+        [
+          Alcotest.test_case "72 plans, two domains" `Quick
+            test_domains_replay_like_sequential;
+        ] );
     ]

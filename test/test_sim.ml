@@ -1,4 +1,4 @@
-module Pq = Blink_sim.Pqueue
+module Pq = Pqueue
 module P = Blink_sim.Program
 module E = Blink_sim.Engine
 module Sem = Blink_sim.Semantics
@@ -771,6 +771,187 @@ let prop_fault_matches_engine =
           && same_bits want (Fault.run ~policy ~events:inert ~resources p).Fault.timing)
         [ `Fair; `Stream_priority ])
 
+(* The flight-recorder ring, slot by slot: its head and every slot's
+   kind, op, resource and time bits. *)
+let same_ring (a : Blink_sim.Recorder.t) (b : Blink_sim.Recorder.t) =
+  let module R = Blink_sim.Recorder in
+  a.R.head = b.R.head
+  && a.R.ev_kind = b.R.ev_kind
+  && a.R.ev_op = b.R.ev_op
+  && a.R.ev_res = b.R.ev_res
+  && Array.map Int64.bits_of_float a.R.ev_time = Array.map Int64.bits_of_float b.R.ev_time
+
+(* One arena for every case, so replays also reset it across shapes. *)
+let shared_arena = E.arena ()
+
+(* The C event loop against the OCaml reference it replaced: makespan,
+   start, finish and busy bits and the recorder ring, under both
+   policies, fused and unfused. The 16-slot rings wrap on all but the
+   smallest programs. *)
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"loop matches reference bit for bit" ~count:300
+    (QCheck.make
+       ~print:(fun case -> Format.asprintf "%a" P.pp (build_random_program case))
+       random_program)
+    (fun ((resources, _, _) as case) ->
+      let prog = build_random_program case in
+      List.for_all
+        (fun (policy, fuse) ->
+          let p = E.prepare ~fuse ~resources prog in
+          let rec_c = Blink_sim.Recorder.create ~capacity:16 () in
+          let rec_ref = Blink_sim.Recorder.create ~capacity:16 () in
+          let got = E.run_prepared ~policy ~arena:shared_arena ~recorder:rec_c p in
+          let want = Engine_ref.run ~policy ~recorder:rec_ref p in
+          same_bits got want && same_ring rec_c rec_ref)
+        [ (`Fair, true); (`Fair, false); (`Stream_priority, true); (`Stream_priority, false) ])
+
+(* Random fault campaigns for a random program: degradations, deaths
+   and flaky windows at times within its fault-free makespan, and a
+   retry policy of 1-4 attempts. About half the campaigns end in
+   [Unrecoverable]. *)
+let random_faults =
+  let open QCheck.Gen in
+  let* ((resources, _, _) as case) = random_program in
+  let n_res = Array.length resources in
+  let event =
+    let* res = int_bound (n_res - 1) and+ k = int_bound 2 and+ at = float_bound_inclusive 1.2
+    and+ len = float_range 0.01 0.5 and+ factor = float_range 0.1 1. in
+    return
+      (match k with
+      | 0 -> `Degrade (res, at, factor)
+      | 1 -> `Fail (res, at)
+      | _ -> `Flaky (res, at, at +. len))
+  in
+  let+ events = list_size (int_range 1 4) event
+  (* Zero backoffs make a failed attempt's retry tie with its lane
+     release, which pins the loop's push order for the two. *)
+  and+ timeout = oneof [ return 0.; return 4e-6; float_range 0. 2e-5 ]
+  and+ backoff = oneof [ return 0.; float_range 0. 2e-5 ]
+  and+ max_attempts = int_range 1 4 in
+  (case, events, { Fault.timeout_s = timeout; backoff_s = backoff; max_attempts })
+
+let fault_events ~mk =
+  List.map (function
+    | `Degrade (res, at, factor) -> Fault.Degrade { res; at = at *. mk; factor }
+    | `Fail (res, at) -> Fault.Fail { res; at = at *. mk }
+    | `Flaky (res, a, b) -> Fault.Flaky { res; from_s = a *. mk; until_s = b *. mk })
+
+(* Fault.run drives the C loop; the reference loop replays the same
+   campaign through the same hook. Both must return the same outcome
+   bits and recorder ring, or raise the same [Unrecoverable] with the
+   same ring. *)
+let prop_fault_matches_reference =
+  QCheck.Test.make ~name:"faults match reference bit for bit" ~count:300
+    (QCheck.make
+       ~print:(fun (case, events, _) ->
+         Format.asprintf "%a@.%d events" P.pp (build_random_program case)
+           (List.length events))
+       random_faults)
+    (fun (((resources, _, _) as case), events, retry) ->
+      let prog = build_random_program case in
+      let mk = Float.max 1e-6 (E.run ~resources prog).E.makespan in
+      let events = fault_events ~mk events in
+      List.for_all
+        (fun policy ->
+          let rec_c = Blink_sim.Recorder.create ~capacity:64 () in
+          let rec_ref = Blink_sim.Recorder.create ~capacity:64 () in
+          let got =
+            match Fault.run ~policy ~retry ~events ~recorder:rec_c ~resources prog with
+            | o -> Ok o
+            | exception Fault.Unrecoverable { op; resource; attempts } ->
+                Error (op, resource, attempts)
+          in
+          let want =
+            let p = E.prepare ~fuse:false ~resources prog in
+            let hook, outcome = Fault.hook ~retry ~recorder:rec_ref ~events ~resources p in
+            match outcome (Engine_ref.run ~policy ~recorder:rec_ref ~faults:hook p) with
+            | o -> Ok o
+            | exception Fault.Unrecoverable { op; resource; attempts } ->
+                Error (op, resource, attempts)
+          in
+          same_ring rec_c rec_ref
+          &&
+          match (got, want) with
+          | Ok a, Ok b ->
+              same_bits a.Fault.timing b.Fault.timing
+              && a.Fault.retries = b.Fault.retries
+              && a.Fault.faulted_ops = b.Fault.faulted_ops
+          | Error a, Error b -> a = b
+          | Ok _, Error _ | Error _, Ok _ -> false)
+        [ `Fair; `Stream_priority ])
+
+(* A dead link under the C loop and the reference: the same op gives up
+   after the same attempts, with the same retries recorded. *)
+let test_unrecoverable_matches_reference () =
+  let prog = P.create () in
+  let s = P.fresh_stream prog in
+  let a = P.add prog ~stream:s (P.Transfer { bytes = 1e4; link = 0; bw_scale = 1.; action = None }) in
+  ignore
+    (P.add prog ~deps:[ a ] ~stream:s
+       (P.Transfer { bytes = 1e4; link = 1; bw_scale = 1.; action = None }));
+  let resources = Array.make 2 { E.bandwidth = 1e9; latency = 1e-6; lanes = 1; gap = 0. } in
+  let events = [ Fault.Fail { res = 1; at = 0. } ] in
+  let rec_c = Blink_sim.Recorder.create ~capacity:16 () in
+  let rec_ref = Blink_sim.Recorder.create ~capacity:16 () in
+  let raised f =
+    match f () with
+    | (_ : Fault.outcome) -> None
+    | exception Fault.Unrecoverable { op; resource; attempts } -> Some (op, resource, attempts)
+  in
+  let got = raised (fun () -> Fault.run ~events ~recorder:rec_c ~resources prog) in
+  let want =
+    raised (fun () ->
+        let p = E.prepare ~fuse:false ~resources prog in
+        let hook, outcome = Fault.hook ~recorder:rec_ref ~events ~resources p in
+        outcome (Engine_ref.run ~recorder:rec_ref ~faults:hook p))
+  in
+  Alcotest.(check (option (triple int int int))) "op 1 gives up on link 1"
+    (Some (1, 1, Fault.default_retry.Fault.max_attempts)) got;
+  Alcotest.(check (option (triple int int int))) "as in the reference" want got;
+  Alcotest.(check bool) "same recorder ring" true (same_ring rec_c rec_ref)
+
+(* With no timeout or backoff, a flaky op retries at once while each
+   failed attempt still holds its lane for the gap: one op holds all
+   three lanes and queues a fourth attempt, which the event heap's
+   sizing must allow for. The C loop and the reference agree. *)
+let test_retries_hold_lanes () =
+  let prog = P.create () in
+  let s = P.fresh_stream prog in
+  ignore (P.add prog ~stream:s (P.Transfer { bytes = 1e4; link = 0; bw_scale = 1.; action = None }));
+  let resources = [| { E.bandwidth = 1e9; latency = 0.; lanes = 3; gap = 1e-3 } |] in
+  let events = [ Fault.Flaky { res = 0; from_s = 0.; until_s = 5e-4 } ] in
+  let retry = { Fault.timeout_s = 0.; backoff_s = 0.; max_attempts = 4 } in
+  let got = Fault.run ~retry ~events ~resources prog in
+  let want =
+    let p = E.prepare ~fuse:false ~resources prog in
+    let hook, outcome = Fault.hook ~retry ~events ~resources p in
+    outcome (Engine_ref.run ~faults:hook p)
+  in
+  Alcotest.(check int) "three failed attempts" 3 got.Fault.retries;
+  Alcotest.(check (float 0.)) "served when the first lane frees" 1e-3 got.Fault.timing.E.start.(0);
+  Alcotest.(check bool) "as in the reference" true (same_bits got.Fault.timing want.Fault.timing)
+
+(* The event heap is sized from the hook's [max_attempts]. A hook that
+   claims one attempt per op but retries at once while each failed
+   attempt holds a lane would overrun it; the loop stops and raises. *)
+let test_hook_overrun_raises () =
+  let prog = P.create () in
+  let s = P.fresh_stream prog in
+  ignore (P.add prog ~stream:s (P.Transfer { bytes = 1e4; link = 0; bw_scale = 1.; action = None }));
+  let resources = [| { E.bandwidth = 1e9; latency = 0.; lanes = 3; gap = 1. } |] in
+  let p = E.prepare ~fuse:false ~resources prog in
+  let io = Array.make 3 0. in
+  let attempt _ _ =
+    let t = io.(0) in
+    io.(0) <- t +. 1.;
+    io.(1) <- t;
+    false
+  in
+  let hook = { E.attempt; io; occ = Array.make 1 0.; max_attempts = 1 } in
+  match E.run_faulted hook p with
+  | (_ : E.result) -> Alcotest.fail "an overrunning hook ran to completion"
+  | exception Invalid_argument _ -> ()
+
 (* Critical_path on generated programs: the walk is a chain of ordered,
    non-overlapping spans ending at the makespan; the four components
    attribute the whole makespan; no resource carries more chain seconds
@@ -884,6 +1065,15 @@ let () =
           Alcotest.test_case "unrecoverable dumps the flight recorder" `Quick
             test_fault_unrecoverable_dumps_recorder;
           QCheck_alcotest.to_alcotest prop_fault_matches_engine;
+        ] );
+      ( "reference",
+        [
+          QCheck_alcotest.to_alcotest prop_engine_matches_reference;
+          QCheck_alcotest.to_alcotest prop_fault_matches_reference;
+          Alcotest.test_case "unrecoverable matches" `Quick
+            test_unrecoverable_matches_reference;
+          Alcotest.test_case "retries hold several lanes" `Quick test_retries_hold_lanes;
+          Alcotest.test_case "hook overrun raises" `Quick test_hook_overrun_raises;
         ] );
       (* Suite labels stay at most 11 characters: a longer label widens
          the label column and truncates the longest test name above in
