@@ -796,6 +796,54 @@ let failover_suite () =
    hit rate, <= 50 unique fingerprints, zero bit-identity mismatches). *)
 
 module Scheduler = Blink_cluster.Scheduler
+module Fingerprint = Blink_store.Fingerprint
+
+(* Fingerprint memo hits on the service's slice realizations: every
+   ascending NVLink-connected DGX-1V tuple of 2 to 8 GPUs (the scheduler
+   hands out lowest free ids first, so slices are ascending) and the class
+   representative each is remapped to before [Blink.create] fingerprints
+   it again. All are warmed first; then [repeats] timed rounds of [hits]
+   hits, and the minor words of one more round. Host-dependent, so the
+   regression gate does not check it. *)
+let fingerprint_hits ~repeats ~hits =
+  let server = Server.dgx1v in
+  let slices =
+    List.filter_map
+      (fun mask ->
+        let ids = List.filter (fun g -> mask land (1 lsl g) <> 0) (List.init 8 Fun.id) in
+        if List.length ids >= 2 && Util.Alloc.nvlink_connected server ids then
+          Some (Array.of_list ids)
+        else None)
+      (List.init 256 Fun.id)
+  in
+  let realizations =
+    Array.of_list
+      (List.concat_map
+         (fun gpus ->
+           match
+             Fingerprint.canonical_alloc (Fingerprint.make server ~gpus ~faults:[])
+           with
+           | Some (tuple, _) -> [ gpus; tuple ]
+           | None -> [ gpus ])
+         slices)
+  in
+  let n = Array.length realizations in
+  let round () =
+    for i = 0 to hits - 1 do
+      ignore (Fingerprint.make server ~gpus:realizations.(i mod n) ~faults:[])
+    done
+  in
+  round ();
+  let us =
+    List.init repeats (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        round ();
+        (Unix.gettimeofday () -. t0) *. 1e6 /. float hits)
+  in
+  let w0 = Gc.minor_words () in
+  round ();
+  let words = (Gc.minor_words () -. w0) /. float hits in
+  (n, us, words)
 
 let cluster_suite () =
   let n_jobs = 2_000 and servers = 64 in
@@ -837,6 +885,15 @@ let cluster_suite () =
   Util.row "  injected straggler (tenant %d, 2.0x): %d flagged slices, %d on \
             the injected tenant\n"
     straggler_tenant injected_flagged flagged_on_tenant;
+  let hit_repeats = 9 and hits = 10_000 in
+  let hit_realizations, hit_us, hit_words =
+    fingerprint_hits ~repeats:hit_repeats ~hits
+  in
+  let q p = Util.percentile p hit_us in
+  Util.row
+    "  fingerprint memo hit: %.2f us median (IQR %.2f us, %d x %d hits over %d \
+     realizations), %.0f minor words\n"
+    (q 0.5) (q 0.75 -. q 0.25) hit_repeats hits hit_realizations hit_words;
   let tenant_obj (o : Scheduler.tenant_observatory) =
     let summary (h : Scheduler.histogram_summary) =
       Json.Obj
@@ -886,6 +943,16 @@ let cluster_suite () =
               Json.int r.Scheduler.unique_fingerprints );
             ("jobs_per_second", Json.float r.Scheduler.jobs_per_second);
             ("wall_seconds", Json.float r.Scheduler.wall_seconds);
+            ( "fingerprint_hit_us",
+              Json.Obj
+                [
+                  ("median", Json.float (q 0.5));
+                  ("iqr", Json.float (q 0.75 -. q 0.25));
+                  ("repeats", Json.int hit_repeats);
+                  ("hits", Json.int hits);
+                  ("realizations", Json.int hit_realizations);
+                ] );
+            ("fingerprint_hit_words", Json.float hit_words);
             ("fairness", Json.float r.Scheduler.fairness);
             ("verified_slices", Json.int r.Scheduler.verified_slices);
             ("verify_mismatches", Json.int r.Scheduler.verify_mismatches);

@@ -50,28 +50,6 @@ let pair_label server faults u v : label =
   in
   (nv_tag, lanes, state, pcie)
 
-(* The whole server description enters the digest: two differently wired
-   servers that happen to share a name must never collide, and the
-   canonical representative tuple below is only meaningful relative to
-   one fixed wiring. *)
-let server_digest (s : Server.t) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b s.Server.name;
-  Printf.bprintf b "|%d|" s.Server.n_gpus;
-  List.iter
-    (fun (u, v, k) -> Printf.bprintf b "%d-%d:%d;" u v (Link.tag k))
-    s.Server.nvlinks;
-  (match s.Server.nvswitch with
-  | None -> Buffer.add_string b "|sw:-|"
-  | Some k -> Printf.bprintf b "|sw:%d|" (Link.tag k));
-  List.iter
-    (fun g ->
-      List.iter (fun gpu -> Printf.bprintf b "%d," gpu) g;
-      Buffer.add_char b ';')
-    s.Server.pcie_switches;
-  Printf.bprintf b "|%d" s.Server.switches_per_cpu;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
 let add_label b ((tag, lanes, state, pcie) : label) =
   Printf.bprintf b "%d,%d,%h,%d;" tag lanes state pcie
 
@@ -178,21 +156,37 @@ let rec memo_evict_to_target () =
 
 let default_planner = "treegen"
 
+(* Built on every call, memo hits included: the server part is the digest
+   [Server] computed at construction, and integers skip [Printf]. Non-
+   canonical ids hash these bytes, so they must stay exactly as spelled
+   here. *)
+let add_int b n = Buffer.add_string b (string_of_int n)
+
 let realization_key ~planner ~epsilon ~threshold ~root server ~gpus ~faults =
   let b = Buffer.create 128 in
-  Buffer.add_string b (server_digest server);
+  Buffer.add_string b (Server.digest server);
   Buffer.add_char b '|';
-  Array.iter (fun g -> Printf.bprintf b "%d," g) gpus;
+  Array.iter
+    (fun g ->
+      add_int b g;
+      Buffer.add_char b ',')
+    gpus;
   Buffer.add_char b '|';
   List.iter
     (fun ((u, v), st) ->
+      add_int b u;
+      Buffer.add_char b '-';
+      add_int b v;
       match st with
-      | Server.Down -> Printf.bprintf b "%d-%d:down;" u v
-      | Server.Degraded f -> Printf.bprintf b "%d-%d:%h;" u v f)
+      | Server.Down -> Buffer.add_string b ":down;"
+      | Server.Degraded f -> Printf.bprintf b ":%h;" f)
     faults;
-  Printf.bprintf b "|%d|" (match root with None -> -1 | Some r -> r);
+  Buffer.add_char b '|';
+  add_int b (match root with None -> -1 | Some r -> r);
+  Buffer.add_char b '|';
   add_params b ~epsilon ~threshold;
-  Printf.bprintf b "|planner:%s" planner;
+  Buffer.add_string b "|planner:";
+  Buffer.add_string b planner;
   Buffer.contents b
 
 let compute ~planner ~epsilon ~threshold ~root server ~gpus ~faults
@@ -237,7 +231,7 @@ let compute ~planner ~epsilon ~threshold ~root server ~gpus ~faults
   in
   let class_digest =
     let b = Buffer.create 256 in
-    Buffer.add_string b (server_digest server);
+    Buffer.add_string b (Server.digest server);
     Printf.bprintf b "|%d|" k;
     for i = 0 to k - 1 do
       for j = 0 to k - 1 do

@@ -42,7 +42,18 @@ val make :
     Memoized on the exact realization; the canonical-form
     search is exact for allocations up to ~10 GPUs and falls back to a
     deterministic invariant order (collision-free, less unifying) on
-    label-uniform fabrics such as NVSwitch machines. *)
+    label-uniform fabrics such as NVSwitch machines.
+
+    A memo hit builds one short realization key (the server's
+    construction-time {!Blink_topology.Server.digest}, the GPU tuple,
+    faults, root and planner parameters) and does one table lookup under
+    the memo lock: 93 minor words and about 1 µs for a DGX-1V slice on a
+    2-core VM, against 1,889 words and 12 µs when every hit re-digested
+    the server. The bytes of that key and of the class key are a
+    contract: non-canonical {!id}s hash the realization key and
+    {!class_digest} hashes the class key, so a change to how either is
+    spelled re-keys every shared plan. [test_store]'s "fingerprint ids
+    pinned" holds them. *)
 
 val id : t -> string
 (** The store key: the class digest alone when this realization {e is}

@@ -5,6 +5,7 @@ type t = {
   nvswitch : Link.kind option;
   pcie_switches : int list list;
   switches_per_cpu : int;
+  digest : string;
 }
 
 type link_state = Degraded of float | Down
@@ -26,6 +27,31 @@ let normalize_faults faults =
 
 let fault_state faults u v = List.assoc_opt (min u v, max u v) faults
 
+(* Every construction site goes through [make], so the digest of the whole
+   description is computed exactly once per server. The bytes hashed here
+   are part of every plan-store key (fingerprints prefix their keys with
+   this digest), so they must not change. *)
+let make ~name ~n_gpus ~nvlinks ~nvswitch ~pcie_switches ~switches_per_cpu =
+  let b = Buffer.create 256 in
+  Buffer.add_string b name;
+  Printf.bprintf b "|%d|" n_gpus;
+  List.iter
+    (fun (u, v, k) -> Printf.bprintf b "%d-%d:%d;" u v (Link.tag k))
+    nvlinks;
+  (match nvswitch with
+  | None -> Buffer.add_string b "|sw:-|"
+  | Some k -> Printf.bprintf b "|sw:%d|" (Link.tag k));
+  List.iter
+    (fun g ->
+      List.iter (fun gpu -> Printf.bprintf b "%d," gpu) g;
+      Buffer.add_char b ';')
+    pcie_switches;
+  Printf.bprintf b "|%d" switches_per_cpu;
+  let digest = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  { name; n_gpus; nvlinks; nvswitch; pcie_switches; switches_per_cpu; digest }
+
+let digest t = t.digest
+
 (* The 16 NVLink pairs of the DGX-1 hybrid cube-mesh: two complete quads
    plus the quad-to-quad matching. *)
 let cube_mesh_pairs =
@@ -36,14 +62,9 @@ let cube_mesh_pairs =
 let dgx1_pcie = [ [ 0; 1 ]; [ 2; 3 ]; [ 4; 5 ]; [ 6; 7 ] ]
 
 let dgx1p =
-  {
-    name = "dgx-1p";
-    n_gpus = 8;
-    nvlinks = List.map (fun (u, v) -> (u, v, Link.Nvlink_gen1)) cube_mesh_pairs;
-    nvswitch = None;
-    pcie_switches = dgx1_pcie;
-    switches_per_cpu = 2;
-  }
+  make ~name:"dgx-1p" ~n_gpus:8
+    ~nvlinks:(List.map (fun (u, v) -> (u, v, Link.Nvlink_gen1)) cube_mesh_pairs)
+    ~nvswitch:None ~pcie_switches:dgx1_pcie ~switches_per_cpu:2
 
 (* DGX-1V: same 16 pairs, all gen2; eight pairs carry a second NVLink
    (per the public nvidia-smi topology of the DGX-1V / AWS p3.16xlarge). *)
@@ -55,24 +76,13 @@ let dgx1v =
   let extra =
     List.map (fun (u, v) -> (u, v, Link.Nvlink_gen2)) dgx1v_double_pairs
   in
-  {
-    name = "dgx-1v";
-    n_gpus = 8;
-    nvlinks = single @ extra;
-    nvswitch = None;
-    pcie_switches = dgx1_pcie;
-    switches_per_cpu = 2;
-  }
+  make ~name:"dgx-1v" ~n_gpus:8 ~nvlinks:(single @ extra) ~nvswitch:None
+    ~pcie_switches:dgx1_pcie ~switches_per_cpu:2
 
 let dgx2 =
-  {
-    name = "dgx-2";
-    n_gpus = 16;
-    nvlinks = [];
-    nvswitch = Some Link.Nvlink_gen2;
-    pcie_switches = List.init 8 (fun i -> [ 2 * i; (2 * i) + 1 ]);
-    switches_per_cpu = 4;
-  }
+  make ~name:"dgx-2" ~n_gpus:16 ~nvlinks:[] ~nvswitch:(Some Link.Nvlink_gen2)
+    ~pcie_switches:(List.init 8 (fun i -> [ 2 * i; (2 * i) + 1 ]))
+    ~switches_per_cpu:4
 
 let custom ~name ~n_gpus ?(nvlinks = []) ?nvswitch ?pcie_switches
     ?switches_per_cpu () =
@@ -110,7 +120,7 @@ let custom ~name ~n_gpus ?(nvlinks = []) ?nvswitch ?pcie_switches
     Option.value switches_per_cpu
       ~default:(max 1 (List.length pcie_switches / 2))
   in
-  { name; n_gpus; nvlinks; nvswitch; pcie_switches; switches_per_cpu }
+  make ~name ~n_gpus ~nvlinks ~nvswitch ~pcie_switches ~switches_per_cpu
 
 let pair_links t u v =
   let u, v = (min u v, max u v) in

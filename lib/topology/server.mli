@@ -18,6 +18,7 @@ type t = private {
   pcie_switches : int list list;
       (** GPU groups per PCIe switch, in switch order *)
   switches_per_cpu : int;  (** leading switches attach to CPU0, rest CPU1 *)
+  digest : string;  (** see {!digest} *)
 }
 
 type link_state = Degraded of float | Down
@@ -60,6 +61,15 @@ val custom :
     [switches_per_cpu] defaults to half the switches. Raises
     [Invalid_argument] on out-of-range GPU ids, self-links, or PCIe groups
     that do not partition the GPUs. *)
+
+val digest : t -> string
+(** Hex MD5 of the whole description: name, GPU count, every physical
+    NVLink with its class, the NVSwitch kind, the PCIe groups and
+    [switches_per_cpu]. Computed once when the server is built ({!custom}
+    and the presets are the only construction sites), so reading it costs
+    nothing. Two differently wired servers sharing a name never share a
+    digest. Every fingerprint key of the plan store starts from it, so its
+    bytes are part of every store id and must never change. *)
 
 val pair_links : t -> int -> int -> (Link.kind * int) option
 (** NVLink class and multiplicity between a GPU pair, if directly wired

@@ -96,6 +96,123 @@ let test_canonical_realization_ids () =
   Alcotest.(check string) "identical realizations share ids"
     (Fingerprint.id h1) (Fingerprint.id h2)
 
+(* Store keys hash the bytes of the realization and class keys, so any
+   change to how those keys are spelled silently re-keys every shared
+   plan. These ids were recorded once; a refactor of the fingerprint must
+   reproduce them byte for byte. *)
+let pinned_degraded = [ ((2, 3), Server.Degraded 0.5); ((0, 1), Server.Down) ]
+
+let pinned =
+  [
+    ( "dgx1v quad lo",
+      (fun () -> Fingerprint.make Server.dgx1v ~gpus:quad_lo ~faults:[]),
+      "9230dd27309a8907a27ea85fa1e382ac" );
+    ( "dgx1v quad hi",
+      (fun () -> Fingerprint.make Server.dgx1v ~gpus:quad_hi ~faults:[]),
+      "9230dd27309a8907a27ea85fa1e382ac+1b55f6733d022e16285c9a173ba937d7" );
+    ( "dgx1v degraded",
+      (fun () ->
+        Fingerprint.make Server.dgx1v ~gpus:full ~faults:pinned_degraded),
+      "6f2335c9e10293793ff284ec8068e3b5+2e8374ae9a2647c3bfd76ff6910d13c5" );
+    ( "dgx1v root 3",
+      (fun () -> Fingerprint.make ~root:3 Server.dgx1v ~gpus:full ~faults:[]),
+      "8eaaf53743139f08c95037bc1d7e2985+968fdba8e0b8812b4def0f7aba7b8de4" );
+    ( "dgx1v epsilon threshold",
+      (fun () ->
+        Fingerprint.make ~epsilon:0.05 ~threshold:0.1 Server.dgx1v ~gpus:full
+          ~faults:[]),
+      "26b3a43098978fdab6ca1c95dbb3e7f8+f6eb49eb475b491e74bd2a48a116f2f6" );
+    ( "dgx1v lp-flow",
+      (fun () ->
+        Fingerprint.make ~planner:"lp-flow" Server.dgx1v ~gpus:full ~faults:[]),
+      "aa061f1827f85ffba1b21c29984519c5+1bf1e886901e6cbf5fedb11c2bfec0dc" );
+    ( "dgx1p 1,4,5,6",
+      (fun () ->
+        Fingerprint.make Server.dgx1p ~gpus:[| 1; 4; 5; 6 |] ~faults:[]),
+      "36427306a27b0ebcc51d0a11bb3941ac+fbed71c23145b1603da7042d678365e3" );
+    ( "dgx2 full",
+      (fun () ->
+        Fingerprint.make Server.dgx2 ~gpus:(Array.init 16 Fun.id) ~faults:[]),
+      "18c3985ca3da9ed19e3b95df9f1c63c4" );
+  ]
+
+let test_pinned_ids () =
+  List.iter
+    (fun (name, make, expected) ->
+      let fp = make () in
+      let cls, canonical =
+        match String.index_opt expected '+' with
+        | None -> (expected, true)
+        | Some i -> (String.sub expected 0 i, false)
+      in
+      Alcotest.(check string) (name ^ " id") expected (Fingerprint.id fp);
+      Alcotest.(check string) (name ^ " class") cls (Fingerprint.class_digest fp);
+      Alcotest.(check bool) (name ^ " canonical") canonical
+        (Fingerprint.is_canonical fp))
+    pinned
+
+(* A memo hit is one short key and one table lookup; it must not rebuild
+   the server's digest. Counted in minor words, which repeat exactly,
+   rather than timed. *)
+let test_hit_allocation () =
+  let hits = 1_000 in
+  List.iter
+    (fun (name, make, _) ->
+      ignore (make ());
+      let before = Gc.minor_words () in
+      for _ = 1 to hits do
+        ignore (make ())
+      done;
+      let per_hit = (Gc.minor_words () -. before) /. float hits in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words per hit (< 300)" name per_hit)
+        true (per_hit < 300.))
+    pinned
+
+(* Two domains race on 64 realizations no other test makes (fresh
+   [Server.custom] names, so the first requests miss): one computes a slot
+   while the other waits on its [Pending] marker. Both must see exactly
+   the fingerprint a lone caller gets. *)
+let test_two_domain_memo () =
+  let servers =
+    List.init 16 (fun i ->
+        let s = Server.dgx1v in
+        Server.custom ~name:(Printf.sprintf "memo-race-%d" i)
+          ~n_gpus:s.Server.n_gpus ~nvlinks:s.Server.nvlinks
+          ~pcie_switches:s.Server.pcie_switches
+          ~switches_per_cpu:s.Server.switches_per_cpu ())
+  in
+  let tuples = [ quad_lo; quad_hi; [| 1; 4; 5; 6 |]; [| 0; 1; 5 |] ] in
+  let work =
+    Array.of_list
+      (List.concat_map (fun s -> List.map (fun g -> (s, g)) tuples) servers)
+  in
+  let race () =
+    Array.map
+      (fun (s, gpus) ->
+        let fp = Fingerprint.make s ~gpus ~faults:[] in
+        (Fingerprint.id fp, Fingerprint.class_digest fp))
+      work
+  in
+  let other = Domain.spawn race in
+  let here = race () in
+  let there = Domain.join other in
+  Array.iteri
+    (fun i (s, gpus) ->
+      let fp = Fingerprint.make s ~gpus ~faults:[] in
+      let expect = (Fingerprint.id fp, Fingerprint.class_digest fp) in
+      let name = Printf.sprintf "realization %d" i in
+      Alcotest.(check (pair string string)) (name ^ " main") expect here.(i);
+      Alcotest.(check (pair string string)) (name ^ " spawned") expect there.(i);
+      (* The class digest is recomputed from scratch on a relabeled tuple
+         the race never requested: the racing domains hashed the same
+         canonical matrix. *)
+      let rev = Array.of_list (List.rev (Array.to_list gpus)) in
+      Alcotest.(check string) (name ^ " class recomputed")
+        (Fingerprint.class_digest (Fingerprint.make s ~gpus:rev ~faults:[]))
+        (snd here.(i)))
+    work
+
 (* ------------------------------------------------------------------ *)
 (* Cross-handle plan sharing through one store *)
 
@@ -275,6 +392,9 @@ let () =
             test_non_isomorphic_never_collide;
           Alcotest.test_case "canonical realization ids" `Quick
             test_canonical_realization_ids;
+          Alcotest.test_case "fingerprint ids pinned" `Quick test_pinned_ids;
+          Alcotest.test_case "hit allocation" `Quick test_hit_allocation;
+          Alcotest.test_case "two-domain memo" `Quick test_two_domain_memo;
         ] );
       ( "sharing",
         [
